@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import boxes as bx
 from .boxes import (
@@ -30,7 +29,6 @@ from .boxes import (
     is_finite_end,
     mat_rank,
     mat_vec,
-    point_box,
     set_boxes,
     set_is_empty,
 )
@@ -467,7 +465,10 @@ def _primitive(v):
 
 
 def _fm_bounds_k2(ineqs, var: int):
-    """Rational (lo, hi) range of l[var] via Fourier–Motzkin; None if infeasible."""
+    """Rational (lo, hi) range of l[var] via Fourier–Motzkin; None if infeasible.
+
+    Finite ends are exact rationals as (numerator, denominator > 0) pairs.
+    """
     other = 1 - var
     pos, neg, pure = [], [], []
     for a, b in ineqs:
@@ -488,12 +489,14 @@ def _fm_bounds_k2(ineqs, var: int):
     for a, b in derived:
         c = a[var]
         if c > 0:
-            hi = min(hi, Fraction(b, c))
+            if hi == POS_INF or b * hi[1] < hi[0] * c:
+                hi = (b, c)
         elif c < 0:
-            lo = max(lo, Fraction(b, c))
+            if lo == NEG_INF or -b * lo[1] > lo[0] * -c:
+                lo = (-b, -c)
         elif b < 0:
             return None
-    if lo != NEG_INF and hi != POS_INF and lo > hi:
+    if lo != NEG_INF and hi != POS_INF and lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return (lo, hi)
 
@@ -507,39 +510,19 @@ def _interval_k1(m: tuple, c: Box):
             if not (cl <= 0 <= ch):
                 return None
             continue
-        ends = []
+        if a < 0:
+            a, cl, ch = -a, -ch, -cl
         if is_finite_end(cl):
-            ends.append(Fraction(int(cl), a))
+            lo = max(lo, _ceil_div(int(cl), a))
         if is_finite_end(ch):
-            ends.append(Fraction(int(ch), a))
-        if is_finite_end(cl) and is_finite_end(ch):
-            a_lo, a_hi = min(ends), max(ends)
-            lo, hi = max(lo, a_lo), min(hi, a_hi)
-        elif is_finite_end(cl):
-            v = Fraction(int(cl), a)
-            if a > 0:
-                lo = max(lo, v)
-            else:
-                hi = min(hi, v)
-        elif is_finite_end(ch):
-            v = Fraction(int(ch), a)
-            if a > 0:
-                hi = min(hi, v)
-            else:
-                lo = max(lo, v)
-    ilo = lo if lo == NEG_INF else _ceil_frac(lo)
-    ihi = hi if hi == POS_INF else _floor_frac(hi)
-    if ilo != NEG_INF and ihi != POS_INF and ilo > ihi:
+            hi = min(hi, int(ch) // a)
+    if lo != NEG_INF and hi != POS_INF and lo > hi:
         return None
-    return (ilo, ihi)
+    return (lo, hi)
 
 
-def _ceil_frac(f) -> int:
-    return -((-f.numerator) // f.denominator) if isinstance(f, Fraction) else int(f)
-
-
-def _floor_frac(f) -> int:
-    return f.numerator // f.denominator if isinstance(f, Fraction) else int(f)
+def _ceil_div(n: int, d: int) -> int:
+    return -(-n // d)
 
 
 def lattice_box_feasible(m: tuple, c: Box, cap: int = ENUM_CAP) -> bool | None:
@@ -584,7 +567,7 @@ def lattice_box_feasible(m: tuple, c: Box, cap: int = ENUM_CAP) -> bool | None:
     r1 = _fm_bounds_k2(ineqs, 1)
     if r1 is None:
         return False
-    if _range_width(r0) <= _range_width(r1):
+    if _no_wider(r0, r1):
         return _enumerate_k2_var(ineqs, 0, r0, cap)
     return _enumerate_k2_var(ineqs, 1, r1, cap)
 
@@ -622,7 +605,7 @@ def _enumerate_k2_var(ineqs, var, rng, cap) -> bool | None:
     """Enumerate one variable over its bounded rational range; exact under cap."""
     if rng[0] == NEG_INF or rng[1] == POS_INF:
         return None
-    lo, hi = _ceil_frac(rng[0]), _floor_frac(rng[1])
+    lo, hi = _ceil_div(*rng[0]), rng[1][0] // rng[1][1]
     if hi - lo + 1 > cap:
         return None
     other = 1 - var
@@ -633,28 +616,26 @@ def _enumerate_k2_var(ineqs, var, rng, cap) -> bool | None:
             rest = b - a[var] * v
             co = a[other]
             if co > 0:
-                ohi = min(ohi, Fraction(rest, co))
+                ohi = min(ohi, rest // co)
             elif co < 0:
-                olo = max(olo, Fraction(rest, co))
+                olo = max(olo, _ceil_div(rest, co))
             elif rest < 0:
                 ok = False
                 break
-        if not ok:
-            continue
-        ilo = olo if olo == NEG_INF else _ceil_frac(olo)
-        ihi = ohi if ohi == POS_INF else _floor_frac(ohi)
-        if ilo == NEG_INF or ihi == POS_INF or ilo <= ihi:
+        if ok and olo <= ohi:
             return True
     return False
 
 
-def _range_width(rng):
-    if rng is None:
-        return POS_INF
-    lo, hi = rng
-    if lo == NEG_INF or hi == POS_INF:
-        return POS_INF
-    return hi - lo
+def _no_wider(r0, r1) -> bool:
+    """Exact width comparison of two rational ranges; unbounded is widest."""
+    if r1[0] == NEG_INF or r1[1] == POS_INF:
+        return True
+    if r0[0] == NEG_INF or r0[1] == POS_INF:
+        return False
+    (l0, dl0), (h0, dh0) = r0
+    (l1, dl1), (h1, dh1) = r1
+    return (h0 * dl0 - l0 * dh0) * dh1 * dl1 <= (h1 * dl1 - l1 * dh1) * dh0 * dl0
 
 
 def rational_bbox(m: tuple, c: Box) -> Box | None:
@@ -674,19 +655,22 @@ def rational_bbox(m: tuple, c: Box) -> Box | None:
     if k != 2:
         raise UnsupportedVariant("bounding boxes implemented for k <= 2")
     ineqs = _ineqs_from_box(m, c)
-    verts = []
+    los, his = [POS_INF, POS_INF], [NEG_INF, NEG_INF]
     for (a1, b1), (a2, b2) in itertools.combinations(ineqs, 2):
         det = a1[0] * a2[1] - a1[1] * a2[0]
         if det == 0:
             continue
-        x = Fraction(b1 * a2[1] - b2 * a1[1], det)
-        y = Fraction(a1[0] * b2 - a2[0] * b1, det)
-        if all(a[0] * x + a[1] * y <= b for a, b in ineqs):
-            verts.append((x, y))
-    if not verts:
+        # the vertex is (x / det, y / det); scale so that det > 0
+        x = b1 * a2[1] - b2 * a1[1]
+        y = a1[0] * b2 - a2[0] * b1
+        if det < 0:
+            det, x, y = -det, -x, -y
+        if all(a[0] * x + a[1] * y <= b * det for a, b in ineqs):
+            for i, t in enumerate((x, y)):
+                los[i] = min(los[i], _ceil_div(t, det))
+                his[i] = max(his[i], t // det)
+    if los[0] == POS_INF:
         return None
-    los = [_ceil_frac(min(v[i] for v in verts)) for i in range(2)]
-    his = [_floor_frac(max(v[i] for v in verts)) for i in range(2)]
     return box((los[0], his[0]), (los[1], his[1]))
 
 
@@ -740,10 +724,6 @@ def transporter(a: ActionInstance, b, b2):
         if moved & set(b2.points):
             hits.append(a.group.elements[i])
     return ExplicitTransporter(frozenset(hits))
-
-
-def transporter_membership(t, l) -> bool:
-    return t.member(l)
 
 
 def transporter_bounded(a: ActionInstance, t) -> "object":
@@ -835,47 +815,86 @@ def kernel_vector(m: tuple):
     raise UnsupportedVariant("kernel analysis implemented for k <= 2")
 
 
+# --- the column lattice M·ℤ^k: echelon basis and canonical residues ---------
+
+
+def _echelon(m: tuple) -> tuple:
+    """Echelon basis ((pivot, vector), ...) of the column lattice M·ℤ^k.
+
+    Integer gcd elimination one coordinate at a time: each basis vector is
+    zero before its pivot coordinate and positive on it, and the pivots
+    strictly increase, so the vectors form a basis of the lattice.
+    """
+    pool = [tuple(col) for col in zip(*m)]
+    basis = []
+    for p in range(len(m)):
+        piv, rest = None, []
+        for v in pool:
+            if piv is None and v[p]:
+                piv = v
+                continue
+            while v[p]:
+                q = piv[p] // v[p]
+                piv, v = v, tuple(x - q * y for x, y in zip(piv, v))
+            if any(v):
+                rest.append(v)
+        if piv is not None:
+            basis.append((p, piv if piv[p] > 0 else tuple(-x for x in piv)))
+        pool = rest
+    return tuple(basis)
+
+
+def _residue(basis: tuple, v: tuple) -> tuple:
+    """Canonical representative of v + M·ℤ^k: each pivot coordinate in [0, pivot).
+
+    Two vectors share a coset exactly when their residues are equal, so v
+    lies in M·ℤ^k exactly when its residue is zero.
+    """
+    v = list(v)
+    for p, b in basis:
+        q = v[p] // b[p]
+        if q:
+            for i in range(p, len(v)):
+                v[i] -= q * b[i]
+    return tuple(v)
+
+
+def _lattice_index(basis: tuple, d: int):
+    return prod(b[p] for p, b in basis) if len(basis) == d else None
+
+
+def _coset_firsts(basis: tuple, d: int, max_radius: int):
+    """Points of ℤ^d in cube-shell order, each the first one met in its coset."""
+    origin = (0,) * d
+    seen = {_residue(basis, origin)}
+    yield origin
+    for radius in range(1, max_radius + 1):
+        for p in bx.box_points(bx.cube(radius, d)):
+            if max(map(abs, p)) < radius:
+                continue
+            r = _residue(basis, p)
+            if r not in seen:
+                seen.add(r)
+                yield p
+
+
 def column_lattice_index(m: tuple):
     """Index of the column lattice in ℤ^d when full rank, else None."""
-    d = len(m)
-    k = len(m[0]) if m else 0
-    if mat_rank(m) < d:
-        return None
-    if d == 1:
-        g = 0
-        for x in m[0]:
-            g = gcd(g, abs(x))
-        return g
-    if d == 2 and k == 2:
-        return abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])
-    raise UnsupportedVariant("column lattice index needs k >= d and d <= 2")
+    return _lattice_index(_echelon(m), len(m))
 
 
 def in_column_lattice(m: tuple, v: tuple) -> bool:
-    return bool(lattice_box_feasible(m, point_box(v)))
+    return not any(_residue(_echelon(m), v))
 
 
 def coset_sample_points(a: ActionInstance, cap: int = 32) -> tuple:
     """Origin plus one representative per column-lattice coset, capped."""
     if not a.is_translation:
         return tuple(a.space.labels[:cap])
-    d = a.space.dim
-    m = a.matrix
-    reps = [(0,) * d]
-    index = column_lattice_index(m)
+    basis = _echelon(a.matrix)
+    index = _lattice_index(basis, len(a.matrix))
     target = min(cap, index) if index else cap
-    radius = 0
-    while len(reps) < target and radius < 6:
-        radius += 1
-        for p in bx.box_points(bx.cube(radius, d)):
-            if max(map(abs, p)) < radius:
-                continue
-            if len(reps) >= target:
-                break
-            if not any(in_column_lattice(m, tuple(x - y for x, y in zip(p, r)))
-                       for r in reps):
-                reps.append(p)
-    return tuple(reps)
+    return tuple(itertools.islice(_coset_firsts(basis, a.space.dim, 6), target))
 
 
 def _space_levels(a: ActionInstance, budget: Budget):
@@ -1169,24 +1188,11 @@ def covering_residues(a: ActionInstance) -> tuple | None:
             reps.append(x)
             covered |= {a.rule.mapping(i)[x] for i in range(len(a.group.elements))}
         return tuple(reps)
-    m = a.matrix
-    index = column_lattice_index(m)
-    if index is None or index == 0:
+    basis = _echelon(a.matrix)
+    index = _lattice_index(basis, len(a.matrix))
+    if index is None:
         return None
-    d = a.space.dim
-    reps = [(0,) * d]
-    radius = 0
-    while len(reps) < index and radius < 4 * index + 4:
-        radius += 1
-        for p in bx.box_points(bx.cube(radius, d)):
-            if max(map(abs, p)) < radius:
-                continue
-            if not any(in_column_lattice(m, tuple(x - y for x, y in zip(p, r)))
-                       for r in reps):
-                reps.append(p)
-                if len(reps) == index:
-                    break
-    return tuple(reps)
+    return tuple(itertools.islice(_coset_firsts(basis, a.space.dim, 4 * index + 4), index))
 
 
 def uncovered_direction(a: ActionInstance) -> tuple | None:

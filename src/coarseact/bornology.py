@@ -67,10 +67,6 @@ def affine(coeff: int, offset: int) -> AffineEnd:
     return AffineEnd(coeff, offset)
 
 
-def aff_const(v: int) -> AffineEnd:
-    return AffineEnd(0, v)
-
-
 AFF_NEG_INF = AffineEnd(inf=-1)
 AFF_POS_INF = AffineEnd(inf=1)
 
@@ -84,10 +80,6 @@ class BornologySpec:
     base: tuple = ()        # finite_base: tuple of FinitePoints
     shape: tuple = ()       # chain: per-constraint-coordinate (lower, upper) AffineEnds
     matrix: tuple | None = None  # chain: rows of M; level m = {n : M n ∈ shape(m)}
-
-    @property
-    def constraint_dim(self) -> int:
-        return len(self.shape)
 
 
 def maximal_bornology(space: GroundSpace) -> BornologySpec:
@@ -401,14 +393,6 @@ def _point_inside(bb: Box):
         int(lo) if is_finite_end(lo) else (int(hi) if is_finite_end(hi) else 0)
         for lo, hi in zip(bb.lower, bb.upper)
     )
-
-
-def is_bounded_monotone_pair(spec, small, large) -> bool:
-    """Containment-monotonicity probe used by property tests."""
-    vs, vl = is_bounded(spec, small), is_bounded(spec, large)
-    if vl.bounded:
-        return vs.bounded and vs.index <= vl.index
-    return True
 
 
 # --- induction --------------------------------------------------------------

@@ -606,10 +606,20 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--window", type=int, default=64)
-    common.add_argument("--max-index", dest="max_index", type=int, default=8)
+    common.add_argument("--window", type=_non_negative_int, default=64)
+    common.add_argument("--max-index", dest="max_index", type=_non_negative_int, default=8)
     common.add_argument("--format", choices=("text", "machine"), default="text")
     ap = argparse.ArgumentParser(prog="coarseact")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -798,9 +798,6 @@ class ChainStructure:
             return OrbitPair(self.action, b_n)
         raise UnsupportedVariant(f"chain kind {self.kind}")
 
-    def describe(self) -> str:
-        return f"chain[{self.kind}]"
-
 
 def metric_ball_structure(space: GroundSpace) -> ChainStructure:
     return ChainStructure(space, "metric_ball")
@@ -1163,14 +1160,6 @@ def _leq_diffrel_into_orbit_line(d1: DiffRel, e2: OrbitPair):
     return True, None
 
 
-def entourage_leq(e1, e2, budget: Budget = DEFAULT_BUDGET):
-    """Exact containment where rewrites apply, else window counterexamples."""
-    verdict, witness = entourage_leq_exact(e1, e2)
-    if verdict is not None:
-        return verdict, witness
-    return _window_leq(e1, e2, budget)
-
-
 def _is_zero_only(s, d) -> bool:
     zero = (0,) * d
     for piece in set_pieces(s):
@@ -1296,16 +1285,6 @@ def _count_points_at_most(s, n: int) -> bool:
         if count > n:
             return False
     return count <= n
-
-
-def _point_of(s):
-    for piece in set_pieces(s):
-        if isinstance(piece, FinitePoints):
-            return sorted(piece.points)[0]
-        p = _inside(piece.box)
-        if p is not None:
-            return p
-    return None
 
 
 def _point_outside(s, d, radius: int = 64):

@@ -1,6 +1,12 @@
+import itertools
 import random
+import time
+from fractions import Fraction
+from math import ceil, floor, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarseact.boxes import (
     NEG_INF,
@@ -8,6 +14,7 @@ from coarseact.boxes import (
     GroundSpace,
     box,
     box_set,
+    point_box,
     points_set,
 )
 from coarseact.bornology import (
@@ -18,6 +25,9 @@ from coarseact.bornology import (
     maximal_bornology,
 )
 from coarseact.actions import (
+    _echelon,
+    _interval_k1,
+    _residue,
     ActionInstance,
     TranslationRule,
     PermutationRule,
@@ -374,6 +384,136 @@ class TestCoarseTransitivitySupport:
         reps = coset_sample_points(inst)
         assert len(reps) == 2
         assert (reps[0][0] - reps[1][0]) % 2 == 1
+
+    def test_column_lattice_index_matches_det_and_gcd(self):
+        for m in (((1,),), ((2,),), ((1,), (-1,)), ((2, 0), (0, 3))):
+            assert column_lattice_index(m) == _det_gcd_index(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_column_lattice_index_random(self, data):
+        m = data.draw(_matrices(max_d=2))
+        assert column_lattice_index(m) == _det_gcd_index(m)
+
+    def test_index_400_residues(self):
+        inst = _translation_instance(((20, 0), (0, 20)))
+        t0 = time.perf_counter()
+        reps = covering_residues(inst)
+        elapsed = time.perf_counter() - t0
+        assert len(reps) == 400
+        assert _pairwise_distinct_cosets(((20, 0), (0, 20)), reps)
+        assert elapsed < 0.5
+
+
+def _translation_instance(m):
+    d, k = len(m), len(m[0])
+    space = GroundSpace.lattice(d)
+    return ActionInstance("lattice", lattice_group(k, cubes_chain(GroundSpace.lattice(k))),
+                          space, TranslationRule(m), cubes_chain(space))
+
+
+def _det_gcd_index(m):
+    """The column lattice index by gcd (d = 1) or determinant (d = k = 2)."""
+    if len(m) == 1:
+        g = 0
+        for x in m[0]:
+            g = gcd(g, abs(x))
+        return g or None
+    if len(m[0]) < len(m):
+        return None
+    return abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) or None
+
+
+def _pairwise_distinct_cosets(m, reps):
+    """No difference of two representatives lies in M·ℤ^k (exact feasibility)."""
+    return not any(lattice_box_feasible(m, point_box(tuple(x - y for x, y in zip(p, q))))
+                   for p, q in itertools.combinations(reps, 2))
+
+
+@st.composite
+def _matrices(draw, max_d=3):
+    d = draw(st.integers(1, max_d))
+    k = draw(st.integers(1, 2))
+    entry = st.integers(-5, 5)
+    return tuple(tuple(draw(entry) for _ in range(k)) for _ in range(d))
+
+
+class TestLatticeCore:
+    """The echelon residues against the independent feasibility decision."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_residue_zero_iff_feasible(self, data):
+        m = data.draw(_matrices())
+        v = tuple(data.draw(st.integers(-12, 12)) for _ in m)
+        in_lattice = not any(_residue(_echelon(m), v))
+        assert in_lattice == lattice_box_feasible(m, point_box(v))
+
+    @pytest.mark.parametrize("m", [((1, 0), (0, 0), (0, 1)), ((2, 1), (0, 0), (0, 3)),
+                                   ((0, 2), (3, 0), (1, 1)), ((4, 6), (2, 3)), ((0,), (5,))])
+    def test_residue_zero_iff_feasible_on_grid(self, m):
+        basis = _echelon(m)
+        for v in itertools.product(range(-3, 4), repeat=len(m)):
+            assert (not any(_residue(basis, v))) == lattice_box_feasible(m, point_box(v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_coset_samples_pairwise_distinct(self, data):
+        m = data.draw(_matrices())
+        reps = coset_sample_points(_translation_instance(m))
+        assert reps[0] == (0,) * len(m)
+        assert _pairwise_distinct_cosets(m, reps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_interval_k1_matches_enumeration(self, data):
+        m = tuple((data.draw(st.integers(-5, 5)),) for _ in range(data.draw(st.integers(1, 3))))
+        ends = st.integers(-12, 12)
+        c = box(*((data.draw(ends), data.draw(ends)) for _ in m))
+        if c.empty:
+            return
+        if all(row[0] == 0 for row in m):
+            full = c.contains((0,) * len(m))
+            assert _interval_k1(m, c) == ((NEG_INF, POS_INF) if full else None)
+            return
+        hits = [l for l in range(-13, 14) if c.contains(tuple(row[0] * l for row in m))]
+        assert _interval_k1(m, c) == ((min(hits), max(hits)) if hits else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rational_bbox_matches_fraction_vertices(self, data):
+        m = tuple((data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5)))
+                  for _ in range(data.draw(st.integers(1, 3))))
+        ends = st.integers(-12, 12)
+        c = box(*((data.draw(ends), data.draw(ends)) for _ in m))
+        if c.empty:
+            return
+        rows = [(row, hi) for row, hi in zip(m, c.upper)]
+        rows += [(tuple(-x for x in row), -lo) for row, lo in zip(m, c.lower)]
+        verts = []
+        for (a1, b1), (a2, b2) in itertools.combinations(rows, 2):
+            det = a1[0] * a2[1] - a1[1] * a2[0]
+            if det:
+                x = Fraction(b1 * a2[1] - b2 * a1[1], det)
+                y = Fraction(a1[0] * b2 - a2[0] * b1, det)
+                if all(a[0] * x + a[1] * y <= b for a, b in rows):
+                    verts.append((x, y))
+        if not verts:
+            assert rational_bbox(m, c) is None
+            return
+        assert rational_bbox(m, c) == box(
+            *((ceil(min(v[i] for v in verts)), floor(max(v[i] for v in verts)))
+              for i in range(2)))
+
+    def test_coset_samples_pinned(self, hyperbola):
+        assert coset_sample_points(hyperbola) == (
+            (0, 0), (-1, -1), (-1, 0), (0, 1), (1, 1), (-2, -2), (-2, -1), (1, 2),
+            (2, 2), (-3, -3), (-3, -2), (2, 3), (3, 3), (-4, -4), (-4, -3), (3, 4),
+            (4, 4), (-5, -5), (-5, -4), (4, 5), (5, 5), (-6, -6), (-6, -5), (5, 6),
+            (6, 6))
+        assert coset_sample_points(_translation_instance(((2,),))) == ((0,), (-1,))
+        assert coset_sample_points(_translation_instance(((2, 0), (0, 3)))) == (
+            (0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1))
 
 
 class TestImplicationChain:

@@ -153,6 +153,24 @@ class TestCommands:
         assert out1 == out2
 
 
+class TestInputContract:
+    @pytest.mark.parametrize("argv", [
+        ["theorem", "main", "shift.instance", "--max-index", "-3"],
+        ["classify", "shift.instance", "--window", "-5"],
+        ["axioms", "shift.instance", "--window", "ten"],
+    ])
+    def test_negative_budget_flags_exit_usage(self, argv):
+        argv = [fixture(a) if a.endswith(".instance") else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarseact.cli", *argv, "--format", "machine"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert "non-negative integer" in proc.stderr
+        assert "status=" not in proc.stdout
+
+
 class TestDot:
     def test_closure_dot_output(self, capsys, tmp_path):
         dot = tmp_path / "out.dot"
