@@ -1,171 +1,27 @@
 """Hot enumeration kernels for the brute-force oracle.
 
-Two implementations of each sweep: a numba @njit loop and a vectorized numpy
-fallback.  The environment flag COARSEACT_NO_NUMBA=1 forces the numpy path;
-otherwise numba is used when importable.  Box ends travel as float64 arrays
+Each sweep is a vectorized numpy search.  Box ends travel as float64 arrays
 so that ±inf encodes unbounded interval ends; all finite values are integers
 well inside the exact float range.
 
-The oracle's semantics live here as explicit loops over window points and
+The oracle's semantics live here as explicit searches over window points and
 group elements, deliberately independent of the symbolic interval calculus.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCE_NUMPY = os.environ.get("COARSEACT_NO_NUMBA", "") not in ("", "0")
-
-try:  # pragma: no cover - import guard
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by COARSEACT_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
 
 
 def kernel_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
-# --- numba loop implementations ----------------------------------------------
-
-
-@njit(cache=True)
-def _transporter_sweep_nb(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid):  # pragma: no cover
-    nl = lgrid.shape[0]
-    nx = xgrid.shape[0]
-    d = m.shape[0]
-    k = m.shape[1]
-    out = np.zeros(nl, dtype=np.bool_)
-    for i in range(nl):
-        # shift = M @ l
-        hit = False
-        for j in range(nx):
-            ok = True
-            for r in range(d):
-                x = xgrid[j, r]
-                if x < b_lo[r] or x > b_hi[r]:
-                    ok = False
-                    break
-                s = 0.0
-                for c in range(k):
-                    s += m[r, c] * lgrid[i, c]
-                moved = x + s
-                if moved < b2_lo[r] or moved > b2_hi[r]:
-                    ok = False
-                    break
-            if ok:
-                hit = True
-                break
-        out[i] = hit
-    return out
-
-
-@njit(cache=True)
-def _orbit_pair_sweep_nb(xs, ys, lgrid, m, b_lo, b_hi):  # pragma: no cover
-    n = xs.shape[0]
-    nl = lgrid.shape[0]
-    d = m.shape[0]
-    k = m.shape[1]
-    out = np.zeros(n, dtype=np.bool_)
-    for p in range(n):
-        same = True
-        for r in range(d):
-            if xs[p, r] != ys[p, r]:
-                same = False
-                break
-        if same:
-            out[p] = True
-            continue
-        hit = False
-        for i in range(nl):
-            ok = True
-            for r in range(d):
-                s = 0.0
-                for c in range(k):
-                    s += m[r, c] * lgrid[i, c]
-                vx = xs[p, r] - s
-                vy = ys[p, r] - s
-                if vx < b_lo[r] or vx > b_hi[r] or vy < b_lo[r] or vy > b_hi[r]:
-                    ok = False
-                    break
-            if ok:
-                hit = True
-                break
-        out[p] = hit
-    return out
-
-
-@njit(cache=True)
-def _orbit_compose_sweep_nb(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi):  # pragma: no cover
-    n = xs.shape[0]
-    nl = lgrid.shape[0]
-    nh = hgrid.shape[0]
-    d = m.shape[0]
-    k = m.shape[1]
-    out = np.zeros(n, dtype=np.bool_)
-    for p in range(n):
-        hit = False
-        for i in range(nl):
-            # x ∈ l·B1
-            okx = True
-            for r in range(d):
-                s = 0.0
-                for c in range(k):
-                    s += m[r, c] * lgrid[i, c]
-                v = xs[p, r] - s
-                if v < b1_lo[r] or v > b1_hi[r]:
-                    okx = False
-                    break
-            if not okx:
-                continue
-            for j in range(nh):
-                okz = True
-                overlap = True
-                for r in range(d):
-                    sl = 0.0
-                    sh = 0.0
-                    for c in range(k):
-                        sl += m[r, c] * lgrid[i, c]
-                        sh += m[r, c] * hgrid[j, c]
-                    v = zs[p, r] - sh
-                    if v < b2_lo[r] or v > b2_hi[r]:
-                        okz = False
-                        break
-                    # (l·B1) ∩ (h·B2) per coordinate
-                    lo = b1_lo[r] + sl
-                    hi = b1_hi[r] + sl
-                    lo2 = b2_lo[r] + sh
-                    hi2 = b2_hi[r] + sh
-                    if min(hi, hi2) < max(lo, lo2):
-                        overlap = False
-                        break
-                if okz and overlap:
-                    hit = True
-                    break
-            if hit:
-                break
-        out[p] = hit
-    return out
-
-
-# --- numpy fallback implementations ------------------------------------------
-
-
-def _transporter_sweep_np(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid):
+def transporter_sweep(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid) -> np.ndarray:
+    """For each group element l: does some window point x lie in b with x+Ml ∈ b2."""
+    lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid = _as_arrays(
+        lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid
+    )
     in_b = ((xgrid >= b_lo) & (xgrid <= b_hi)).all(axis=1)
     xs = xgrid[in_b]
     if not len(xs):
@@ -181,7 +37,9 @@ def _transporter_sweep_np(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid):
     return out
 
 
-def _orbit_pair_sweep_np(xs, ys, lgrid, m, b_lo, b_hi):
+def orbit_pair_sweep(xs, ys, lgrid, m, b_lo, b_hi) -> np.ndarray:
+    """Pairwise orbit-pair membership by explicit search over group elements."""
+    xs, ys, lgrid, m, b_lo, b_hi = _as_arrays(xs, ys, lgrid, m, b_lo, b_hi)
     shifts = lgrid @ m.T  # (nl, d)
     out = (xs == ys).all(axis=1)
     chunk = max(1, 2_000_000 // max(1, len(shifts)))
@@ -196,7 +54,11 @@ def _orbit_pair_sweep_np(xs, ys, lgrid, m, b_lo, b_hi):
     return out
 
 
-def _orbit_compose_sweep_np(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi):
+def orbit_compose_sweep(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi) -> np.ndarray:
+    """Pairwise membership in E(L,B1)∘E(L,B2) via explicit (l, h) search."""
+    xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi = _as_arrays(
+        xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi
+    )
     shifts_l = lgrid @ m.T
     shifts_h = hgrid @ m.T
     n = len(xs)
@@ -219,51 +81,5 @@ def _orbit_compose_sweep_np(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi)
     return out
 
 
-# --- dispatching wrappers ------------------------------------------------------
-
-
-def transporter_sweep(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid) -> np.ndarray:
-    """For each group element l: does some window point x lie in b with x+Ml ∈ b2."""
-    args = _as_arrays(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid)
-    if _HAVE_NUMBA:
-        return _transporter_sweep_nb(*args)
-    return _transporter_sweep_np(*args)
-
-
-def orbit_pair_sweep(xs, ys, lgrid, m, b_lo, b_hi) -> np.ndarray:
-    """Pairwise orbit-pair membership by explicit search over group elements."""
-    xs, ys, lgrid, m, b_lo, b_hi = _as_arrays(xs, ys, lgrid, m, b_lo, b_hi)
-    if _HAVE_NUMBA:
-        return _orbit_pair_sweep_nb(xs, ys, lgrid, m, b_lo, b_hi)
-    return _orbit_pair_sweep_np(xs, ys, lgrid, m, b_lo, b_hi)
-
-
-def orbit_compose_sweep(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi) -> np.ndarray:
-    """Pairwise membership in E(L,B1)∘E(L,B2) via explicit (l, h) search."""
-    args = _as_arrays(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi)
-    if _HAVE_NUMBA:
-        return _orbit_compose_sweep_nb(*args)
-    return _orbit_compose_sweep_np(*args)
-
-
 def _as_arrays(*xs):
     return tuple(np.asarray(x, dtype=np.float64) for x in xs)
-
-
-IMPLEMENTATIONS = {
-    "transporter_sweep": {
-        "numba": lambda *a: _transporter_sweep_nb(*_as_arrays(*a)),
-        "numpy": lambda *a: _transporter_sweep_np(*_as_arrays(*a)),
-    },
-    "orbit_pair_sweep": {
-        "numba": lambda *a: _orbit_pair_sweep_nb(*_as_arrays(*a)),
-        "numpy": lambda *a: _orbit_pair_sweep_np(*_as_arrays(*a)),
-    },
-    "orbit_compose_sweep": {
-        "numba": lambda *a: _orbit_compose_sweep_nb(*_as_arrays(*a)),
-        "numpy": lambda *a: _orbit_compose_sweep_np(*_as_arrays(*a)),
-    },
-}
-if not _HAVE_NUMBA:  # the njit names fall back to the plain-python loops
-    for _name in IMPLEMENTATIONS:
-        IMPLEMENTATIONS[_name]["numba"] = IMPLEMENTATIONS[_name]["numpy"]

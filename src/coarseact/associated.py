@@ -695,14 +695,12 @@ def verify_theorem_main(a: ActionInstance, candidates=(),
     }
     minimality = None
     if consistent and flags[0] and candidates:
-        assoc = associated_orbit_structure(a)
+        # all three conditions hold, so cond2 did and assoc is built
         items = []
         for name, cand in candidates:
             equi_c = equi_controlled_check(a, cand, budget)
             induced = induced_bornology_chain(cand)
-            matches = chains_mutually_cofinal(
-                _as_parameter_chain(induced), _as_parameter_chain(a.space_bornology), budget
-            )
+            matches = chains_mutually_cofinal(induced, a.space_bornology, budget)
             if not (equi_c.confirmed and matches.confirmed):
                 items.append((name, not_applicable("candidate filtered",
                                                    witness={"equi": equi_c,
@@ -725,10 +723,6 @@ def verify_theorem_main(a: ActionInstance, candidates=(),
     )
     return TheoremReport("b_proper_characterization", status,
                          conditions=conditions, budget=budget, detail=detail)
-
-
-def _as_parameter_chain(b: BornologySpec) -> BornologySpec:
-    return b
 
 
 def verify_theorem_transitive(a: ActionInstance, cs,

@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .boxes import GroundSpace, FinitePoints, UnsupportedVariant
+from .boxes import FinitePoints, GeometryError, GroundSpace, UnsupportedVariant
 from .bornology import (
     AFF_NEG_INF,
     AFF_POS_INF,
@@ -236,7 +236,18 @@ def _validate_chain_levels(spec: BornologySpec, section: str):
 
 
 def parse_instance_text(text: str, name: str = "instance") -> ParsedInstance:
+    """Parse and build an instance; a geometry error raised while building it
+    (say, ``dim = 0``) is a ParseError like any other invalid value."""
     sections = _read_sections(text)
+    try:
+        return _build_instance(sections, name)
+    except UnsupportedVariant:
+        raise
+    except GeometryError as exc:
+        raise ParseError(f"invalid instance: {exc}") from exc
+
+
+def _build_instance(sections, name: str) -> ParsedInstance:
     for needed in ("space", "group", "action", "bornology.x", "bornology.l"):
         if needed not in sections:
             raise ParseError(f"missing section [{needed}]")

@@ -1,11 +1,12 @@
-"""Entourage descriptors, their algebra, and coarse structures.
+"""Entourage descriptors, their normal forms, and coarse structures.
 
-Entourages over a lattice normalize, where possible, to the translation-
-invariant form DiffRel(s) = {(x,y) : y - x ∈ s}; metric balls, group-right
-entourages, and orbit pairs of surjective translation actions all rewrite to
-it exactly, which is what makes the structure-comparison identities decidable.
-Finite ground spaces close explicit relation bases into an antichain of
-maximal relations by fixpoint.
+The engine builds four normal forms: the translation-invariant DiffRel(s) =
+{(x,y) : y - x ∈ s}, the connected pairs diag ∪ B×B, the orbit pairs E(L,B),
+and compositions of two orbit pairs.  Metric balls and lattice group-right
+entourages are input forms that rewrite to DiffRel exactly, as do orbit pairs
+of surjective translation actions; that is what makes the structure-comparison
+identities decidable.  Finite ground spaces close explicit relation bases into
+an antichain of maximal relations by fixpoint.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .verdicts import (
     Verdict,
     bounded_at,
     confirmed,
-    inconclusive,
     not_applicable,
     refuted,
     unbounded,
@@ -85,17 +85,6 @@ NBHD_ENUM_CAP = 60
 
 
 @dataclass(frozen=True)
-class Diag:
-    space: GroundSpace
-
-
-@dataclass(frozen=True)
-class FiniteRel:
-    space: GroundSpace
-    pairs: frozenset
-
-
-@dataclass(frozen=True)
 class MetricBall:
     """Sup-metric ball relation {(x,y) : |x-y|_inf <= radius} on a lattice."""
 
@@ -104,20 +93,19 @@ class MetricBall:
 
 
 @dataclass(frozen=True)
-class ProductRel:
-    """s1 × s2 as a relation."""
-
-    space: GroundSpace
-    s1: object
-    s2: object
-
-
-@dataclass(frozen=True)
 class DiffRel:
     """Translation-invariant relation {(x,y) : y - x ∈ shift_set}."""
 
     space: GroundSpace
     shift_set: object
+
+
+@dataclass(frozen=True)
+class ConnectedPairs:
+    """diag ∪ (B × B): a level of the connected-pairs structure."""
+
+    space: GroundSpace
+    bounded_set: object
 
 
 @dataclass(frozen=True)
@@ -134,39 +122,21 @@ class OrbitPair:
 
 @dataclass(frozen=True)
 class GroupRight:
-    """{(l,h) : l^{-1} h ∈ D} over a group's element set."""
+    """{(l,h) : h - l ∈ D} over a lattice group (finite groups use the
+    explicit closure of group_right_structure)."""
 
     group: GroupSpec
     d_set: object
 
     @property
     def space(self) -> GroundSpace:
-        if self.group.is_lattice:
-            return GroundSpace.lattice(self.group.rank)
-        return GroundSpace.finite(self.group.elements)
-
-
-@dataclass(frozen=True)
-class Transpose:
-    inner: object
-
-    @property
-    def space(self):
-        return self.inner.space
-
-
-@dataclass(frozen=True)
-class UnionRel:
-    e1: object
-    e2: object
-
-    @property
-    def space(self):
-        return self.e1.space
+        return GroundSpace.lattice(self.group.rank)
 
 
 @dataclass(frozen=True)
 class Compose:
+    """e1 ∘ e2; the engine composes orbit pairs of one action."""
+
     e1: object
     e2: object
 
@@ -181,35 +151,18 @@ class Compose:
 def entourage_membership(e, pair, budget: Budget = DEFAULT_BUDGET):
     """Exact membership where decidable; None when only budget evidence exists."""
     x, y = pair
-    if isinstance(e, Diag):
-        return x == y
-    if isinstance(e, FiniteRel):
-        return (x, y) in e.pairs
     if isinstance(e, MetricBall):
         return max(abs(a - b) for a, b in zip(x, y)) <= e.radius
+    if isinstance(e, GroupRight):
+        return set_membership(e.d_set, tuple(b - a for a, b in zip(x, y)))
     if isinstance(e, DiffRel):
         return set_membership(e.shift_set, tuple(b - a for a, b in zip(x, y)))
-    if isinstance(e, ProductRel):
-        return set_membership(e.s1, x) and set_membership(e.s2, y)
-    if isinstance(e, GroupRight):
-        if e.group.is_lattice:
-            return set_membership(e.d_set, tuple(b - a for a, b in zip(x, y)))
-        i = e.group.elements.index(x)
-        j = e.group.elements.index(y)
-        li = e.group.mul[e.group.inverse_index(i)][j]
-        return e.group.elements[li] in e.d_set.points
+    if isinstance(e, ConnectedPairs):
+        return x == y or (
+            set_membership(e.bounded_set, x) and set_membership(e.bounded_set, y)
+        )
     if isinstance(e, OrbitPair):
         return _orbit_pair_member(e, x, y)
-    if isinstance(e, Transpose):
-        return entourage_membership(e.inner, (y, x), budget)
-    if isinstance(e, UnionRel):
-        m1 = entourage_membership(e.e1, pair, budget)
-        m2 = entourage_membership(e.e2, pair, budget)
-        if m1 is True or m2 is True:
-            return True
-        if m1 is False and m2 is False:
-            return False
-        return None
     if isinstance(e, Compose):
         return _compose_member(e, x, y, budget)
     raise UnsupportedVariant(f"not an entourage: {e!r}")
@@ -394,66 +347,55 @@ def reach(e):
     if not sp.is_lattice:
         return None
     d = sp.dim
-    if isinstance(e, Diag):
-        return FinitePoints(frozenset({(0,) * d}))
-    if isinstance(e, MetricBall):
-        return BoxSet(cube(e.radius, d))
+    if isinstance(e, (MetricBall, GroupRight)):
+        return entourage_rewrite(e).descriptor.shift_set
     if isinstance(e, DiffRel):
         return e.shift_set
-    if isinstance(e, FiniteRel):
-        return FinitePoints(
-            frozenset(tuple(b - a for a, b in zip(x, y)) for x, y in e.pairs)
-        )
-    if isinstance(e, ProductRel):
-        return _piecewise_difference(e.s2, e.s1)
     if isinstance(e, OrbitPair):
         if set_is_empty(e.bounded_set):
             return FinitePoints(frozenset({(0,) * d}))
-        diff = _piecewise_difference(e.bounded_set, e.bounded_set)
+        diff, _ = _piecewise_difference(e.bounded_set, e.bounded_set)
         return union_set(diff, FinitePoints(frozenset({(0,) * d})))
-    if isinstance(e, GroupRight):
-        return e.d_set
-    if isinstance(e, Transpose):
-        r = reach(e.inner)
-        return None if r is None else set_negate(r)
-    if isinstance(e, UnionRel):
-        r1, r2 = reach(e.e1), reach(e.e2)
-        if r1 is None or r2 is None:
-            return None
-        return _union_or_hull(r1, r2)
     if isinstance(e, Compose):
         r1, r2 = reach(e.e1), reach(e.e2)
         if r1 is None or r2 is None:
             return None
-        return _piecewise_minkowski(r1, r2)
+        return _piecewise_minkowski(r1, r2)[0]
     return None
 
 
 def _piecewise_difference(starget, ssource):
-    """{y - x : x ∈ ssource, y ∈ starget} as a union of boxes (may hull)."""
+    """({y - x : x ∈ ssource, y ∈ starget}, exact) as a union of boxes."""
     out = []
     for tb in set_boxes(starget):
         for sb in set_boxes(ssource):
             out.append(BoxSet(difference_box(tb, sb)))
-    return _union_or_hull(*out) if out else BoxSet(bx.empty_box(_dim_of(starget)))
+    if not out:
+        return BoxSet(bx.empty_box(_dim_of(starget))), True
+    return _union_or_hull(*out)
 
 
 def _piecewise_minkowski(s1, s2):
+    """(s1 + s2, exact) as a union of boxes."""
     out = []
     for a in set_boxes(s1):
         for b in set_boxes(s2):
             out.append(BoxSet(minkowski_sum(a, b)))
-    return _union_or_hull(*out) if out else BoxSet(bx.empty_box(_dim_of(s1)))
+    if not out:
+        return BoxSet(bx.empty_box(_dim_of(s1))), True
+    return _union_or_hull(*out)
 
 
 def _union_or_hull(*members):
+    """(union, exact): past the union cap the bounding hull stands in for the
+    union, and exact turns False because the hull over-approximates it."""
     try:
-        return union_set(*members)
+        return union_set(*members), True
     except GeometryError:
         hull = bx.empty_box(_dim_of(members[0]))
         for m in members:
             hull = box_hull(hull, set_bounding_box(m))
-        return BoxSet(hull)
+        return BoxSet(hull), False
 
 
 def _dim_of(s):
@@ -470,14 +412,10 @@ def entourage_rewrite(e) -> Rewrite:
     """Sound normalization; exact=False marks an over-approximating bound."""
     if isinstance(e, MetricBall):
         return Rewrite(DiffRel(e.space, BoxSet(cube(e.radius, e.space.dim))), True)
-    if isinstance(e, GroupRight) and e.group.is_lattice:
+    if isinstance(e, GroupRight):
         return Rewrite(DiffRel(e.space, e.d_set), True)
     if isinstance(e, OrbitPair):
         return _rewrite_orbit_pair(e)
-    if isinstance(e, Transpose):
-        return _rewrite_transpose(e)
-    if isinstance(e, UnionRel):
-        return _rewrite_union(e)
     if isinstance(e, Compose):
         return _rewrite_compose(e)
     return Rewrite(e, True)
@@ -492,81 +430,22 @@ def _rewrite_orbit_pair(e: OrbitPair) -> Rewrite:
     if set_is_empty(e.bounded_set):
         return Rewrite(DiffRel(a.space, zero), True)
     if all(all(v == 0 for v in row) for row in a.matrix):
-        return Rewrite(
-            UnionRel(Diag(a.space), ProductRel(a.space, e.bounded_set, e.bounded_set)),
-            True,
-        )
-    diff = _union_or_hull(_piecewise_difference(e.bounded_set, e.bounded_set), zero)
-    exact = column_lattice_index(a.matrix) == 1
+        return Rewrite(ConnectedPairs(a.space, e.bounded_set), True)
+    diff, exact_diff = _piecewise_difference(e.bounded_set, e.bounded_set)
+    diff, exact_union = _union_or_hull(diff, zero)
+    exact = column_lattice_index(a.matrix) == 1 and exact_diff and exact_union
     return Rewrite(DiffRel(a.space, diff), exact)
 
 
-def _rewrite_transpose(e: Transpose) -> Rewrite:
-    raw = e.inner
-    if isinstance(raw, (Diag, MetricBall, OrbitPair)):
-        return Rewrite(raw, True)  # symmetric relations
-    if isinstance(raw, ProductRel):
-        return Rewrite(ProductRel(raw.space, raw.s2, raw.s1), True)
-    if isinstance(raw, FiniteRel):
-        return Rewrite(
-            FiniteRel(raw.space, frozenset((y, x) for x, y in raw.pairs)), True
-        )
-    inner = entourage_rewrite(raw)
-    d = inner.descriptor
-    if isinstance(d, DiffRel):
-        return Rewrite(DiffRel(d.space, set_negate(d.shift_set)), inner.exact)
-    if isinstance(d, UnionRel):
-        return _rewrite_union(UnionRel(Transpose(d.e1), Transpose(d.e2)))
-    return Rewrite(Transpose(d), inner.exact)
-
-
-def _rewrite_union(e: UnionRel) -> Rewrite:
-    r1, r2 = entourage_rewrite(e.e1), entourage_rewrite(e.e2)
-    d1, d2 = r1.descriptor, r2.descriptor
-    exact = r1.exact and r2.exact
-    sp = e.space
-    if isinstance(d1, Diag) and isinstance(d2, DiffRel):
-        zero = FinitePoints(frozenset({(0,) * sp.dim}))
-        return Rewrite(DiffRel(sp, _union_or_hull(d2.shift_set, zero)), exact)
-    if isinstance(d2, Diag) and isinstance(d1, DiffRel):
-        zero = FinitePoints(frozenset({(0,) * sp.dim}))
-        return Rewrite(DiffRel(sp, _union_or_hull(d1.shift_set, zero)), exact)
-    if isinstance(d1, DiffRel) and isinstance(d2, DiffRel):
-        return Rewrite(
-            DiffRel(sp, _union_or_hull(d1.shift_set, d2.shift_set)), exact
-        )
-    if isinstance(d1, FiniteRel) and isinstance(d2, FiniteRel):
-        return Rewrite(FiniteRel(sp, d1.pairs | d2.pairs), exact)
-    return Rewrite(UnionRel(d1, d2), exact)
-
-
 def _rewrite_compose(e: Compose) -> Rewrite:
-    if isinstance(e.e1, MetricBall) and isinstance(e.e2, MetricBall):
-        return Rewrite(MetricBall(e.e1.space, e.e1.radius + e.e2.radius), True)
+    """Operands that rewrite exactly to DiffRel compose to a DiffRel; orbit
+    pairs of one translation action fall back to the transporter bound."""
     r1, r2 = entourage_rewrite(e.e1), entourage_rewrite(e.e2)
     d1, d2 = r1.descriptor, r2.descriptor
-    exact = r1.exact and r2.exact
-    if isinstance(d1, Diag):
-        return Rewrite(d2, exact)
-    if isinstance(d2, Diag):
-        return Rewrite(d1, exact)
-    if isinstance(d1, DiffRel) and isinstance(d2, DiffRel) and exact:
-        return Rewrite(
-            DiffRel(d1.space, _piecewise_minkowski(d1.shift_set, d2.shift_set)), True
-        )
-    if isinstance(d1, ProductRel) and isinstance(d2, ProductRel):
-        hit = not set_is_empty(_intersect_sets(d1.s2, d2.s1))
-        if hit:
-            return Rewrite(ProductRel(d1.space, d1.s1, d2.s2), exact)
-        return Rewrite(FiniteRel(d1.space, frozenset()), exact)
-    if isinstance(d1, FiniteRel) and isinstance(d2, FiniteRel):
-        by_first = {}
-        for xx, yy in d2.pairs:
-            by_first.setdefault(xx, []).append(yy)
-        pairs = frozenset(
-            (xx, zz) for xx, yy in d1.pairs for zz in by_first.get(yy, ())
-        )
-        return Rewrite(FiniteRel(d1.space, pairs), exact)
+    both_diff = isinstance(d1, DiffRel) and isinstance(d2, DiffRel)
+    if both_diff and r1.exact and r2.exact:
+        shifts, exact = _piecewise_minkowski(d1.shift_set, d2.shift_set)
+        return Rewrite(DiffRel(d1.space, shifts), exact)
     if (
         isinstance(e.e1, OrbitPair)
         and isinstance(e.e2, OrbitPair)
@@ -576,12 +455,11 @@ def _rewrite_compose(e: Compose) -> Rewrite:
         bound = orbit_compose_bound(e.e1, e.e2)
         if bound is not None:
             return Rewrite(OrbitPair(e.e1.action, bound), False)
-    if isinstance(d1, DiffRel) and isinstance(d2, DiffRel):
+    if both_diff:
         # over-approximating composition of tagged bounds
-        return Rewrite(
-            DiffRel(d1.space, _piecewise_minkowski(d1.shift_set, d2.shift_set)), False
-        )
-    return Rewrite(Compose(d1, d2), exact)
+        shifts, _ = _piecewise_minkowski(d1.shift_set, d2.shift_set)
+        return Rewrite(DiffRel(d1.space, shifts), False)
+    return Rewrite(e, True)
 
 
 def _intersect_sets(s1, s2):
@@ -595,12 +473,15 @@ def _intersect_sets(s1, s2):
 def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
     """The composition bound set (L_{B1,B2}·B1) ∪ B1 ∪ B2, box-hulled.
 
-    Only available when the transporter is bounded; None otherwise.
+    Only available when the transporter is bounded; None otherwise.  The
+    bound over-approximates, so a hull past the union cap keeps it sound.
     """
     a = e1.action
     b1, b2 = e1.bounded_set, e2.bounded_set
+    if set_is_empty(b1) and set_is_empty(b2):
+        return b1
     if set_is_empty(b1) or set_is_empty(b2):
-        return _union_or_hull(b1, b2) if not (set_is_empty(b1) and set_is_empty(b2)) else b1
+        return _union_or_hull(b1, b2)[0]
     t = transporter(a, b1, b2)
     tv = transporter_bounded(a, t)
     if not tv.bounded:
@@ -624,9 +505,9 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
             pb = point_box(tuple(l))
             hull = pb if hull is None else box_hull(hull, pb)
     if hull is None:
-        return _union_or_hull(b1, b2)
+        return _union_or_hull(b1, b2)[0]
     swept = minkowski_sum(bx.image_hull(a.matrix, hull), set_bounding_box(b1))
-    return _union_or_hull(BoxSet(swept), b1, b2)
+    return _union_or_hull(BoxSet(swept), b1, b2)[0]
 
 
 # --- neighborhoods -----------------------------------------------------------
@@ -634,30 +515,18 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
 
 def neighborhood(e, a_set, budget: Budget = DEFAULT_BUDGET):
     """(E[A], exact): the set {y : ∃x ∈ A, (x,y) ∈ E}."""
-    if isinstance(e, Diag):
-        return a_set, True
-    if isinstance(e, FiniteRel):
-        pts = frozenset(
-            y for x, y in e.pairs if set_membership(a_set, x)
-        )
-        return FinitePoints(pts), True
     if isinstance(e, (MetricBall, DiffRel, GroupRight)):
-        rw = entourage_rewrite(e)
-        shift = rw.descriptor.shift_set
-        return _piecewise_minkowski(a_set, shift), True
-    if isinstance(e, ProductRel):
-        if set_is_empty(_intersect_sets(a_set, e.s1)):
-            return BoxSet(bx.empty_box(e.space.dim)), True
-        return e.s2, True
-    if isinstance(e, UnionRel):
-        n1, x1 = neighborhood(e.e1, a_set, budget)
-        n2, x2 = neighborhood(e.e2, a_set, budget)
-        return _union_or_hull(n1, n2), x1 and x2
-    if isinstance(e, Transpose):
-        rw = _rewrite_transpose(e)
-        if rw.exact and not isinstance(rw.descriptor, Transpose):
-            return neighborhood(rw.descriptor, a_set, budget)
-        return _window_neighborhood(e, a_set, budget)
+        shift = entourage_rewrite(e).descriptor.shift_set
+        return _piecewise_minkowski(a_set, shift)
+    if isinstance(e, ConnectedPairs):
+        # A itself (the diagonal), plus all of B once A meets B
+        meets = any(
+            not box_intersect(p, q).empty
+            for p in set_boxes(a_set)
+            for q in set_boxes(e.bounded_set)
+        )
+        part = e.bounded_set if meets else BoxSet(bx.empty_box(e.space.dim))
+        return _union_or_hull(a_set, part)
     if isinstance(e, OrbitPair):
         return _orbit_neighborhood(e, a_set, budget)
     if isinstance(e, Compose):
@@ -693,7 +562,10 @@ def _orbit_neighborhood(e: OrbitPair, a_set, budget: Budget):
         part, ok = _orbit_point_neighborhood(e, x, budget)
         pieces.append(part)
         exact = exact and ok
-    return _union_or_hull(*pieces) if pieces else a_set, exact
+    if not pieces:
+        return a_set, exact
+    out, ok = _union_or_hull(*pieces)
+    return out, exact and ok
 
 
 def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
@@ -745,7 +617,8 @@ def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
             for piece in pieces:
                 boxes.append(bx.translate_box(piece, mat_vec(m, l)))
         parts.extend(BoxSet(t) for t in dict.fromkeys(boxes))
-    return _union_or_hull(*parts), exact
+    out, ok = _union_or_hull(*parts)
+    return out, exact and ok
 
 
 def _window_neighborhood(e, a_set, budget: Budget):
@@ -789,7 +662,7 @@ class ChainStructure:
             return MetricBall(self.space, n)
         if self.kind == "connected_pairs":
             lvl = BoxSet(level_box(self.bornology, n))
-            return UnionRel(Diag(self.space), ProductRel(self.space, lvl, lvl))
+            return ConnectedPairs(self.space, lvl)
         if self.kind == "group_right":
             d_n = BoxSet(level_box(self.group.bornology, n))
             return GroupRight(self.group, d_n)
@@ -1027,7 +900,7 @@ def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdic
     if rw.exact and isinstance(rw.descriptor, DiffRel):
         cs = ChainStructure(a.space, "orbit_pair", action=a)
         return _diffrel_coarsely_bounded(_DiffView(cs), s, budget)
-    if rw.exact and isinstance(rw.descriptor, UnionRel):
+    if rw.exact and isinstance(rw.descriptor, ConnectedPairs):
         return _connected_coarsely_bounded(a.space_bornology, s, budget)
     v = is_bounded(a.space_bornology, s)
     if v.bounded:
@@ -1079,14 +952,9 @@ def entourage_leq_exact(e1, e2):
     """
     r1, r2 = entourage_rewrite(e1), entourage_rewrite(e2)
     d1, d2 = r1.descriptor, r2.descriptor
-    diag_like = (isinstance(d1, Diag)) or (
-        isinstance(d1, DiffRel) and _is_zero_only(d1.shift_set, d1.space.dim)
-    )
-    if diag_like:
+    if isinstance(d1, DiffRel) and _is_zero_only(d1.shift_set, d1.space.dim):
         for cand in (e2, d2):
-            if isinstance(cand, (OrbitPair, MetricBall, Diag)):
-                return True, None
-            if isinstance(cand, UnionRel) and _has_diag(cand):
+            if isinstance(cand, (OrbitPair, MetricBall, ConnectedPairs)):
                 return True, None
         if isinstance(d2, DiffRel) and r2.exact:
             zero = (0,) * d1.space.dim
@@ -1105,9 +973,9 @@ def entourage_leq_exact(e1, e2):
         if r1.exact and not r2.exact and isinstance(e2, OrbitPair):
             return _leq_diffrel_into_orbit_line(d1, e2)
         return None, None
-    if isinstance(d2, UnionRel) and isinstance(_pr(d2), ProductRel):
+    if isinstance(d2, ConnectedPairs):
         return _leq_into_connected(d1, r1.exact, d2)
-    if isinstance(d1, UnionRel) and isinstance(_pr(d1), ProductRel):
+    if isinstance(d1, ConnectedPairs):
         return _leq_from_connected(d1, d2, r2.exact)
     if isinstance(d1, OrbitPair) and isinstance(d2, OrbitPair):
         if d1.action is d2.action or (
@@ -1171,22 +1039,9 @@ def _is_zero_only(s, d) -> bool:
     return True
 
 
-def _has_diag(u: UnionRel) -> bool:
-    return isinstance(u.e1, Diag) or isinstance(u.e2, Diag)
-
-
-def _pr(u: UnionRel):
-    if isinstance(u.e2, ProductRel):
-        return u.e2
-    if isinstance(u.e1, ProductRel):
-        return u.e1
-    return None
-
-
-def _leq_into_connected(d1, exact1, d2: UnionRel):
+def _leq_into_connected(d1, exact1, d2: ConnectedPairs):
     """e1 ⊆ diag ∪ (B×B): the off-diagonal part of e1 must sit inside B×B."""
-    prod = _pr(d2)
-    b = prod.s1
+    b = d2.bounded_set
     dim = d2.space.dim
     if isinstance(d1, DiffRel):
         zero = (0,) * dim
@@ -1217,8 +1072,8 @@ def _leq_into_connected(d1, exact1, d2: UnionRel):
         if v is None or x is None:
             return None, None
         return False, (x, tuple(a + c for a, c in zip(x, v)))
-    if isinstance(d1, UnionRel) and isinstance(_pr(d1), ProductRel):
-        b1 = _pr(d1).s1
+    if isinstance(d1, ConnectedPairs):
+        b1 = d1.bounded_set
         if _count_points_at_most(b1, 1):
             return True, None
         if set_contains_set(b, b1) is True:
@@ -1227,10 +1082,9 @@ def _leq_into_connected(d1, exact1, d2: UnionRel):
     return None, None
 
 
-def _leq_from_connected(d1: UnionRel, d2, exact2):
+def _leq_from_connected(d1: ConnectedPairs, d2, exact2):
     """diag ∪ (B×B) ⊆ e2: reduces to the difference set of B landing in e2."""
-    prod = _pr(d1)
-    b = prod.s1
+    b = d1.bounded_set
     dim = d1.space.dim
     zero = (0,) * dim
     if isinstance(d2, DiffRel):
@@ -1239,7 +1093,9 @@ def _leq_from_connected(d1: UnionRel, d2, exact2):
             return False, (x, x)
         if set_is_empty(b) or _count_points_at_most(b, 1):
             return True, None
-        diff = _piecewise_difference(b, b)
+        # a hulled difference set over-approximates: containment stays sound
+        # and an escape is replayed by _pair_realizing_escape
+        diff, _ = _piecewise_difference(b, b)
         c = set_contains_set(d2.shift_set, diff)
         if c is True:
             return True, None

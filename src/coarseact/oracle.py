@@ -54,14 +54,11 @@ from .actions import (
 )
 from .coarse import (
     Compose,
-    Diag,
+    ConnectedPairs,
     DiffRel,
     GroupRight,
     MetricBall,
     OrbitPair,
-    ProductRel,
-    Transpose,
-    UnionRel,
     close_finite_base,
     entourage_membership,
     neighborhood,
@@ -226,42 +223,24 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
 def oracle_entourage_member(e, pair, gw: int, window: int):
     """Membership by explicit enumeration; None when the search is truncated."""
     x, y = pair
-    if isinstance(e, Diag):
-        return x == y
     if isinstance(e, MetricBall):
         return max(abs(a - b) for a, b in zip(x, y)) <= e.radius
     if isinstance(e, DiffRel):
         return set_membership(e.shift_set, tuple(b - a for a, b in zip(x, y)))
-    if isinstance(e, ProductRel):
-        return set_membership(e.s1, x) and set_membership(e.s2, y)
     if isinstance(e, GroupRight):
-        if e.group.is_lattice:
-            return set_membership(e.d_set, tuple(b - a for a, b in zip(x, y)))
-        i = e.group.elements.index(x)
-        j = e.group.elements.index(y)
-        return e.group.elements[e.group.mul[e.group.inverse_index(i)][j]] in e.d_set.points
+        return set_membership(e.d_set, tuple(b - a for a, b in zip(x, y)))
+    if isinstance(e, ConnectedPairs):
+        return x == y or (
+            set_membership(e.bounded_set, x) and set_membership(e.bounded_set, y)
+        )
     if isinstance(e, OrbitPair):
         return _oracle_orbit_member(e, x, y, gw)
-    if isinstance(e, Transpose):
-        return oracle_entourage_member(e.inner, (y, x), gw, window)
-    if isinstance(e, UnionRel):
-        m1 = oracle_entourage_member(e.e1, pair, gw, window)
-        m2 = oracle_entourage_member(e.e2, pair, gw, window)
-        if m1 is True or m2 is True:
-            return True
-        if m1 is False and m2 is False:
-            return False
-        return None
     if isinstance(e, Compose):
-        space = e.space
-        found_none = False
-        for yy in Window(window).points(space):
+        for yy in Window(window).points(e.space):
             a = oracle_entourage_member(e.e1, (x, yy), gw, window)
             b = oracle_entourage_member(e.e2, (yy, y), gw, window)
             if a is True and b is True:
                 return True
-            if a is None or b is None:
-                found_none = True
         return None  # truncated existential search is advisory only
     raise GeometryError(f"oracle cannot enumerate {e!r}")
 

@@ -170,6 +170,26 @@ class TestInputContract:
         assert "non-negative integer" in proc.stderr
         assert "status=" not in proc.stdout
 
+    @pytest.mark.parametrize("key", ["dim", "rank"])
+    def test_zero_lattice_dimension_exits_usage(self, key, tmp_path):
+        # GroundSpace.lattice(0) raises GeometryError while the instance is
+        # built; that must be a usage error, not a traceback with exit 1
+        with open(fixture("shift.instance"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert f"\n{key} = 1\n" in text
+        bad = tmp_path / f"{key}0.instance"
+        bad.write_text(text.replace(f"\n{key} = 1\n", f"\n{key} = 0\n"))
+        for argv in (["classify"], ["theorem", "main"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "coarseact.cli", *argv, str(bad)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_USAGE
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.strip().splitlines() == [
+                "parse error: invalid instance: lattice dimension must be >= 1"
+            ]
+
 
 class TestDot:
     def test_closure_dot_output(self, capsys, tmp_path):

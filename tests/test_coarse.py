@@ -5,11 +5,14 @@ import pytest
 
 from coarseact.boxes import (
     NEG_INF,
+    FinitePoints,
     GroundSpace,
     box_set,
+    empty_set,
     points_set,
     set_membership,
     set_points_within,
+    union_set,
 )
 from coarseact.bornology import (
     cubes_chain,
@@ -19,12 +22,11 @@ from coarseact.actions import lattice_group
 from coarseact.coarse import (
     ChainStructure,
     Compose,
-    Diag,
+    ConnectedPairs,
     DiffRel,
     GroupRight,
     MetricBall,
     OrbitPair,
-    Transpose,
     associated_connected_structure,
     close_finite_base,
     coarsely_bounded,
@@ -164,12 +166,23 @@ class TestMembership:
 
     def test_metric_ball_zero_is_diagonal(self):
         ball = MetricBall(Z2, 0)
-        diag = Diag(Z2)
         for p in itertools.product(range(-4, 5), repeat=2):
             for q in itertools.product(range(-4, 5), repeat=2):
-                assert entourage_membership(ball, (p, q)) == entourage_membership(
-                    diag, (p, q)
-                )
+                assert entourage_membership(ball, (p, q)) == (p == q)
+
+    def test_connected_pairs_by_definition(self):
+        # diag ∪ B×B, with B a box plus a stray point, on the window [-5, 5]^2
+        b = union_set(box_set((-1, 2), (0, 1)), points_set((4, -3)))
+        e = ConnectedPairs(Z2, b)
+        pts = list(itertools.product(range(-5, 6), repeat=2))
+        rng = random.Random(3)
+        pairs = [(p, p) for p in pts[:20]]
+        pairs += [(rng.choice(pts), rng.choice(pts)) for _ in range(400)]
+        inside = [p for p in pts if set_membership(b, p)]
+        pairs += [(p, q) for p in inside for q in inside]
+        for p, q in pairs:
+            want = p == q or (set_membership(b, p) and set_membership(b, q))
+            assert entourage_membership(e, (p, q)) is want, (p, q)
 
     def test_orbit_pair_symmetric_and_reflexive(self, hyperbola):
         e = OrbitPair(hyperbola, box_set((NEG_INF, 2), (NEG_INF, 1)))
@@ -192,9 +205,24 @@ class TestRewrite:
                 assert entourage_membership(got.descriptor, ((x,), (y,))) == want
 
     def test_transpose_orbit_pair_exact(self, hyperbola):
+        # the orbit pair is its own transpose, with every membership decided
         e = OrbitPair(hyperbola, box_set((NEG_INF, 0), (NEG_INF, 0)))
-        got = entourage_rewrite(Transpose(e))
-        assert got.exact and got.descriptor == e
+        pts = list(itertools.product(range(-6, 7), repeat=2))
+        for p in pts[::7]:
+            for q in pts:
+                m = entourage_membership(e, (p, q))
+                assert m is not None
+                assert entourage_membership(e, (q, p)) is m
+
+    def test_zero_matrix_orbit_pair_is_connected_pairs(self, trivial):
+        b = box_set((-1, 2))
+        got = entourage_rewrite(OrbitPair(trivial, b))
+        assert got.exact and got.descriptor == ConnectedPairs(Z, b)
+        # the fixed action sweeps nothing: E(L,B) = diag ∪ B×B pointwise
+        for x in range(-5, 6):
+            for y in range(-5, 6):
+                want = x == y or (-1 <= x <= 2 and -1 <= y <= 2)
+                assert entourage_membership(OrbitPair(trivial, b), ((x,), (y,))) is want
 
     def test_orbit_compose_bound_on_shift(self, shift):
         # the transporter [0,1] -> [5,6] is [4,6]; sweeping [0,1] gives [4,7],
@@ -234,10 +262,52 @@ class TestNeighborhood:
         got, exact = neighborhood(MetricBall(Z, 2), points_set((0,)))
         assert exact and got == box_set((-2, 2))
 
-    def test_diag_identity(self):
+    def test_diag_identity(self, hyperbola):
+        # E(L, ∅) is the diagonal, so its neighborhoods are the identity
         s = points_set((1, 1))
-        got, exact = neighborhood(Diag(Z2), s)
+        got, exact = neighborhood(OrbitPair(hyperbola, empty_set(2)), s)
         assert exact and got == s
+
+    @pytest.mark.parametrize("a_set", [
+        points_set((0, 0)),
+        points_set((5, 5)),
+        points_set((0, 1), (4, 4), (-5, 2)),
+        box_set((1, 3), (-1, 0)),
+        box_set((3, 5), (3, 5)),
+        # more pieces than the union cap: A ∩ B must not be built as a union
+        FinitePoints(frozenset((i, 0) for i in range(-3, 67))),
+    ])
+    def test_connected_pairs_neighborhood_by_definition(self, a_set):
+        # E[A] = A, plus all of B once A meets B, on the window [-6, 6]^2
+        b = box_set((-1, 2), (0, 1))
+        got, exact = neighborhood(ConnectedPairs(Z2, b), a_set)
+        assert exact
+        srcs = set_points_within(a_set, 6)
+        for y in itertools.product(range(-6, 7), repeat=2):
+            want = any(x == y or (set_membership(b, x) and set_membership(b, y))
+                       for x in srcs)
+            assert set_membership(got, y) == want, y
+
+    def test_union_cap_hull_is_not_exact(self):
+        # 70 unit squares exceed the union cap; their hull also covers the
+        # gaps between them, such as (5, 0), so the answer is not exact
+        a_set = FinitePoints(frozenset((10 * i, 0) for i in range(70)))
+        got, exact = neighborhood(MetricBall(Z2, 1), a_set)
+        assert set_membership(got, (5, 0))
+        assert exact is False
+        # below the cap the pieces stay apart and the answer is exact
+        few = FinitePoints(frozenset((10 * i, 0) for i in range(8)))
+        got, exact = neighborhood(MetricBall(Z2, 1), few)
+        assert exact is True
+        assert set_membership(got, (1, 1)) and not set_membership(got, (5, 0))
+
+    def test_union_cap_hull_reaches_orbit_pair_rewrite(self, shift):
+        # B with 70 scattered points has a difference set past the cap, so
+        # the DiffRel rewrite of E(Z, B) is a hull and must say so
+        b = FinitePoints(frozenset((10 * i,) for i in range(70)))
+        got = entourage_rewrite(OrbitPair(shift, b))
+        assert isinstance(got.descriptor, DiffRel)
+        assert got.exact is False
 
     def test_orbit_point_neighborhood_matches_pair_sweep(self, hyperbola):
         # independent check: {y : (x,y) ∈ E} by raw membership enumeration
