@@ -13,8 +13,6 @@ import dataclasses
 import itertools
 import random
 
-import numpy as np
-
 from . import boxes as bx
 from .boxes import (
     BoxSet,
@@ -92,12 +90,16 @@ def orbit_pair_entourage(a: ActionInstance, b) -> OrbitPair:
 
 
 def _window_grid(d: int, radius: int) -> np.ndarray:
+    import numpy as np
+
     axes = [np.arange(-radius, radius + 1)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _set_member_grid(s, pts: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros(len(pts), dtype=bool)
     for piece in bx.set_pieces(s):
         if isinstance(piece, FinitePoints):
@@ -118,6 +120,8 @@ def _orbit_member_grid(e: OrbitPair, x, ygrid: np.ndarray) -> np.ndarray:
     Translation rules with k = 1 vectorize: the feasible l form per-piece
     integer intervals, so the test is interval arithmetic over arrays.
     """
+    import numpy as np
+
     a = e.action
     out = np.all(ygrid == np.array(x), axis=1)
     if set_is_empty(e.bounded_set):
@@ -142,6 +146,8 @@ def _orbit_member_grid(e: OrbitPair, x, ygrid: np.ndarray) -> np.ndarray:
 
 
 def _interval_k1_np(m: np.ndarray, x: np.ndarray, piece) -> tuple | None:
+    import numpy as np
+
     lo, hi = _interval_bounds_np(m, x[None, :], piece)
     lo, hi = float(lo[0]), float(hi[0])
     if np.ceil(lo) > np.floor(hi):
@@ -151,6 +157,8 @@ def _interval_k1_np(m: np.ndarray, x: np.ndarray, piece) -> tuple | None:
 
 def _interval_bounds_np(m: np.ndarray, xs: np.ndarray, piece):
     """Per-row bounds of {l : x - m*l ∈ piece} intersected over rows."""
+    import numpy as np
+
     lo = np.full(len(xs), -np.inf)
     hi = np.full(len(xs), np.inf)
     for r in range(len(m)):
@@ -186,6 +194,8 @@ def verify_lemma_neighborhood(a: ActionInstance, b, x, budget: Budget = DEFAULT_
             return confirmed("finite sweep equality")
         return refuted(witness={"only_left": sorted(left - right, key=str),
                                 "only_right": sorted(right - left, key=str)})
+    import numpy as np
+
     x = tuple(x)
     d = a.space.dim
     w = min(budget.window, 32 if d <= 2 else 10)

@@ -166,14 +166,29 @@ def _get(sections, section, key, default=None, required=False):
     return sec[key][0]
 
 
+def _get_int(sections, section, key) -> int:
+    value = _get(sections, section, key, required=True)
+    if not isinstance(value, int):
+        raise ParseError(f"[{section}] {key} must be an integer")
+    return value
+
+
+def _get_row(sections, section, key) -> tuple:
+    row = _get(sections, section, key, required=True)
+    if isinstance(row, int):
+        return (row,)
+    if not isinstance(row, tuple):
+        raise ParseError(f"[{section}] {key} must be an integer tuple")
+    return row
+
+
 def _parse_space(sections) -> GroundSpace:
     kind = _get(sections, "space", "kind", required=True)
     if kind == "lattice":
-        dim = _get(sections, "space", "dim", required=True)
-        return GroundSpace.lattice(int(dim))
+        return GroundSpace.lattice(_get_int(sections, "space", "dim"))
     if kind == "finite":
-        size = _get(sections, "space", "size", required=True)
-        return GroundSpace.finite(tuple(range(int(size))))
+        size = _get_int(sections, "space", "size")
+        return GroundSpace.finite(tuple(range(size)))
     raise ParseError(f"unknown space kind {kind!r}")
 
 
@@ -256,17 +271,18 @@ def _build_instance(sections, name: str) -> ParsedInstance:
 
     gkind = _get(sections, "group", "kind", required=True)
     if gkind == "lattice":
-        rank = int(_get(sections, "group", "rank", required=True))
+        rank = _get_int(sections, "group", "rank")
         gspace = GroundSpace.lattice(rank)
         gb = _parse_bornology(sections, "bornology.l", gspace)
         group = lattice_group(rank, gb)
     elif gkind == "finite":
-        size = int(_get(sections, "group", "size", required=True))
+        size = _get_int(sections, "group", "size")
         mul = []
         for i in range(size):
             row = _get(sections, "group", f"mul{i}", required=True)
-            if not isinstance(row, tuple) or len(row) != size:
-                raise ParseError(f"mul{i} must be a tuple of {size} indices")
+            if (not isinstance(row, tuple) or len(row) != size
+                    or not all(0 <= j < size for j in row)):
+                raise ParseError(f"mul{i} must be a tuple of {size} indices in 0..{size - 1}")
             mul.append(row)
         gspace = GroundSpace.finite(tuple(range(size)))
         gb = _parse_bornology(sections, "bornology.l", gspace)
@@ -280,12 +296,10 @@ def _build_instance(sections, name: str) -> ParsedInstance:
             raise ParseError(f"{akind} actions need lattice space and group")
         rows = []
         for r in range(space.dim):
-            row = _get(sections, "action", f"row{r}", required=True)
-            if isinstance(row, int):
-                row = (row,)
+            row = _get_row(sections, "action", f"row{r}")
             if len(row) != group.rank:
                 raise ParseError(f"row{r} must have {group.rank} entries")
-            rows.append(tuple(row))
+            rows.append(row)
         if akind == "translation":
             rule = TranslationRule(tuple(rows))
         else:
@@ -293,10 +307,7 @@ def _build_instance(sections, name: str) -> ParsedInstance:
 
             arows = []
             for r in range(space.dim):
-                arow = _get(sections, "action", f"arow{r}", required=True)
-                if isinstance(arow, int):
-                    arow = (arow,)
-                arows.append(tuple(arow))
+                arows.append(_get_row(sections, "action", f"arow{r}"))
             if not is_signed_permutation(tuple(arows)):
                 raise ParseError("arow matrix must be a signed permutation")
             rule = AffineRule(tuple(arows), tuple(rows))

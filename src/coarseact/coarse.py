@@ -54,6 +54,8 @@ from .bornology import (
     is_bounded,
     level_box,
     maximal_bornology,
+    _point_inside,
+    _unit,
 )
 from .actions import (
     ActionInstance,
@@ -843,10 +845,10 @@ def _diffrel_coarsely_bounded(cs, s, budget: Budget) -> BoundVerdict:
     )
     for i in range(d):
         if bb.lower[i] == NEG_INF and rec.lower[i] != NEG_INF:
-            return unbounded(direction=_unit(-1, i, d), base_point=_inside(bb),
+            return unbounded(direction=_unit(-1, i, d), base_point=_point_inside(bb),
                              note="set is infinite where every level reach is finite")
         if bb.upper[i] == POS_INF and rec.upper[i] != POS_INF:
-            return unbounded(direction=_unit(1, i, d), base_point=_inside(bb),
+            return unbounded(direction=_unit(1, i, d), base_point=_point_inside(bb),
                              note="set is infinite where every level reach is finite")
     for n in range(budget.max_index + 1):
         shift_bb = set_bounding_box(_level_shift_set(cs, n))
@@ -883,7 +885,7 @@ def _connected_coarsely_bounded(b: BornologySpec, s, budget: Budget) -> BoundVer
     v = is_bounded(b, s)
     if v.bounded:
         lvl = level_box(b, v.index) if b.kind != MAXIMAL else None
-        anchor = _inside(lvl) if lvl is not None and not lvl.empty else None
+        anchor = _point_inside(lvl) if lvl is not None and not lvl.empty else None
         note = f"A={{point of level {v.index}}}" if anchor is not None else "A=s itself"
         return bounded_at(v.index, note=note)
     # s may still be B_n plus finitely many stray points
@@ -923,21 +925,6 @@ class _DiffView:
 
     def level(self, n):
         return entourage_rewrite(self._cs.level(n)).descriptor
-
-
-def _unit(sign, i, d):
-    v = [0] * d
-    v[i] = sign
-    return tuple(v)
-
-
-def _inside(b: Box):
-    if b.empty:
-        return None
-    return tuple(
-        int(lo) if lo != NEG_INF else (int(hi) if hi != POS_INF else 0)
-        for lo, hi in zip(b.lower, b.upper)
-    )
 
 
 # --- containment between structures ------------------------------------------
@@ -1116,7 +1103,7 @@ def _pair_realizing_escape(b, outer_shifts):
             if v is None:
                 continue
             feas = box_intersect(p1, bx.translate_box(p2, tuple(-c for c in v)))
-            x = _inside(feas)
+            x = _point_inside(feas)
             if x is None:
                 continue
             y = tuple(a + c for a, c in zip(x, v))
@@ -1319,7 +1306,7 @@ def _equi_connected(a: ActionInstance, cs, budget: Budget) -> Verdict:
     if absorbed:
         return confirmed("chain recession absorbs the sweep directions")
     lvl = level_box(b, n_wit)
-    x = _inside(lvl)
+    x = _point_inside(lvl)
     y = _second_point(lvl, x)
     t = _escape_scale(b, budget.max_index, x, y)
     l_vec = _sweep_l(a, t)

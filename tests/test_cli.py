@@ -1,8 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarseact.cli import (
     EXIT_INCONCLUSIVE,
@@ -189,6 +193,103 @@ class TestInputContract:
             assert proc.stderr.strip().splitlines() == [
                 "parse error: invalid instance: lattice dimension must be >= 1"
             ]
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("dim = 2", "dim = inf", "[space] dim must be an integer"),
+        ("dim = 2", "dim = (1,2)", "[space] dim must be an integer"),
+        ("rank = 1", "rank = x", "[group] rank must be an integer"),
+        ("row0 = (1)", "row0 = 2*m+1", "[action] row0 must be an integer tuple"),
+    ])
+    def test_scalar_of_wrong_type_exits_usage(self, old, new, message, capsys, tmp_path):
+        # these used to reach int(...) or len(...) and end in a traceback
+        bad = tmp_path / "bad.instance"
+        bad.write_text(_hyperbola_text().replace(f"\n{old}\n", f"\n{new}\n"))
+        for argv in (["axioms"], ["classify"], ["theorem", "main"]):
+            code, out, err = run([*argv, str(bad)], capsys)
+            assert code == EXIT_USAGE
+            assert err.splitlines() == [f"parse error: {message}"]
+            assert out == ""
+
+    def test_group_table_index_out_of_range_exits_usage(self, capsys, tmp_path):
+        with open(fixture("cyclic_rotation.instance"), encoding="utf-8") as fh:
+            text = fh.read()
+        bad = tmp_path / "bad.instance"
+        bad.write_text(text.replace("mul1 = (1, 2, 0)", "mul1 = (5, 2, 0)"))
+        code, _, err = run(["axioms", str(bad)], capsys)
+        assert code == EXIT_USAGE
+        assert err.splitlines() == ["parse error: mul1 must be a tuple of 3 indices in 0..2"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_single_value_mutation_keeps_exit_contract(self, data, tmp_path_factory):
+        # replace one value of the hyperbola fixture by any value the
+        # grammar accepts; every command must end in an exit code, not raise
+        lines = _hyperbola_text().splitlines()
+        keyed = [i for i, line in enumerate(lines) if " = " in line and not line.startswith("#")]
+        i = data.draw(st.sampled_from(keyed))
+        value = data.draw(_VALUES)
+        key = lines[i].split(" = ", 1)[0]
+        lines[i] = f"{key} = {value}"
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.instance"
+        path.write_text("\n".join(lines) + "\n")
+        argv = data.draw(st.sampled_from(
+            [["axioms"], ["classify"], ["theorem", "weak"], ["theorem", "main"]]))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_command([*argv, str(path)])
+        assert code in (0, 1, 2, 3)
+
+
+def _hyperbola_text() -> str:
+    with open(fixture("hyperbola.instance"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+_SMALL = st.integers(-3, 3)
+_VALUES = st.one_of(
+    _SMALL.map(str),
+    st.sampled_from(["inf", "-inf", "x", "lattice", "finite", "chain", "maximal", "base"]),
+    st.lists(_SMALL, max_size=3).map(lambda t: "(" + ", ".join(map(str, t)) + ")"),
+    st.tuples(_SMALL, _SMALL).map(lambda ab: f"{ab[0]}*m{ab[1]:+d}"),
+)
+
+_NUMPY_PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('coarseact.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('numpy loaded' if 'numpy' in sys.modules else 'numpy absent',"
+    " file=sys.stderr)\n"
+)
+
+
+class TestStartupImports:
+    """The exact commands never need numpy; only the oracle and the lattice
+    lemma verifier import it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "hyperbola.instance"],
+        ["classify", "hyperbola.instance"],
+        ["theorem", "weak", "shift.instance"],
+        ["theorem", "main", "hyperbola.instance"],
+        ["theorem", "main", "cyclic_rotation.instance"],
+        ["closure", "cyclic_rotation.instance"],
+    ])
+    def test_exact_commands_load_no_numpy(self, argv):
+        argv = [fixture(a) if a.endswith(".instance") else a for a in argv]
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout
+        assert proc.stderr.splitlines()[-1] == "numpy absent"
+
+    def test_package_import_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, coarseact; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestDot:
