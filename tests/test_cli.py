@@ -201,7 +201,7 @@ class TestInputContract:
         ("row0 = (1)", "row0 = 2*m+1", "[action] row0 must be an integer tuple"),
     ])
     def test_scalar_of_wrong_type_exits_usage(self, old, new, message, capsys, tmp_path):
-        # these used to reach int(...) or len(...) and end in a traceback
+        # a value of the wrong type must be refused before int(...) or len(...)
         bad = tmp_path / "bad.instance"
         bad.write_text(_hyperbola_text().replace(f"\n{old}\n", f"\n{new}\n"))
         for argv in (["axioms"], ["classify"], ["theorem", "main"]):
