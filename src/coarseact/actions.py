@@ -27,7 +27,6 @@ from .boxes import (
     box_hull,
     difference_box,
     is_finite_end,
-    mat_rank,
     mat_vec,
     set_boxes,
     set_is_empty,
@@ -46,6 +45,7 @@ from .bornology import (
     is_bounded,
     is_full_at_some_level,
     level_box,
+    _unit,
 )
 from .verdicts import (
     Budget,
@@ -343,9 +343,9 @@ def group_bornological_check(g: GroupSpec) -> CheckReport:
         neg_lo = _negate_biaffine(_end_to_biaffine(hi, "i"))
         neg_hi = _negate_biaffine(_end_to_biaffine(lo, "i"))
         if not _covered_for_all_indexes(lo, neg_lo, upper=False):
-            inv_bad = inv_bad or ("coordinate", c, "lower", _escape_dir(len(shape), c, -1))
+            inv_bad = inv_bad or ("coordinate", c, "lower", _unit(-1, c, len(shape)))
         if not _covered_for_all_indexes(hi, neg_hi, upper=True):
-            inv_bad = inv_bad or ("coordinate", c, "upper", _escape_dir(len(shape), c, 1))
+            inv_bad = inv_bad or ("coordinate", c, "upper", _unit(1, c, len(shape)))
     return CheckReport(
         "group_bornological",
         (CheckItem("multiplication", mul_bad is None, witness=mul_bad),
@@ -357,12 +357,6 @@ def _negate_biaffine(b: BiAffine) -> BiAffine:
     if b.inf:
         return BiAffine(inf=-b.inf)
     return BiAffine(-b.c0, -b.ci, -b.cj)
-
-
-def _escape_dir(d, c, sign):
-    v = [0] * d
-    v[c] = sign
-    return tuple(v)
 
 
 def action_bornological_check(a: ActionInstance) -> CheckReport:
@@ -883,10 +877,6 @@ def column_lattice_index(m: tuple):
     return _lattice_index(_echelon(m), len(m))
 
 
-def in_column_lattice(m: tuple, v: tuple) -> bool:
-    return not any(_residue(_echelon(m), v))
-
-
 def coset_sample_points(a: ActionInstance, cap: int = 32) -> tuple:
     """Origin plus one representative per column-lattice coset, capped."""
     if not a.is_translation:
@@ -1199,7 +1189,7 @@ def uncovered_direction(a: ActionInstance) -> tuple | None:
     """A lattice direction transverse to the column lattice span, if rank-deficient."""
     m = a.matrix
     d = a.space.dim
-    if column_lattice_index(m) not in (None, 0):
+    if column_lattice_index(m) is not None:
         return None
     cands = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
     cands.append((1,) * d)
@@ -1210,8 +1200,5 @@ def uncovered_direction(a: ActionInstance) -> tuple | None:
 
 
 def _in_rational_span(m, w) -> bool:
-    cols = [tuple(row[c] for row in m) for c in range(len(m[0]))]
-    rank0 = mat_rank(tuple(zip(*cols))) if cols else 0
-    aug = cols + [tuple(w)]
-    rank1 = mat_rank(tuple(zip(*aug)))
-    return rank1 == rank0
+    # the echelon basis has one vector per unit of rank over the rationals
+    return len(_echelon(m)) == len(_echelon(tuple((*row, c) for row, c in zip(m, w))))

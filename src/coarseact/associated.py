@@ -34,6 +34,7 @@ from .bornology import (
     BornologySpec,
     is_bounded,
     level_box,
+    _point_inside,
 )
 from .actions import (
     ActionInstance,
@@ -573,7 +574,7 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -
         lvl = level_box(a.space_bornology, n)
         if lvl.empty:
             continue
-        x = _inside_box(lvl)
+        x = _point_inside(lvl)
         certs.append(("contains_level", n, x))
         for pt in samples:
             t = transporter(a, FinitePoints(frozenset({pt})), BoxSet(lvl))
@@ -613,13 +614,6 @@ def _neighborhood_hull(a: ActionInstance, t, lvl):
         swept = bx.minkowski_sum(bx.image_hull(a.matrix, bb), lvl)
         hull = swept if hull is None else box_hull(hull, swept)
     return hull
-
-
-def _inside_box(b):
-    return tuple(
-        int(lo) if is_finite_end(lo) else (int(hi) if is_finite_end(hi) else 0)
-        for lo, hi in zip(b.lower, b.upper)
-    )
 
 
 def verify_theorem_weak(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> TheoremReport:

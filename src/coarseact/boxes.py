@@ -583,28 +583,6 @@ def mat_vec(m: tuple, v: tuple) -> tuple:
     return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
 
 
-def mat_rank(m: tuple) -> int:
-    """Rank over the rationals by fraction-free elimination."""
-    rows = [list(r) for r in m]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row_i = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row_i, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row_i], rows[pivot] = rows[pivot], rows[row_i]
-        for r in range(len(rows)):
-            if r != row_i and rows[r][col] != 0:
-                a, b = rows[row_i][col], rows[r][col]
-                rows[r] = [b * x - a * y for x, y in zip(rows[row_i], rows[r])]
-        row_i += 1
-        rank += 1
-        if row_i == len(rows):
-            break
-    return rank
-
-
 def row_range(row: tuple, b: Box) -> tuple:
     """Exact range of row·v over v ∈ b as (lo, hi); b must be non-empty."""
     if b.empty:

@@ -901,7 +901,7 @@ def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdic
     rw = _rewrite_orbit_pair(OrbitPair(a, BoxSet(level_box(a.space_bornology, 0))))
     if rw.exact and isinstance(rw.descriptor, DiffRel):
         cs = ChainStructure(a.space, "orbit_pair", action=a)
-        return _diffrel_coarsely_bounded(_DiffView(cs), s, budget)
+        return _diffrel_coarsely_bounded(cs, s, budget)
     if rw.exact and isinstance(rw.descriptor, ConnectedPairs):
         return _connected_coarsely_bounded(a.space_bornology, s, budget)
     v = is_bounded(a.space_bornology, s)
@@ -914,17 +914,6 @@ def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdic
     ):
         return v  # weakly proper: induced bornology equals the space bornology
     return BoundVerdict("inconclusive", note="orbit chain without exact rewrite")
-
-
-class _DiffView:
-    """Adapter presenting an orbit-pair chain through its DiffRel rewrites."""
-
-    def __init__(self, cs):
-        self._cs = cs
-        self.space = cs.space
-
-    def level(self, n):
-        return entourage_rewrite(self._cs.level(n)).descriptor
 
 
 # --- containment between structures ------------------------------------------

@@ -1,9 +1,11 @@
 """Brute-force window oracle and differential cross-check driver.
 
-Everything here recomputes by explicit enumeration over finite windows: group
-elements are tried one by one, window points are tested by raw comparisons.
-No code path is shared with the symbolic engine beyond the instance model, so
-agreement between the two is meaningful evidence.
+Everything here recomputes by explicit enumeration over finite windows.  For
+lattice rules every group element of a window is tried, in one vectorized
+sweep per question, and a point is inside a bounded set when raw comparisons
+put it in some box of the union; for permutation rules every group element is
+tried in turn.  No code path is shared with the symbolic engine beyond the
+instance model, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from .boxes import (
     FinitePoints,
     GeometryError,
     GroundSpace,
-    box,
     cube,
     is_finite_end,
-    mat_vec,
     set_boxes,
     set_is_empty,
     set_membership,
@@ -64,18 +64,6 @@ from .coarse import (
     neighborhood,
 )
 from .verdicts import Budget, DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
-class Window:
-    """Finite truncation: lattice points of sup-norm <= radius, or all labels."""
-
-    radius: int
-
-    def points(self, space: GroundSpace) -> list:
-        if space.is_lattice:
-            return list(bx.box_points(cube(self.radius, space.dim)))
-        return list(space.labels)
 
 
 @dataclass
@@ -197,22 +185,11 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
             for r in radii:
                 cells *= 2 * r + 1
         notes.append("witness grid truncated below the certificate: advisory only")
-    lgrid = np.array(list(bx.box_points(cube(gw, k))), dtype=float)
-    xaxes = box(*((-r, r) for r in radii))
-    xgrid = np.array(list(bx.box_points(xaxes)), dtype=float)
-    m = np.array(a.matrix, dtype=float)
-    hit = np.zeros(len(lgrid), dtype=bool)
-    for pb in set_boxes(b):
-        for pb2 in set_boxes(b2):
-            hit |= np.asarray(
-                kern.transporter_sweep(
-                    lgrid, m,
-                    np.array(pb.lower, float), np.array(pb.upper, float),
-                    np.array(pb2.lower, float), np.array(pb2.upper, float),
-                    xgrid,
-                ),
-                dtype=bool,
-            )
+    lgrid = _grid([gw] * k)
+    d = a.space.dim
+    hit = kern.transporter_sweep(
+        lgrid, np.array(a.matrix, dtype=float), *_ends(b, d), *_ends(b2, d), _grid(radii)
+    )
     out = [tuple(int(c) for c in lgrid[i]) for i in range(len(lgrid)) if hit[i]]
     return sorted(out), notes, gw
 
@@ -220,8 +197,8 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
 # --- entourage membership oracle -----------------------------------------------
 
 
-def oracle_entourage_member(e, pair, gw: int, window: int):
-    """Membership by explicit enumeration; None when the search is truncated."""
+def oracle_entourage_member(e, pair, gw: int) -> bool:
+    """Membership of one pair by explicit enumeration."""
     x, y = pair
     if isinstance(e, MetricBall):
         return max(abs(a - b) for a, b in zip(x, y)) <= e.radius
@@ -234,62 +211,72 @@ def oracle_entourage_member(e, pair, gw: int, window: int):
             set_membership(e.bounded_set, x) and set_membership(e.bounded_set, y)
         )
     if isinstance(e, OrbitPair):
-        return _oracle_orbit_member(e, x, y, gw)
-    if isinstance(e, Compose):
-        for yy in Window(window).points(e.space):
-            a = oracle_entourage_member(e.e1, (x, yy), gw, window)
-            b = oracle_entourage_member(e.e2, (yy, y), gw, window)
-            if a is True and b is True:
-                return True
-        return None  # truncated existential search is advisory only
+        return oracle_orbit_members_batch(e, [pair], gw)[0]
     raise GeometryError(f"oracle cannot enumerate {e!r}")
 
 
-def _oracle_orbit_member(e: OrbitPair, x, y, gw: int):
+def _oracle_members(e, pairs, gw: int) -> list:
+    """Membership of many pairs: orbit pairs in one batch, others pair by pair."""
+    if isinstance(e, OrbitPair):
+        return oracle_orbit_members_batch(e, pairs, gw)
+    return [oracle_entourage_member(e, p, gw) for p in pairs]
+
+
+def oracle_orbit_members_batch(e: OrbitPair, pairs, gw: int) -> list:
+    """Orbit-pair membership of many pairs at once.
+
+    Lattice rules: one kernel sweep over the group window, against every box
+    of the bounded set (sound only within the window; callers size gw from
+    the transporter bound).  Permutation rules: every group element in turn.
+    """
     a = e.action
-    if x == y:
-        return True
-    if set_is_empty(e.bounded_set):
-        return False
     if not a.is_translation:
-        for i in range(len(a.group.elements)):
-            mapping = a.rule.mapping(i)
-            moved = {mapping[p] for p in e.bounded_set.points}
-            if x in moved and y in moved:
-                return True
-        return False
-    for l in bx.box_points(cube(gw, a.group.rank)):
-        shift = mat_vec(a.matrix, l)
-        vx = tuple(c - s for c, s in zip(x, shift))
-        vy = tuple(c - s for c, s in zip(y, shift))
-        if set_membership(e.bounded_set, vx) and set_membership(e.bounded_set, vy):
-            return True
-    # sound only within the group window; caller treats False as advisory when
-    # the transporter bound exceeds gw
-    return False
+        return [_permuted_orbit_member(e, x, y) for x, y in pairs]
+    d = a.space.dim
+    hits = kern.orbit_pair_sweep(
+        np.array([p[0] for p in pairs], dtype=float).reshape(-1, d),
+        np.array([p[1] for p in pairs], dtype=float).reshape(-1, d),
+        _grid([gw] * a.group.rank),
+        np.array(a.matrix, dtype=float),
+        *_ends(e.bounded_set, d),
+    )
+    return [bool(v) for v in hits]
+
+
+def _permuted_orbit_member(e: OrbitPair, x, y) -> bool:
+    rule = e.action.rule
+    return x == y or any(
+        {x, y} <= {rule.mapping(i)[p] for p in e.bounded_set.points}
+        for i in range(len(e.action.group.elements))
+    )
+
+
+def _grid(radii) -> np.ndarray:
+    """Integer points of the box ∏ [-r, r], one float row each, in lexicographic order."""
+    axes = np.meshgrid(*(np.arange(-r, r + 1) for r in radii), indexing="ij")
+    return np.stack([axis.ravel() for axis in axes], axis=1).astype(float)
+
+
+def _ends(s, d: int) -> tuple:
+    """Lower and upper ends of the boxes of s, each a (pieces, d) float array."""
+    pieces = set_boxes(s)
+    return tuple(
+        np.array([getattr(p, end) for p in pieces], dtype=float).reshape(-1, d)
+        for end in ("lower", "upper")
+    )
 
 
 def oracle_neighborhood(e, a_set, gw: int, window: int) -> set:
-    out = set()
+    """E[A] within the window: every window point paired with some point of A."""
     space = e.space
-    srcs = (
-        set_points_within(a_set, window)
-        if space.is_lattice
-        else [p for p in space.labels if set_membership(a_set, p)]
-    )
-    ys = Window(window).points(space)
-    if isinstance(e, OrbitPair) and e.action.is_translation:
-        for x in srcs:
-            pairs = [(x, y) for y in ys]
-            hits = oracle_orbit_members_batch(e, pairs, gw)
-            out |= {y for y, hit in zip(ys, hits) if hit}
-        return out
-    for y in ys:
-        for x in srcs:
-            if oracle_entourage_member(e, (x, y), gw, window) is True:
-                out.add(y)
-                break
-    return out
+    if space.is_lattice:
+        srcs = set_points_within(a_set, window)
+        ys = list(bx.box_points(cube(window, space.dim)))
+    else:
+        ys = list(space.labels)
+        srcs = [p for p in ys if set_membership(a_set, p)]
+    pairs = [(x, y) for x in srcs for y in ys]
+    return {y for (_, y), hit in zip(pairs, _oracle_members(e, pairs, gw)) if hit}
 
 
 # --- naive finite closure -------------------------------------------------------
@@ -665,47 +652,17 @@ def _pair_sample(space: GroundSpace, name, window: int, count: int = 80):
     return pairs
 
 
-def oracle_orbit_members_batch(e: OrbitPair, pairs, gw: int) -> list:
-    """Oracle membership of many pairs at once (translation rules: kernel sweep)."""
-    a = e.action
-    if not a.is_translation:
-        return [oracle_entourage_member(e, p, gw, 0) for p in pairs]
-    lgrid = np.array(list(bx.box_points(cube(gw, a.group.rank))), dtype=float)
-    m = np.array(a.matrix, dtype=float)
-    xs = np.array([p[0] for p in pairs], dtype=float)
-    ys = np.array([p[1] for p in pairs], dtype=float)
-    out = np.all(xs == ys, axis=1)
-    for piece in set_boxes(e.bounded_set):
-        out |= np.asarray(
-            kern.orbit_pair_sweep(
-                xs, ys, lgrid, m,
-                np.array(piece.lower, float), np.array(piece.upper, float),
-            ),
-            dtype=bool,
-        )
-    return [bool(v) for v in out]
-
-
 def _check_entourage(inst, window, budget) -> CrossCheckReport:
     rep = CrossCheckReport("entourage", inst.name, window)
     gw = _needed_gw(inst, window)
     for e in _entourage_levels(inst, budget):
         pairs = _pair_sample(e.space, inst.name, min(window, 12))
-        if isinstance(e, OrbitPair) and inst.is_translation:
-            oracle_results = oracle_orbit_members_batch(e, pairs, gw)
-        else:
-            oracle_results = [
-                oracle_entourage_member(e, p, gw, window) for p in pairs
-            ]
-        for pair, orc in zip(pairs, oracle_results):
+        for pair, orc in zip(pairs, _oracle_members(e, pairs, gw)):
             sym = entourage_membership(e, pair, budget)
             if sym is None:
                 rep.advisory.append({"pair": pair, "note": "symbolic inconclusive"})
                 continue
-            if orc is None:
-                rep.advisory.append({"pair": pair, "note": "oracle truncated"})
-                continue
-            if bool(sym) != bool(orc):
+            if bool(sym) != orc:
                 rep.mismatches.append({"entourage": type(e).__name__, "pair": pair,
                                        "symbolic": sym, "oracle": orc})
     return rep
@@ -760,54 +717,38 @@ def _check_compose(inst, window, budget) -> CrossCheckReport:
     e1 = OrbitPair(inst, sets[0])
     e2 = OrbitPair(inst, sets[-1])
     comp = Compose(e1, e2)
-    for pair in _pair_sample(inst.space, inst.name, min(window, 8), count=40):
+    pairs = _pair_sample(inst.space, inst.name, min(window, 8), count=40)
+    for pair, orc in zip(pairs, _oracle_compose_orbit(inst, e1, e2, pairs, gw)):
         sym = entourage_membership(comp, pair, budget)
-        orc = _oracle_compose_orbit(inst, e1, e2, pair, gw, min(window, 8))
-        if sym is None or orc is None:
+        if sym is None:
             rep.advisory.append({"pair": pair})
             continue
-        if bool(sym) != bool(orc):
+        if bool(sym) != orc:
             rep.mismatches.append({"pair": pair, "symbolic": sym, "oracle": orc})
     return rep
 
 
-def _oracle_compose_orbit(inst, e1, e2, pair, gw, window):
-    # single-box bounded sets only: the piecewise sweep ties the containment
-    # piece to the overlap piece, which is exact exactly in that case
+def _oracle_compose_orbit(inst, e1, e2, pairs, gw) -> list:
+    """Membership of each (x, z) in E(L,B1) ∘ E(L,B2): a middle point y by search."""
     if not inst.is_translation:
         labels = inst.space.labels
-        return any(
-            oracle_entourage_member(e1, (pair[0], y), gw, window) is True
-            and oracle_entourage_member(e2, (y, pair[1]), gw, window) is True
-            for y in labels
-        )
-    x, z = pair
-    if x == z:
-        return True
-    b1x = set_boxes(e1.bounded_set)
-    b2x = set_boxes(e2.bounded_set)
-    if not b1x or not b2x:
-        return (
-            oracle_entourage_member(e1, pair, gw, window) is True
-            or oracle_entourage_member(e2, pair, gw, window) is True
-        )
-    lgrid = np.array(list(bx.box_points(cube(gw, inst.group.rank))), dtype=float)
-    m = np.array(inst.matrix, dtype=float)
-    for p1 in b1x:
-        for p2 in b2x:
-            out = kern.orbit_compose_sweep(
-                np.array([x], float), np.array([z], float), lgrid, lgrid, m,
-                np.array(p1.lower, float), np.array(p1.upper, float),
-                np.array(p2.lower, float), np.array(p2.upper, float),
-            )
-            if bool(out[0]):
-                return True
-    # degenerate clauses through the diagonal
-    if oracle_entourage_member(e1, pair, gw, window) is True:
-        return True
-    if oracle_entourage_member(e2, pair, gw, window) is True:
-        return True
-    return False
+        return [
+            any(oracle_entourage_member(e1, (x, y), gw)
+                and oracle_entourage_member(e2, (y, z), gw) for y in labels)
+            for x, z in pairs
+        ]
+    d = inst.space.dim
+    lgrid = _grid([gw] * inst.group.rank)
+    through_boxes = kern.orbit_compose_sweep(
+        np.array([p[0] for p in pairs], dtype=float).reshape(-1, d),
+        np.array([p[1] for p in pairs], dtype=float).reshape(-1, d),
+        lgrid, lgrid, np.array(inst.matrix, dtype=float),
+        *_ends(e1.bounded_set, d), *_ends(e2.bounded_set, d),
+    )
+    # the diagonal clauses: y = x needs (x, z) ∈ E2, and y = z needs (x, z) ∈ E1
+    via_x = oracle_orbit_members_batch(e2, pairs, gw)
+    via_z = oracle_orbit_members_batch(e1, pairs, gw)
+    return [bool(t or a or b) for t, a, b in zip(through_boxes, via_x, via_z)]
 
 
 def _check_bounded(inst, window, budget) -> CrossCheckReport:

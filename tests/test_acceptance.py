@@ -144,9 +144,9 @@ def test_criterion_3_base_property_refutation(hyperbola):
         # oracle replay, identically
         gw = 4 * m + 8
         orc = (
-            oracle_entourage_member(e0, (w["x"], w["y"]), gw, 32),
-            oracle_entourage_member(e0, (w["y"], w["z"]), gw, 32),
-            oracle_entourage_member(em, (w["x"], w["z"]), gw, 32),
+            oracle_entourage_member(e0, (w["x"], w["y"]), gw),
+            oracle_entourage_member(e0, (w["y"], w["z"]), gw),
+            oracle_entourage_member(em, (w["x"], w["z"]), gw),
         )
         assert orc == sym
     report(3, True, "witness family replays for m in 0..8")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from coarseact.boxes import NEG_INF, GroundSpace, box_set, points_set
+from coarseact.boxes import NEG_INF, GroundSpace, box_set, points_set, union_set
 from coarseact.bornology import bornology_axiom_check
 from coarseact.actions import (
     action_bornological_check,
@@ -11,13 +11,21 @@ from coarseact.actions import (
     group_bornological_check,
     group_table_check,
 )
-from coarseact.coarse import MetricBall, OrbitPair, close_finite_base
+from coarseact.coarse import (
+    Compose,
+    MetricBall,
+    OrbitPair,
+    close_finite_base,
+    entourage_membership,
+)
 from coarseact.oracle import (
+    _oracle_compose_orbit,
     cross_check,
     existence_truncation_bound,
     naive_closure,
     oracle_entourage_member,
     oracle_neighborhood,
+    oracle_orbit_members_batch,
     oracle_transporter,
     random_instance,
 )
@@ -58,13 +66,47 @@ class TestOracleTransporter:
 class TestOracleMembership:
     def test_orbit_pair_explicit_search(self, hyperbola):
         e = OrbitPair(hyperbola, box_set((NEG_INF, 0), (NEG_INF, 0)))
-        assert oracle_entourage_member(e, ((5, -5), (0, -10)), 20, 16) is True
-        assert oracle_entourage_member(e, ((0, 0), (-3, 2)), 20, 16) is False
+        assert oracle_entourage_member(e, ((5, -5), (0, -10)), 20) is True
+        assert oracle_entourage_member(e, ((0, 0), (-3, 2)), 20) is False
 
     def test_neighborhood_sweep(self, shift):
         e = MetricBall(Z, 2)
         got = oracle_neighborhood(e, points_set((0,)), 8, 8)
         assert got == {(v,) for v in range(-2, 3)}
+
+
+class TestUnionBoundedSets:
+    """Bounded sets of several boxes: x and y may sit in different pieces."""
+
+    def test_membership_paths_agree(self, shift):
+        e = OrbitPair(shift, points_set((0,), (5,)))
+        pair = ((0,), (5,))
+        assert entourage_membership(e, pair) is True
+        assert oracle_entourage_member(e, pair, 20) is True
+        assert oracle_orbit_members_batch(e, [pair], 20) == [True]
+
+    def test_neighborhood_crosses_pieces(self, shift):
+        e = OrbitPair(shift, points_set((0,), (5,)))
+        assert oracle_neighborhood(e, points_set((0,)), 20, 8) == {(-5,), (0,), (5,)}
+
+    def test_compose_matches_engine(self, shift):
+        e1 = OrbitPair(shift, points_set((0,), (5,)))
+        e2 = OrbitPair(shift, union_set(box_set((0, 1)), points_set((10,))))
+        pairs = [((x,), (z,)) for x in range(-12, 13) for z in range(-12, 13)]
+        oracle = _oracle_compose_orbit(shift, e1, e2, pairs, 40)
+        engine = [entourage_membership(Compose(e1, e2), p) for p in pairs]
+        assert oracle == engine
+
+    def test_transporter_matches_engine(self, shift):
+        from coarseact.actions import transporter
+
+        b = union_set(points_set((0,)), box_set((7, 8)))
+        b2 = points_set((3,), (20,))
+        got, notes, _ = oracle_transporter(shift, b, b2, 20, 50)
+        assert got == [(-5,), (-4,), (3,), (12,), (13,), (20,)]
+        assert notes == []
+        t = transporter(shift, b, b2)
+        assert got == [(l,) for l in range(-20, 21) if t.member((l,))]
 
 
 class TestNaiveClosure:
