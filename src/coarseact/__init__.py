@@ -44,6 +44,7 @@ from .coarse import (
     close_finite_base,
     coarsely_bounded,
     coarsely_transitive_check,
+    entourage_members,
     entourage_membership,
     equi_controlled_check,
     group_right_structure,

@@ -992,7 +992,14 @@ def _classify_translation(a: ActionInstance, budget: Budget) -> Classification:
 
 
 def _level_set(a: ActionInstance, n: int):
-    return BoxSet(level_box(a.space_bornology, n))
+    """Level n of the space bornology; on a finite space, the n-th generated
+    set (capped at the last) or the whole space under the maximal bornology."""
+    if a.space.is_lattice:
+        return BoxSet(level_box(a.space_bornology, n))
+    if a.space_bornology.kind == MAXIMAL:
+        return FinitePoints(frozenset(a.space.labels))
+    elems = generate_from_base(a.space_bornology.base)
+    return FinitePoints(elems[min(n, len(elems) - 1)])
 
 
 def _first_nonempty_level(a: ActionInstance, budget: Budget) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from operator import add
 
 from . import boxes as bx
 from .boxes import (
@@ -30,7 +31,6 @@ from .boxes import (
 )
 from .bornology import (
     CHAIN,
-    MAXIMAL,
     BornologySpec,
     is_bounded,
     level_box,
@@ -48,12 +48,15 @@ from .actions import (
     rational_bbox,
     transporter,
     transporter_bounded,
+    _level_set,
 )
 from .coarse import (
     ChainStructure,
+    Compose,
     OrbitPair,
     associated_orbit_structure,
     coarsely_transitive_check,
+    entourage_members,
     entourage_membership,
     equi_controlled_check,
     induced_bornology_chain,
@@ -139,10 +142,9 @@ def _orbit_member_grid(e: OrbitPair, x, ygrid: np.ndarray) -> np.ndarray:
                 hi = np.minimum(hi, ju[1])
                 out |= np.ceil(lo) <= np.floor(hi)
         return out
-    for i, y in enumerate(ygrid):
-        if not out[i]:
-            r = entourage_membership(e, (tuple(x), tuple(int(c) for c in y)))
-            out[i] = bool(r)
+    rest = np.nonzero(~out)[0]
+    pairs = [(tuple(x), tuple(int(c) for c in ygrid[i])) for i in rest]
+    out[rest] = [bool(r) for r in entourage_members(e, pairs)]
     return out
 
 
@@ -311,31 +313,37 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
     pairs = _sample_pairs(d, min(budget.window, 32), 240)
     sweep_ls = _sample_group_elements(a, budget)
 
-    for x, y in pairs:
-        m1 = entourage_membership(e1, (x, y), budget)
+    # each descriptor answers its whole sample in one batch; the scans below
+    # keep the order of the conditions, so the first witness is the same
+    m1s = entourage_members(e1, pairs, budget)
+    m1ts = entourage_members(e1, [(y, x) for x, y in pairs], budget)
+    n = len(sweep_ls)
+    shifts = [mat_vec(a.matrix, l) for l in sweep_ls]
+    moved = entourage_members(e1, [
+        (tuple(map(add, x, s)), tuple(map(add, y, s))) for x, y in pairs for s in shifts
+    ], budget)
+    m2s = entourage_members(e2, pairs, budget)
+    hits = [p for p, m1, m2 in zip(pairs, m1s, m2s) if m1 is True or m2 is True]
+    in_union = dict(zip(hits, entourage_members(eu, hits, budget)))
+    for i, (x, y) in enumerate(pairs):
+        m1, m1t = m1s[i], m1ts[i]
         # (iii) symmetry
-        if m1 is not None and entourage_membership(e1, (y, x), budget) is not None:
-            if m1 != entourage_membership(e1, (y, x), budget):
-                return refuted(witness={"condition": "transpose", "pair": (x, y)})
+        if m1 is not None and m1t is not None and m1 != m1t:
+            return refuted(witness={"condition": "transpose", "pair": (x, y)})
         # (i) invariance under sampled translations
         if m1 is not None:
-            for l in sweep_ls:
-                shift = mat_vec(a.matrix, l)
-                xs = tuple(p + s for p, s in zip(x, shift))
-                ys = tuple(p + s for p, s in zip(y, shift))
-                ms = entourage_membership(e1, (xs, ys), budget)
+            for l, ms in zip(sweep_ls, moved[i * n:(i + 1) * n]):
                 if ms is not None and ms != m1:
                     return refuted(
                         witness={"condition": "invariance", "pair": (x, y), "l": l}
                     )
         # (iv) union monotonicity
-        m2 = entourage_membership(e2, (x, y), budget)
-        if m1 is True or m2 is True:
-            if entourage_membership(eu, (x, y), budget) is False:
-                return refuted(witness={"condition": "union", "pair": (x, y)})
+        if in_union.get((x, y)) is False:
+            return refuted(witness={"condition": "union", "pair": (x, y)})
     # (ii) diagonal
-    for p in _sample_points(d, min(budget.window, 32), 40):
-        if entourage_membership(e1, (p, p), budget) is False:
+    points = _sample_points(d, min(budget.window, 32), 40)
+    for p, m in zip(points, entourage_members(e1, [(p, p) for p in points], budget)):
+        if m is False:
             return refuted(witness={"condition": "diagonal", "point": p})
     # (v) composition bound
     bound = orbit_compose_bound(e1, e2)
@@ -343,18 +351,14 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
     if bound is None:
         bound = _windowed_sweep_bound(a, b1, b2, budget)
     eb = OrbitPair(a, bound)
-    from .coarse import Compose
-
-    comp = Compose(e1, e2)
-    for x, z in pairs:
-        mc = entourage_membership(comp, (x, z), budget)
-        if mc is True:
-            mb = entourage_membership(eb, (x, z), budget)
-            if mb is False:
-                return refuted(
-                    witness={"condition": "composition", "pair": (x, z)},
-                    detail="composition escapes the transporter bound",
-                )
+    composed = entourage_members(Compose(e1, e2), pairs, budget)
+    hits = [p for p, mc in zip(pairs, composed) if mc is True]
+    for (x, z), mb in zip(hits, entourage_members(eb, hits, budget)):
+        if mb is False:
+            return refuted(
+                witness={"condition": "composition", "pair": (x, z)},
+                detail="composition escapes the transporter bound",
+            )
     note = "sampled window verification"
     if bound_truncated:
         note += " (composition bound window-truncated)"
@@ -461,17 +465,6 @@ def base_property_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
             detail="composition of level-0 entourages escapes every level",
         )
     return verdict_inconclusive("no replayable witness family found within budget")
-
-
-def _level_set(a: ActionInstance, n: int):
-    if not a.space.is_lattice:
-        if a.space_bornology.kind == MAXIMAL:
-            return FinitePoints(frozenset(a.space.labels))
-        from .bornology import generate_from_base
-
-        elems = generate_from_base(a.space_bornology.base)
-        return FinitePoints(elems[min(n, len(elems) - 1)])
-    return BoxSet(level_box(a.space_bornology, n))
 
 
 def _refutation_family(a: ActionInstance, cls: Classification, budget: Budget):

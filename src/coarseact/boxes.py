@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf
+from operator import sub
 
 NEG_INF = -inf
 POS_INF = inf
@@ -79,13 +80,6 @@ def end_max(a, b):
     return a if a >= b else b
 
 
-def end_sub(a, b):
-    # pairs a lower-with-upper end only; equal-signed infinities are a bug
-    if not is_finite_end(a) and not is_finite_end(b) and a == b:
-        raise GeometryError("opposite-end invariant violated: inf - inf")
-    return a - b
-
-
 @dataclass(frozen=True)
 class Box:
     """Product of integer intervals; canonical empty box has zeroed ends."""
@@ -126,11 +120,14 @@ class Box:
 
 def box(*pairs) -> Box:
     """Build a box from (lower, upper) pairs, canonicalizing emptiness."""
-    lower = tuple(p[0] for p in pairs)
-    upper = tuple(p[1] for p in pairs)
+    lower, upper = tuple(zip(*pairs)) or ((), ())
+    return _canonical(lower, upper)
+
+
+def _canonical(lower: tuple, upper: tuple) -> Box:
     for lo, hi in zip(lower, upper):
         if lo > hi or lo == POS_INF or hi == NEG_INF:
-            return empty_box(len(pairs))
+            return empty_box(len(lower))
     return Box(lower, upper)
 
 
@@ -155,11 +152,8 @@ def box_intersect(b1: Box, b2: Box) -> Box:
         raise DimensionMismatch("box_intersect: dimension mismatch")
     if b1.empty or b2.empty:
         return empty_box(b1.dim)
-    return box(
-        *(
-            (end_max(l1, l2), end_min(u1, u2))
-            for l1, l2, u1, u2 in zip(b1.lower, b2.lower, b1.upper, b2.upper)
-        )
+    return _canonical(
+        tuple(map(max, b1.lower, b2.lower)), tuple(map(min, b1.upper, b2.upper))
     )
 
 
@@ -173,14 +167,14 @@ def difference_box(target: Box, source: Box) -> Box:
         raise DimensionMismatch("difference_box: dimension mismatch")
     if target.empty or source.empty:
         raise EmptyBoxError("difference_box requires non-empty boxes")
-    return box(
-        *(
-            (end_sub(lt, us), end_sub(ut, ls))
-            for lt, ls, ut, us in zip(
-                target.lower, source.lower, target.upper, source.upper
-            )
-        )
-    )
+    lower = tuple(map(sub, target.lower, source.upper))
+    upper = tuple(map(sub, target.upper, source.lower))
+    # a nan end is inf - inf: equal-signed infinite ends, which a lower and
+    # an upper end of canonical non-empty boxes never are
+    for lo, hi in zip(lower, upper):
+        if lo != lo or hi != hi:
+            raise GeometryError("opposite-end invariant violated: inf - inf")
+    return _canonical(lower, upper)
 
 
 def translate_box(b: Box, v: tuple) -> Box:
@@ -208,15 +202,6 @@ def minkowski_sum(b1: Box, b2: Box) -> Box:
     return Box(
         tuple(a + b for a, b in zip(b1.lower, b2.lower)),
         tuple(a + b for a, b in zip(b1.upper, b2.upper)),
-    )
-
-
-def self_difference_box(b: Box) -> Box:
-    """{y - x : x, y ∈ b}: per coordinate (lo - hi, hi - lo)."""
-    if b.empty:
-        return b
-    return box(
-        *((end_sub(lo, hi), end_sub(hi, lo)) for lo, hi in zip(b.lower, b.upper))
     )
 
 
@@ -444,7 +429,7 @@ def self_difference_set(s):
     if isinstance(s, UnionSet):
         raise UnsupportedVariant("self_difference_set: decompose unions first")
     if isinstance(s, BoxSet):
-        return BoxSet(self_difference_box(s.box))
+        return s if s.box.empty else BoxSet(difference_box(s.box, s.box))
     pts = list(s.points)
     return FinitePoints(
         frozenset(tuple(b - a for a, b in zip(p, q)) for p in pts for q in pts)

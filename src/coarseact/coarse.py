@@ -150,52 +150,66 @@ class Compose:
 # --- membership --------------------------------------------------------------
 
 
+def entourage_members(e, pairs, budget: Budget = DEFAULT_BUDGET) -> list:
+    """Membership of each pair in e: exact where decidable, None where only
+    budget evidence exists.  The work that depends on e alone runs once."""
+    member = _member_test(e, budget)
+    return [member(x, y) for x, y in pairs]
+
+
 def entourage_membership(e, pair, budget: Budget = DEFAULT_BUDGET):
-    """Exact membership where decidable; None when only budget evidence exists."""
-    x, y = pair
+    """entourage_members for one pair."""
+    return entourage_members(e, (pair,), budget)[0]
+
+
+def _member_test(e, budget: Budget):
+    """A per-pair membership function for e, with e's own work done."""
     if isinstance(e, MetricBall):
-        return max(abs(a - b) for a, b in zip(x, y)) <= e.radius
-    if isinstance(e, GroupRight):
-        return set_membership(e.d_set, tuple(b - a for a, b in zip(x, y)))
-    if isinstance(e, DiffRel):
-        return set_membership(e.shift_set, tuple(b - a for a, b in zip(x, y)))
+        return lambda x, y: max(abs(a - b) for a, b in zip(x, y)) <= e.radius
+    if isinstance(e, (GroupRight, DiffRel)):
+        s = e.d_set if isinstance(e, GroupRight) else e.shift_set
+        return lambda x, y: set_membership(s, tuple(b - a for a, b in zip(x, y)))
     if isinstance(e, ConnectedPairs):
-        return x == y or (
-            set_membership(e.bounded_set, x) and set_membership(e.bounded_set, y)
-        )
+        s = e.bounded_set
+        return lambda x, y: x == y or (set_membership(s, x) and set_membership(s, y))
     if isinstance(e, OrbitPair):
-        return _orbit_pair_member(e, x, y)
+        return _orbit_pair_test(e)
     if isinstance(e, Compose):
-        return _compose_member(e, x, y, budget)
+        return _compose_test(e, budget)
     raise UnsupportedVariant(f"not an entourage: {e!r}")
 
 
-def _orbit_pair_member(e: OrbitPair, x, y):
-    if x == y:
-        return True
+def _orbit_pair_test(e: OrbitPair):
     a, b = e.action, e.bounded_set
     if set_is_empty(b):
-        return False
-    if a.is_translation:
-        any_none = False
-        for bu in set_boxes(b):
-            for bv in set_boxes(b):
-                c = box_intersect(
-                    difference_box(point_box(x), bu),
-                    difference_box(point_box(y), bv),
-                )
+        return lambda x, y: x == y
+    if not a.is_translation:
+        mappings = map(a.rule.mapping, range(len(a.group.elements)))
+        moved = [{mapping[p] for p in b.points} for mapping in mappings]
+        return lambda x, y: x == y or any(x in s and y in s for s in moved)
+    pieces = set_boxes(b)
+
+    def member(x, y):
+        if x == y:
+            return True
+        undecided = False
+        ys = _offsets(y, pieces)
+        for cu in _offsets(x, pieces):
+            for cv in ys:
+                c = box_intersect(cu, cv)
                 r = lattice_box_feasible(a.matrix, c) if not c.empty else False
                 if r is True:
                     return True
-                if r is None:
-                    any_none = True
-        return None if any_none else False
-    for i in range(len(a.group.elements)):
-        mapping = a.rule.mapping(i)
-        moved = {mapping[p] for p in b.points}
-        if x in moved and y in moved:
-            return True
-    return False
+                undecided = undecided or r is None
+        return None if undecided else False
+
+    return member
+
+
+def _offsets(x, pieces) -> list:
+    """x ⊖ piece for each piece: the shifts M·l that can carry the piece to x."""
+    px = point_box(x)
+    return [difference_box(px, piece) for piece in pieces]
 
 
 def orbit_pair_witness(e: OrbitPair, x, y):
@@ -205,12 +219,11 @@ def orbit_pair_witness(e: OrbitPair, x, y):
         return None
     from .actions import _interval_k1
 
-    for bu in set_boxes(b):
-        for bv in set_boxes(b):
-            c = box_intersect(
-                difference_box(point_box(x), bu),
-                difference_box(point_box(y), bv),
-            )
+    pieces = set_boxes(b)
+    ys = _offsets(y, pieces)
+    for cu in _offsets(x, pieces):
+        for cv in ys:
+            c = box_intersect(cu, cv)
             if c.empty:
                 continue
             iv = _interval_k1(a.matrix, c)
@@ -222,10 +235,10 @@ def orbit_pair_witness(e: OrbitPair, x, y):
     return None
 
 
-def _compose_member(e: Compose, x, z, budget: Budget):
+def _compose_test(e: Compose, budget: Budget):
     rw = entourage_rewrite(e)
     if rw.exact and not isinstance(rw.descriptor, Compose):
-        return entourage_membership(rw.descriptor, (x, z), budget)
+        return _member_test(rw.descriptor, budget)
     e1, e2 = e.e1, e.e2
     if (
         isinstance(e1, OrbitPair)
@@ -234,40 +247,38 @@ def _compose_member(e: Compose, x, z, budget: Budget):
         and e1.action.is_translation
         and e1.action.group.rank == 1
     ):
-        return _orbit_compose_member_k1(e1, e2, x, z)
-    m1 = entourage_membership(e1, (x, z), budget)
-    m2 = entourage_membership(e2, (x, z), budget)
-    # through y = z or y = x
-    thru = _tristate_or(
-        _tristate_and(entourage_membership(e1, (x, x), budget), m2),
-        _tristate_and(m1, entourage_membership(e2, (z, z), budget)),
-    )
-    if thru is True:
-        return True
-    candidates, complete = _compose_candidates(e1, e2, x, z, budget)
-    saw_none = thru is None
-    for y in candidates:
-        a = entourage_membership(e1, (x, y), budget)
-        b = entourage_membership(e2, (y, z), budget)
-        both = _tristate_and(a, b)
-        if both is True:
-            return True
-        if both is None:
-            saw_none = True
-    if complete and not saw_none:
-        return False
-    return None
-
-
-def _compose_candidates(e1, e2, x, z, budget: Budget):
-    """(candidate midpoints, complete): y must satisfy y-x ∈ reach(e1) and
-    z-y ∈ reach(e2); complete means that region was fully enumerated."""
-    d = e1.space.dim
+        return _orbit_compose_test_k1(e1, e2)
+    in1, in2 = _member_test(e1, budget), _member_test(e2, budget)
     r1, r2 = reach(e1), reach(e2)
+
+    def member(x, z):
+        # through y = x or y = z
+        thru = _tristate_or(_tristate_and(in1(x, x), in2(x, z)),
+                            _tristate_and(in1(x, z), in2(z, z)))
+        if thru is True:
+            return True
+        candidates, complete = _compose_candidates(r1, r2, e1.space, x, z, budget)
+        saw_none = thru is None
+        for y in candidates:
+            both = _tristate_and(in1(x, y), in2(y, z))
+            if both is True:
+                return True
+            saw_none = saw_none or both is None
+        return False if complete and not saw_none else None
+
+    return member
+
+
+def _compose_candidates(r1, r2, space: GroundSpace, x, z, budget: Budget):
+    """(candidate midpoints, complete): y must satisfy y-x ∈ r1 and z-y ∈ r2,
+    the reaches of the two factors; complete means that region was fully
+    enumerated.  A finite space offers every label."""
+    if not space.is_lattice:
+        return space.labels, True
+    d = space.dim
     cands = {tuple(x), tuple(z)}
     if r1 is None or r2 is None:
-        for y in bx.box_points(cube(min(budget.window, 8), d)):
-            cands.add(y)
+        cands.update(bx.box_points(cube(min(budget.window, 8), d)))
         return sorted(cands), False
     region1 = set_translate(r1, x)
     region2 = set_translate(set_negate(r2), z)
@@ -276,17 +287,12 @@ def _compose_candidates(e1, e2, x, z, budget: Budget):
     count = 1
     for w in bb.widths():
         count = count * w if w != POS_INF else POS_INF
-    if count != POS_INF and count <= 4000:
-        for y in bx.box_points(bb):
-            if set_membership(inter, y):
-                cands.add(y)
-        return sorted(cands), True
-    radius = budget.window if d == 1 else (10 if d == 2 else 4)
-    clipped = bx.clip_box(bb, min(budget.window, radius))
-    for y in bx.box_points(clipped):
-        if set_membership(inter, y):
-            cands.add(y)
-    return sorted(cands), False
+    complete = count != POS_INF and count <= 4000
+    if not complete:
+        radius = budget.window if d == 1 else (10 if d == 2 else 4)
+        bb = bx.clip_box(bb, min(budget.window, radius))
+    cands.update(y for y in bx.box_points(bb) if set_membership(inter, y))
+    return sorted(cands), complete
 
 
 def _tristate_and(a, b):
@@ -305,36 +311,42 @@ def _tristate_or(a, b):
     return None
 
 
-def _orbit_compose_member_k1(e1: OrbitPair, e2: OrbitPair, x, z):
+def _orbit_compose_test_k1(e1: OrbitPair, e2: OrbitPair):
     """Exact orbit∘orbit composition for rank-1 translation actions.
 
     (x,z) ∈ E(L,B1)∘E(L,B2) iff x=z-side degeneracies hold, or there are
     l, h with M·l ∈ x⊖B1, M·h ∈ z⊖B2 and M·(h-l) ∈ B2⊖B1; for k = 1 each
     condition is an integer interval, so feasibility is interval arithmetic.
     """
-    if entourage_membership(e1, (x, z)) or entourage_membership(e2, (x, z)):
-        return True
-    a = e1.action
+    in1, in2 = _orbit_pair_test(e1), _orbit_pair_test(e2)
+    m = e1.action.matrix
     from .actions import _interval_k1
 
     b1, b2 = e1.bounded_set, e2.bounded_set
     if set_is_empty(b1) or set_is_empty(b2):
-        return x == z
-    for pa, pb, pc, pd in itertools.product(
-        set_boxes(b1), set_boxes(b2), set_boxes(b1), set_boxes(b2)
-    ):
-        ju = _interval_k1(a.matrix, difference_box(point_box(x), pa))
-        jw = _interval_k1(a.matrix, difference_box(point_box(z), pb))
-        jt = _interval_k1(a.matrix, difference_box(pd, pc))
-        if ju is None or jw is None or jt is None:
-            continue
-        # t := l - h must satisfy M t ∈ pd ⊖ pc; then h ∈ Ju ⊖ Jt, and the
-        # Minkowski difference of integer intervals is exact
-        lo = ju[0] - jt[1]
-        hi = ju[1] - jt[0]
-        if max(lo, jw[0]) <= min(hi, jw[1]):
+        return lambda x, z: bool(in1(x, z) or in2(x, z) or x == z)
+    pieces1, pieces2 = set_boxes(b1), set_boxes(b2)
+
+    def intervals(boxes):
+        return [iv for c in boxes if (iv := _interval_k1(m, c)) is not None]
+
+    # t := l - h must satisfy M t ∈ pd ⊖ pc, for every pc of B1 and pd of B2
+    jts = intervals(difference_box(pd, pc) for pc in pieces1 for pd in pieces2)
+
+    def member(x, z):
+        if in1(x, z) or in2(x, z):
             return True
-    return False
+        jws = intervals(_offsets(z, pieces2))
+        for ju in intervals(_offsets(x, pieces1)):
+            for jt in jts:
+                # h ∈ Ju ⊖ Jt: the Minkowski difference of integer intervals
+                # is exact
+                lo, hi = ju[0] - jt[1], ju[1] - jt[0]
+                if any(max(lo, jw[0]) <= min(hi, jw[1]) for jw in jws):
+                    return True
+        return False
+
+    return member
 
 
 # --- reach and rewrite -------------------------------------------------------
@@ -465,11 +477,10 @@ def _rewrite_compose(e: Compose) -> Rewrite:
 
 
 def _intersect_sets(s1, s2):
-    pieces = []
-    for a in set_boxes(s1):
-        for b in set_boxes(s2):
-            pieces.append(BoxSet(box_intersect(a, b)))
-    return union_set(*pieces) if pieces else s1
+    """s1 ∩ s2; past the union cap, its box hull (the compose candidates are
+    searched in it, and a superset of the midpoints loses none of them)."""
+    pieces = [BoxSet(box_intersect(a, b)) for a in set_boxes(s1) for b in set_boxes(s2)]
+    return _union_or_hull(*pieces)[0] if pieces else s1
 
 
 def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):

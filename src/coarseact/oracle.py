@@ -60,7 +60,7 @@ from .coarse import (
     MetricBall,
     OrbitPair,
     close_finite_base,
-    entourage_membership,
+    entourage_members,
     neighborhood,
 )
 from .verdicts import Budget, DEFAULT_BUDGET
@@ -657,8 +657,8 @@ def _check_entourage(inst, window, budget) -> CrossCheckReport:
     gw = _needed_gw(inst, window)
     for e in _entourage_levels(inst, budget):
         pairs = _pair_sample(e.space, inst.name, min(window, 12))
-        for pair, orc in zip(pairs, _oracle_members(e, pairs, gw)):
-            sym = entourage_membership(e, pair, budget)
+        syms = entourage_members(e, pairs, budget)
+        for pair, sym, orc in zip(pairs, syms, _oracle_members(e, pairs, gw)):
             if sym is None:
                 rep.advisory.append({"pair": pair, "note": "symbolic inconclusive"})
                 continue
@@ -716,10 +716,9 @@ def _check_compose(inst, window, budget) -> CrossCheckReport:
     sets = _sample_sets(inst, 2)
     e1 = OrbitPair(inst, sets[0])
     e2 = OrbitPair(inst, sets[-1])
-    comp = Compose(e1, e2)
     pairs = _pair_sample(inst.space, inst.name, min(window, 8), count=40)
-    for pair, orc in zip(pairs, _oracle_compose_orbit(inst, e1, e2, pairs, gw)):
-        sym = entourage_membership(comp, pair, budget)
+    syms = entourage_members(Compose(e1, e2), pairs, budget)
+    for pair, sym, orc in zip(pairs, syms, _oracle_compose_orbit(inst, e1, e2, pairs, gw)):
         if sym is None:
             rep.advisory.append({"pair": pair})
             continue

@@ -105,6 +105,39 @@ class TestLemmaAlgebra:
         assert v.confirmed
         assert "truncated" in v.detail
 
+    def test_membership_fault_refutes_with_pinned_witness(self, shift, monkeypatch):
+        # the entourage fault of acceptance criterion 6: x ⊖ piece reaches two
+        # past its upper end; the first witness of the scan is pinned
+        import coarseact.coarse as coarse_mod
+        from coarseact.boxes import Box
+        from coarseact.boxes import difference_box as real_diff
+
+        def fault_membership_end(target, source):
+            out = real_diff(target, source)
+            if out.empty or out.upper[-1] == float("inf"):
+                return out
+            return Box(out.lower, out.upper[:-1] + (out.upper[-1] + 2,))
+
+        monkeypatch.setattr(coarse_mod, "difference_box", fault_membership_end)
+        v = verify_lemma_algebra(shift, box_set((0, 0)), box_set((0, 3)))
+        assert v.refuted
+        assert v.witness == {"condition": "composition", "pair": ((0,), (6,))}
+
+    def test_composition_rewritten_once_per_call(self, hyperbola, monkeypatch):
+        import coarseact.coarse as coarse_mod
+
+        real = coarse_mod._rewrite_compose
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return real(e)
+
+        monkeypatch.setattr(coarse_mod, "_rewrite_compose", counted)
+        q = box_set((-2, 1), (0, 2))
+        assert verify_lemma_algebra(hyperbola, q, box_set((0, 0), (-1, 1))).confirmed
+        assert 1 <= len(calls) <= 2
+
 
 class TestBaseProperty:
     def test_shift_confirmed_with_indexes(self, shift):

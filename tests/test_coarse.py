@@ -18,7 +18,7 @@ from coarseact.bornology import (
     cubes_chain,
     maximal_bornology,
 )
-from coarseact.actions import lattice_group
+from coarseact.actions import ActionInstance, TranslationRule, lattice_group
 from coarseact.coarse import (
     ChainStructure,
     Compose,
@@ -158,6 +158,32 @@ class TestMembership:
             )
         ]
         assert 5 in hits
+
+    def test_witness_replays_on_unions(self):
+        # every returned l puts both points in M·l + B, checked by set
+        # membership; a refused pair gets no witness
+        rng = random.Random(11)
+        for _ in range(40):
+            m = ((rng.choice([-2, -1, 1, 2]),), (rng.randint(-2, 2),))
+            a = ActionInstance("line", lattice_group(1, cubes_chain(Z)), Z2,
+                               TranslationRule(m), cubes_chain(Z2))
+            b = union_set(*(
+                box_set(*((lo, lo + rng.randint(0, 2))
+                          for lo in (rng.randint(-3, 3), rng.randint(-3, 3))))
+                for _ in range(rng.randint(2, 3))
+            ), points_set((rng.randint(-3, 3), rng.randint(-3, 3))))
+            e = OrbitPair(a, b)
+            for x in itertools.product(range(-3, 4), repeat=2):
+                y = tuple(c + rng.randint(-3, 3) for c in x)
+                if x == y:
+                    continue
+                l = orbit_pair_witness(e, x, y)
+                if entourage_membership(e, (x, y)) is False:
+                    assert l is None
+                    continue
+                shift = tuple(row[0] * l[0] for row in m)
+                for p in (x, y):
+                    assert set_membership(b, tuple(c - s for c, s in zip(p, shift)))
 
     def test_group_right_difference(self, shift):
         e = GroupRight(shift.group, box_set((-2, 2)))

@@ -3,19 +3,30 @@ import random
 
 import pytest
 
-from coarseact.boxes import NEG_INF, GroundSpace, box_set, points_set, union_set
-from coarseact.bornology import bornology_axiom_check
+from coarseact.boxes import (
+    NEG_INF,
+    POS_INF,
+    GroundSpace,
+    box_set,
+    points_set,
+    union_set,
+)
+from coarseact.bornology import bornology_axiom_check, maximal_bornology
 from coarseact.actions import (
+    ActionInstance,
+    TranslationRule,
     action_bornological_check,
     action_homomorphism_check,
     group_bornological_check,
     group_table_check,
+    lattice_group,
 )
 from coarseact.coarse import (
     Compose,
     MetricBall,
     OrbitPair,
     close_finite_base,
+    entourage_members,
     entourage_membership,
 )
 from coarseact.oracle import (
@@ -107,6 +118,109 @@ class TestUnionBoundedSets:
         assert notes == []
         t = transporter(shift, b, b2)
         assert got == [(l,) for l in range(-20, 21) if t.member((l,))]
+
+
+def _union_case(seed: int):
+    """A seeded translation action (d, k <= 2, entries in ±2), two bounded sets
+    of 1-3 pieces each (point sets and boxes, some ends ±inf), and 30 pairs
+    from the window [-4, 4]^d."""
+    rng = random.Random(f"union-case|{seed}")
+    d, k = rng.randint(1, 2), rng.randint(1, 2)
+    m = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(d))
+    space = GroundSpace.lattice(d)
+    group = lattice_group(k, maximal_bornology(GroundSpace.lattice(k)))
+    a = ActionInstance(f"union-{seed}", group, space, TranslationRule(m),
+                       maximal_bornology(space))
+
+    def piece():
+        if rng.random() < 0.35:
+            return points_set(*(tuple(rng.randint(-3, 3) for _ in range(d))
+                                for _ in range(rng.randint(1, 2))))
+        ends = []
+        for _ in range(d):
+            lo = rng.randint(-3, 2)
+            hi = lo + rng.randint(0, 2)
+            ends.append((NEG_INF if rng.random() < 0.2 else lo,
+                         POS_INF if rng.random() < 0.2 else hi))
+        return box_set(*ends)
+
+    b1, b2 = (union_set(*(piece() for _ in range(rng.randint(1, 3)))) for _ in "12")
+    window = list(itertools.product(range(-4, 5), repeat=d))
+    pairs = [(rng.choice(window), rng.choice(window)) for _ in range(30)]
+    return a, b1, b2, pairs
+
+
+class TestUnionDifferential:
+    """entourage_members against the oracle on union bounded sets.  The
+    crosscheck samples single boxes only, so these are its union cases."""
+
+    SEEDS = range(48)
+    GW = 24  # group window: no witness for a window pair lies beyond it here
+
+    def test_orbit_pairs_match_oracle(self):
+        for seed in self.SEEDS:
+            a, b1, b2, pairs = _union_case(seed)
+            for b in (b1, b2):
+                e = OrbitPair(a, b)
+                assert entourage_members(e, pairs) == \
+                    oracle_orbit_members_batch(e, pairs, self.GW), (seed, b)
+
+    def test_compositions_match_oracle(self):
+        for seed in self.SEEDS:
+            a, b1, b2, pairs = _union_case(seed)
+            e1, e2 = OrbitPair(a, b1), OrbitPair(a, b2)
+            got = entourage_members(Compose(e1, e2), pairs)
+            if a.group.rank == 1:
+                assert got == _oracle_compose_orbit(a, e1, e2, pairs, self.GW), seed
+                continue
+            # k = 2 composes over l and h: a window of 4 keeps the oracle
+            # fast but finds only some witnesses, so only a found witness
+            # binds (the engine may still answer None there)
+            oracle = _oracle_compose_orbit(a, e1, e2, pairs, 4)
+            assert not any(o and g is False for g, o in zip(got, oracle)), seed
+
+    def test_compose_midpoints_past_union_cap(self):
+        # three pieces on each side: the midpoint region would need more than
+        # UNION_CAP pieces, and the membership used to raise GeometryError
+        plane = GroundSpace.lattice(2)
+        a = ActionInstance("plane", lattice_group(2, maximal_bornology(plane)), plane,
+                           TranslationRule(((1, -2), (0, 0))), maximal_bornology(plane))
+        b1 = union_set(points_set((2, -3)), box_set((2, POS_INF), (1, POS_INF)),
+                       points_set((-2, 0)))
+        b2 = union_set(box_set((2, POS_INF), (NEG_INF, 3)),
+                       box_set((1, POS_INF), (NEG_INF, 3)),
+                       box_set((NEG_INF, 0), (1, 2)))
+        e1, e2 = OrbitPair(a, b1), OrbitPair(a, b2)
+        pairs = [((-4, 4), (-2, 0)), ((-4, 4), (1, 0)), ((-4, 4), (2, -4))]
+        assert entourage_members(Compose(e1, e2), pairs) == [True] * 3
+        assert _oracle_compose_orbit(a, e1, e2, pairs, 12) == [True] * 3
+
+    def test_permuted_batch_gives_permuted_answers(self):
+        rng = random.Random(5)
+        for seed in range(0, 48, 3):
+            a, b1, b2, pairs = _union_case(seed)
+            for e in (OrbitPair(a, b1), Compose(OrbitPair(a, b1), OrbitPair(a, b2))):
+                answers = entourage_members(e, pairs)
+                order = rng.sample(range(len(pairs)), len(pairs))
+                assert entourage_members(e, [pairs[i] for i in order]) == \
+                    [answers[i] for i in order]
+                assert [entourage_membership(e, p) for p in pairs] == answers
+
+
+class TestFiniteCompose:
+    def test_compositions_match_oracle(self):
+        # pairs in neither factor search every label as the midpoint; the
+        # search used to build lattice tuples from labels and raise TypeError
+        rng = random.Random(3)
+        for seed in range(1, 21):
+            inst = random_instance(seed, "finite")
+            labels = inst.space.labels
+            pairs = list(itertools.product(labels, repeat=2))
+            for _ in range(2):
+                e1, e2 = (OrbitPair(inst, points_set(*rng.sample(labels, rng.randint(1, 2))))
+                          for _ in "12")
+                assert entourage_members(Compose(e1, e2), pairs) == \
+                    _oracle_compose_orbit(inst, e1, e2, pairs, 8), seed
 
 
 class TestNaiveClosure:
