@@ -682,10 +682,6 @@ class LatticeTransporter:
         v = mat_vec(self.matrix, l)
         return any(case.contains(v) for case in self.cases)
 
-    @property
-    def rank(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
 
 @dataclass(frozen=True)
 class ExplicitTransporter:

@@ -26,6 +26,7 @@ from .boxes import (
     set_bounding_box,
     set_boxes,
     set_is_empty,
+    set_membership,
     set_translate,
     union_set,
 )
@@ -39,7 +40,6 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     Classification,
-    ExplicitTransporter,
     LatticeTransporter,
     chains_mutually_cofinal,
     classify,
@@ -60,6 +60,7 @@ from .coarse import (
     entourage_membership,
     equi_controlled_check,
     induced_bornology_chain,
+    neighborhood,
     orbit_compose_bound,
     structure_leq,
 )
@@ -84,10 +85,6 @@ class BasePropertyRefuted(GeometryError):
     def __init__(self, witness):
         super().__init__(f"orbit-pair base refuted: {witness}")
         self.witness = witness
-
-
-def orbit_pair_entourage(a: ActionInstance, b) -> OrbitPair:
-    return OrbitPair(a, b)
 
 
 # --- lemma verifiers ---------------------------------------------------------
@@ -180,103 +177,36 @@ def _interval_bounds_np(m: np.ndarray, xs: np.ndarray, piece):
 
 
 def verify_lemma_neighborhood(a: ActionInstance, b, x, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """Compare E(L,B)[x] computed two independent ways on the window.
+    """Compare E(L,B)[x] computed two independent ways at the swept points.
 
     Left: the existential pair-membership sweep of the orbit-pair entourage.
-    Right: the transporter of {x} into B, inverted and swept over B, plus {x}.
+    Right: membership in coarse.neighborhood's ((L_{x,B})^{-1}·B) ∪ {x}.
+    A finite space sweeps its labels, a lattice the window grid.  A mismatch
+    against an inexact right side is inconclusive: the hull past a cap
+    over-approximates and the window under-approximates, so it blames neither.
     """
     e = OrbitPair(a, b)
-    if not a.space.is_lattice:
-        left = {
-            y
-            for y in a.space.labels
-            if entourage_membership(e, (x, y)) is True
-        }
-        right = _finite_lemma_rhs(a, b, x)
-        if left == right:
-            return confirmed("finite sweep equality")
-        return refuted(witness={"only_left": sorted(left - right, key=str),
-                                "only_right": sorted(right - left, key=str)})
-    import numpy as np
-
-    x = tuple(x)
-    d = a.space.dim
-    w = min(budget.window, 32 if d <= 2 else 10)
-    grid = _window_grid(d, w)
-    left = _orbit_member_grid(e, x, grid)
-    rhs_set, rhs_exact = _lemma_rhs_set(a, b, x, budget)
-    right = _set_member_grid(rhs_set, grid)
-    if np.array_equal(left, right):
-        note = "window equality" + ("" if rhs_exact else " (right side truncated)")
-        return confirmed(note)
-    idx = int(np.nonzero(left != right)[0][0])
-    y = tuple(int(c) for c in grid[idx])
-    return refuted(
-        witness={"x": x, "y": y, "left": bool(left[idx]), "right": bool(right[idx])},
-        detail="neighborhood identity mismatch (implementation bug)",
-    )
-
-
-def _finite_lemma_rhs(a: ActionInstance, b, x) -> set:
-    t = transporter(a, FinitePoints(frozenset({x})), b)
-    out = {x}
-    for g in t.elements:
-        gi = a.group.elements.index(g)
-        inv = a.group.inverse_index(gi)
-        mapping = a.rule.mapping(inv)
-        out |= {mapping[p] for p in b.points}
-    return out
-
-
-def _lemma_rhs_set(a: ActionInstance, b, x, budget: Budget):
-    """((L_{x,B})^{-1} · B) ∪ {x} as a set descriptor."""
-    t = transporter(a, FinitePoints(frozenset({x})), b)
-    xpt = FinitePoints(frozenset({x}))
-    if isinstance(t, ExplicitTransporter):
-        if not t.elements:
-            return xpt, True
-        parts = [xpt]
-        for l in sorted(t.elements):
-            neg = tuple(-c for c in l)
-            parts.append(set_translate(b, mat_vec(a.matrix, neg)))
-        return union_set(*parts), True
-    parts = [xpt]
-    exact = True
-    for case in t.cases:
-        bb = rational_bbox(t.matrix, case)
-        from .actions import _case_unbounded_ray
-
-        ray, status = _case_unbounded_ray(t.matrix, case)
-        if ray is not None or status is None:
-            exact = False
-            k = len(t.matrix[0])
-            ls = [
-                l
-                for l in bx.box_points(cube(budget.window, k))
-                if case.contains(mat_vec(t.matrix, l))
-            ]
-        elif bb is None:
-            continue
-        else:
-            ls = [
-                l
-                for l in bx.box_points(bb)
-                if case.contains(mat_vec(t.matrix, l))
-            ]
-        if len(ls) > 60:
-            hull = None
-            for l in ls:
-                neg = tuple(-c for c in l)
-                tb = set_bounding_box(set_translate(b, mat_vec(a.matrix, neg)))
-                hull = tb if hull is None else box_hull(hull, tb)
-            if hull is not None:
-                parts.append(BoxSet(hull))
-            exact = False
-        else:
-            for l in ls:
-                neg = tuple(-c for c in l)
-                parts.append(set_translate(b, mat_vec(a.matrix, neg)))
-    return union_set(*parts), exact
+    x = tuple(x) if a.space.is_lattice else x
+    rhs, exact = neighborhood(e, FinitePoints(frozenset({x})), budget)
+    if a.space.is_lattice:
+        d = a.space.dim
+        ys = _window_grid(d, min(budget.window, 32 if d <= 2 else 10))
+        left = _orbit_member_grid(e, x, ys).tolist()
+        right = _set_member_grid(rhs, ys).tolist()
+        note = "window equality"
+    else:
+        ys = a.space.labels
+        left = [m is True for m in entourage_members(e, [(x, y) for y in ys], budget)]
+        right = [set_membership(rhs, y) for y in ys]
+        note = "finite sweep equality"
+    if left == right:
+        return confirmed(note + ("" if exact else " (right side truncated)"))
+    i = next(i for i, (l, r) in enumerate(zip(left, right)) if l != r)
+    y = tuple(int(c) for c in ys[i]) if a.space.is_lattice else ys[i]
+    witness = {"x": x, "y": y, "left": left[i], "right": right[i]}
+    if not exact:
+        return verdict_inconclusive(f"mismatch against a truncated right side: {witness}")
+    return refuted(witness=witness, detail="neighborhood identity mismatch (implementation bug)")
 
 
 def _sample_pairs(d: int, window: int, count: int, seed: int = 0) -> list:
@@ -304,24 +234,33 @@ def _sample_pairs(d: int, window: int, count: int, seed: int = 0) -> list:
 
 
 def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """The five orbit-pair identities, sampled membership-wise on the window."""
-    if not a.space.is_lattice:
-        return _finite_lemma_algebra(a, b1, b2)
-    d = a.space.dim
+    """The five orbit-pair identities, membership-wise: over every label pair
+    and group element of a finite space, over a window sample on a lattice."""
     e1, e2 = OrbitPair(a, b1), OrbitPair(a, b2)
-    eu = OrbitPair(a, union_set(b1, b2))
-    pairs = _sample_pairs(d, min(budget.window, 32), 240)
-    sweep_ls = _sample_group_elements(a, budget)
-
+    if a.space.is_lattice:
+        d = a.space.dim
+        eu = OrbitPair(a, union_set(b1, b2))
+        pairs = _sample_pairs(d, min(budget.window, 32), 240)
+        points = _sample_points(d, min(budget.window, 32), 40)
+        sweep_ls = _sample_group_elements(a, budget)
+        shifts = [mat_vec(a.matrix, l) for l in sweep_ls]
+        moved_pairs = [(tuple(map(add, x, s)), tuple(map(add, y, s)))
+                       for x, y in pairs for s in shifts]
+        note = "sampled window verification"
+    else:
+        eu = OrbitPair(a, FinitePoints(frozenset(b1.points | b2.points)))
+        points = a.space.labels
+        pairs = list(itertools.product(points, repeat=2))
+        sweep_ls = a.group.elements
+        mappings = [a.rule.mapping(i) for i in range(len(sweep_ls))]
+        moved_pairs = [(g[x], g[y]) for x, y in pairs for g in mappings]
+        note = "exhaustive finite verification"
     # each descriptor answers its whole sample in one batch; the scans below
     # keep the order of the conditions, so the first witness is the same
     m1s = entourage_members(e1, pairs, budget)
     m1ts = entourage_members(e1, [(y, x) for x, y in pairs], budget)
     n = len(sweep_ls)
-    shifts = [mat_vec(a.matrix, l) for l in sweep_ls]
-    moved = entourage_members(e1, [
-        (tuple(map(add, x, s)), tuple(map(add, y, s))) for x, y in pairs for s in shifts
-    ], budget)
+    moved = entourage_members(e1, moved_pairs, budget)
     m2s = entourage_members(e2, pairs, budget)
     hits = [p for p, m1, m2 in zip(pairs, m1s, m2s) if m1 is True or m2 is True]
     in_union = dict(zip(hits, entourage_members(eu, hits, budget)))
@@ -330,7 +269,7 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
         # (iii) symmetry
         if m1 is not None and m1t is not None and m1 != m1t:
             return refuted(witness={"condition": "transpose", "pair": (x, y)})
-        # (i) invariance under sampled translations
+        # (i) invariance under the swept group elements
         if m1 is not None:
             for l, ms in zip(sweep_ls, moved[i * n:(i + 1) * n]):
                 if ms is not None and ms != m1:
@@ -341,7 +280,6 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
         if in_union.get((x, y)) is False:
             return refuted(witness={"condition": "union", "pair": (x, y)})
     # (ii) diagonal
-    points = _sample_points(d, min(budget.window, 32), 40)
     for p, m in zip(points, entourage_members(e1, [(p, p) for p in points], budget)):
         if m is False:
             return refuted(witness={"condition": "diagonal", "point": p})
@@ -359,7 +297,6 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
                 witness={"condition": "composition", "pair": (x, z)},
                 detail="composition escapes the transporter bound",
             )
-    note = "sampled window verification"
     if bound_truncated:
         note += " (composition bound window-truncated)"
     return confirmed(note)
@@ -396,34 +333,7 @@ def _windowed_sweep_bound(a: ActionInstance, b1, b2, budget: Budget):
                 hull = moved if hull is None else box_hull(hull, moved)
     if hull is not None:
         parts.append(BoxSet(hull))
-    return union_set(*parts) if all(not set_is_empty(p) for p in parts[:2]) else union_set(*parts)
-
-
-def _finite_lemma_algebra(a: ActionInstance, b1, b2) -> Verdict:
-    e1, e2 = OrbitPair(a, b1), OrbitPair(a, b2)
-    eu = OrbitPair(a, FinitePoints(frozenset(b1.points | b2.points)))
-    labels = a.space.labels
-    t = transporter(a, b1, b2)
-    moved = set(b1.points) | set(b2.points)
-    for g in getattr(t, "elements", ()):
-        gi = a.group.elements.index(g)
-        moved |= {a.rule.mapping(gi)[p] for p in b1.points}
-    eb = OrbitPair(a, FinitePoints(frozenset(moved)))
-    for x, y in itertools.product(labels, repeat=2):
-        m1 = entourage_membership(e1, (x, y))
-        if m1 != entourage_membership(e1, (y, x)):
-            return refuted(witness={"condition": "transpose", "pair": (x, y)})
-        if x == y and m1 is False:
-            return refuted(witness={"condition": "diagonal", "point": x})
-        if (m1 or entourage_membership(e2, (x, y))) and not entourage_membership(eu, (x, y)):
-            return refuted(witness={"condition": "union", "pair": (x, y)})
-        comp = any(
-            entourage_membership(e1, (x, w)) and entourage_membership(e2, (w, y))
-            for w in labels
-        )
-        if comp and not entourage_membership(eb, (x, y)):
-            return refuted(witness={"condition": "composition", "pair": (x, y)})
-    return confirmed("exhaustive finite verification")
+    return union_set(*parts)
 
 
 # --- base property and the associated structure ------------------------------
@@ -591,20 +501,16 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -
 
 
 def _neighborhood_hull(a: ActionInstance, t, lvl):
-    if isinstance(t, ExplicitTransporter):
-        if not t.elements:
-            return None
-        hull = None
-        for l in t.elements:
-            moved = bx.translate_box(lvl, mat_vec(a.matrix, l))
-            hull = moved if hull is None else box_hull(hull, moved)
-        return hull
+    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}.
+
+    A translation transporter is a LatticeTransporter or empty.
+    """
     hull = None
-    for case in t.cases:
+    for case in getattr(t, "cases", ()):
         bb = rational_bbox(t.matrix, case)
         if bb is None:
             continue
-        swept = bx.minkowski_sum(bx.image_hull(a.matrix, bb), lvl)
+        swept = bx.minkowski_sum(bx.negate_box(bx.image_hull(a.matrix, bb)), lvl)
         hull = swept if hull is None else box_hull(hull, swept)
     return hull
 

@@ -207,16 +207,6 @@ def generate_from_base(base) -> tuple:
     return tuple(sorted(out, key=lambda s: (len(s), sorted(map(str, s)))))
 
 
-def generated_family(base) -> set:
-    """All subsets of some base element (explicit; small ground sets only)."""
-    family = set()
-    for m in generate_from_base(base):
-        elems = sorted(m, key=str)
-        for r in range(len(elems) + 1):
-            family.update(frozenset(c) for c in itertools.combinations(elems, r))
-    return family
-
-
 def finite_bornology_closure(space: GroundSpace, base) -> set:
     """Smallest bornology containing a covering base: close under union/subset."""
     family = {frozenset(elem.points) for elem in base}
@@ -398,47 +388,6 @@ def _point_inside(bb: Box):
 # --- induction --------------------------------------------------------------
 
 
-def product_bornology(b1: BornologySpec, b2: BornologySpec) -> BornologySpec:
-    if b1.kind == CHAIN and b2.kind == CHAIN:
-        if b1.matrix is not None or b2.matrix is not None:
-            raise UnsupportedVariant("product of matrix chains is unsupported")
-        space = GroundSpace.lattice(b1.space.dim + b2.space.dim)
-        return chain_bornology(space, b1.shape + b2.shape)
-    if b1.kind == MAXIMAL and b2.kind == MAXIMAL:
-        if b1.space.is_lattice and b2.space.is_lattice:
-            return maximal_bornology(GroundSpace.lattice(b1.space.dim + b2.space.dim))
-        return maximal_bornology(
-            GroundSpace.finite(tuple(itertools.product(b1.space.labels, b2.space.labels)))
-        )
-    if b1.kind == FINITE_BASE and b2.kind == FINITE_BASE:
-        space = GroundSpace.finite(
-            tuple(itertools.product(b1.space.labels, b2.space.labels))
-        )
-        base = tuple(
-            FinitePoints(frozenset(itertools.product(e1.points, e2.points)))
-            for e1 in b1.base
-            for e2 in b2.base
-        )
-        return finite_base_bornology(space, base)
-    raise UnsupportedVariant(f"product of {b1.kind} and {b2.kind} is unsupported")
-
-
-@dataclass(frozen=True)
-class IdentityMap:
-    pass
-
-
-@dataclass(frozen=True)
-class FiniteMap:
-    """Explicit map between finite label sets."""
-
-    mapping: tuple  # tuple of (source label, target label)
-    codomain: tuple = ()  # declared target labels; () = the image
-
-    def as_dict(self):
-        return dict(self.mapping)
-
-
 @dataclass(frozen=True)
 class OrbitInclusion:
     """Parameter-lattice inclusion n ↦ base_point + M·n into the ground space."""
@@ -459,18 +408,6 @@ class OrbitProjection:
 
 
 def inverse_image_bornology(f, b: BornologySpec) -> BornologySpec:
-    if isinstance(f, IdentityMap):
-        return b
-    if isinstance(f, FiniteMap):
-        if b.kind != FINITE_BASE:
-            raise UnsupportedVariant("finite map against non-finite bornology")
-        mapping = f.as_dict()
-        source = GroundSpace.finite(tuple(s for s, _ in f.mapping))
-        base = tuple(
-            FinitePoints(frozenset(s for s, t in mapping.items() if t in elem.points))
-            for elem in b.base
-        )
-        return finite_base_bornology(source, base)
     if isinstance(f, OrbitInclusion):
         if b.kind == MAXIMAL:
             return maximal_bornology(GroundSpace.lattice(len(f.matrix[0])))
@@ -493,20 +430,6 @@ def _shift_end(end: AffineEnd, delta: int) -> AffineEnd:
 
 
 def image_bornology(pi, b: BornologySpec) -> BornologySpec:
-    if isinstance(pi, IdentityMap):
-        return b
-    if isinstance(pi, FiniteMap):
-        if b.kind != FINITE_BASE:
-            raise UnsupportedVariant("finite map against non-finite bornology")
-        mapping = pi.as_dict()
-        targets = pi.codomain or tuple(dict.fromkeys(mapping.values()))
-        if set(targets) - set(mapping.values()):
-            raise GeometryError("image map must be onto its declared codomain")
-        base = tuple(
-            FinitePoints(frozenset(mapping[s] for s in elem.points))
-            for elem in b.base
-        )
-        return finite_base_bornology(GroundSpace.finite(targets), base)
     if isinstance(pi, OrbitProjection):
         # on the parameter lattice the image of a group box is the box itself
         if b.kind == MAXIMAL:

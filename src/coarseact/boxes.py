@@ -62,11 +62,6 @@ class GroundSpace:
     def is_lattice(self) -> bool:
         return self.kind == "lattice"
 
-    def contains_point(self, p) -> bool:
-        if self.is_lattice:
-            return isinstance(p, tuple) and len(p) == self.dim
-        return p in self.labels
-
 
 def is_finite_end(v) -> bool:
     return v != NEG_INF and v != POS_INF
@@ -422,18 +417,6 @@ def set_negate(s):
     if isinstance(s, BoxSet):
         return BoxSet(negate_box(s.box))
     return UnionSet(tuple(set_negate(m) for m in s.members))
-
-
-def self_difference_set(s):
-    """{y - x : x, y ∈ s} for a Box or FinitePoints descriptor."""
-    if isinstance(s, UnionSet):
-        raise UnsupportedVariant("self_difference_set: decompose unions first")
-    if isinstance(s, BoxSet):
-        return s if s.box.empty else BoxSet(difference_box(s.box, s.box))
-    pts = list(s.points)
-    return FinitePoints(
-        frozenset(tuple(b - a for a, b in zip(p, q)) for p in pts for q in pts)
-    )
 
 
 def set_bounding_box(s) -> Box:

@@ -486,8 +486,10 @@ def _intersect_sets(s1, s2):
 def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
     """The composition bound set (L_{B1,B2}·B1) ∪ B1 ∪ B2, box-hulled.
 
-    Only available when the transporter is bounded; None otherwise.  The
-    bound over-approximates, so a hull past the union cap keeps it sound.
+    A permutation rule moves B1 by each transporter element.  On a lattice
+    the bound is only available when the transporter is bounded; None
+    otherwise.  It over-approximates, so a hull past the union cap keeps it
+    sound.
     """
     a = e1.action
     b1, b2 = e1.bounded_set, e2.bounded_set
@@ -496,17 +498,16 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
     if set_is_empty(b1) or set_is_empty(b2):
         return _union_or_hull(b1, b2)[0]
     t = transporter(a, b1, b2)
-    tv = transporter_bounded(a, t)
-    if not tv.bounded:
-        return None
-    from .actions import ExplicitTransporter, LatticeTransporter, rational_bbox
-
     if not a.is_translation:
         moved = set(b1.points) | set(b2.points)
         for g in t.elements:
             gi = a.group.elements.index(g)
             moved |= {a.rule.mapping(gi)[p] for p in b1.points}
         return FinitePoints(frozenset(moved))
+    if not transporter_bounded(a, t).bounded:
+        return None
+    from .actions import ExplicitTransporter, LatticeTransporter, rational_bbox
+
     hull = None
     if isinstance(t, LatticeTransporter):
         for case in t.cases:
@@ -542,11 +543,6 @@ def neighborhood(e, a_set, budget: Budget = DEFAULT_BUDGET):
         return _union_or_hull(a_set, part)
     if isinstance(e, OrbitPair):
         return _orbit_neighborhood(e, a_set, budget)
-    if isinstance(e, Compose):
-        rw = entourage_rewrite(e)
-        if rw.exact and not isinstance(rw.descriptor, Compose):
-            return neighborhood(rw.descriptor, a_set, budget)
-        return _window_neighborhood(e, a_set, budget)
     raise UnsupportedVariant(f"neighborhood of {e!r}")
 
 
@@ -632,17 +628,6 @@ def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
         parts.extend(BoxSet(t) for t in dict.fromkeys(boxes))
     out, ok = _union_or_hull(*parts)
     return out, exact and ok
-
-
-def _window_neighborhood(e, a_set, budget: Budget):
-    d = e.space.dim
-    out = []
-    for y in bx.box_points(cube(budget.window, d)):
-        for x in set_points_within(a_set, budget.window):
-            if entourage_membership(e, (x, y), budget) is True:
-                out.append(y)
-                break
-    return FinitePoints(frozenset(out)), False
 
 
 # --- coarse structures -------------------------------------------------------

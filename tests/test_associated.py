@@ -1,15 +1,38 @@
+import dataclasses
 import random
 
 import pytest
 
 from coarseact.boxes import (
     NEG_INF,
+    POS_INF,
+    BoxSet,
+    GroundSpace,
+    box_contains_box,
     box_set,
     empty_set,
     points_set,
+    set_bounding_box,
+    set_membership,
     set_points_within,
+    union_set,
 )
-from coarseact.bornology import cubes_chain
+from coarseact.bornology import (
+    affine,
+    chain_bornology,
+    cubes_chain,
+    finite_base_bornology,
+    level_box,
+    maximal_bornology,
+)
+from coarseact.actions import (
+    ActionInstance,
+    PermutationRule,
+    TranslationRule,
+    finite_group,
+    lattice_group,
+    transporter,
+)
 from coarseact.coarse import (
     Compose,
     OrbitPair,
@@ -18,6 +41,7 @@ from coarseact.coarse import (
     entourage_membership,
     group_right_structure,
     metric_ball_structure,
+    neighborhood,
     structure_leq,
     structures_equivalent,
 )
@@ -26,7 +50,6 @@ from coarseact.associated import (
     associated_structure,
     base_property_check,
     induced_recovery_check,
-    orbit_pair_entourage,
     verify_lemma_algebra,
     verify_lemma_neighborhood,
     verify_theorem_main,
@@ -38,9 +61,35 @@ from coarseact.verdicts import Budget
 from conftest import Z, Z2
 
 
+@pytest.fixture
+def cyclic_rotation():
+    """ℤ/3 rotating the labels 0, 1, 2 and fixing 3."""
+    labels = (0, 1, 2, 3)
+    rotations = [{x: (x + i) % 3 if x < 3 else x for x in labels} for i in range(3)]
+    group = finite_group((0, 1, 2), [[(i + j) % 3 for j in range(3)] for i in range(3)],
+                         maximal_bornology(GroundSpace.finite((0, 1, 2))))
+    space = GroundSpace.finite(labels)
+    return ActionInstance("cyclic_rotation", group, space,
+                          PermutationRule(tuple(tuple(r.items()) for r in rotations)),
+                          maximal_bornology(space))
+
+
+def fault_pair_01(monkeypatch):
+    """Every entourage answers False on the label pairs (0, 1) and (1, 0)."""
+    import coarseact.coarse as coarse_mod
+
+    real = coarse_mod._member_test
+
+    def faulty(e, budget):
+        member = real(e, budget)
+        return lambda x, y: False if {x, y} == {0, 1} else member(x, y)
+
+    monkeypatch.setattr(coarse_mod, "_member_test", faulty)
+
+
 class TestOrbitPairEntourage:
     def test_shift_member_with_witness(self, shift):
-        e = orbit_pair_entourage(shift, box_set((0, 1)))
+        e = OrbitPair(shift, box_set((0, 1)))
         assert entourage_membership(e, ((3,), (4,))) is True
         # window oracle over l: both 3 and 4 lie in 3 + [0,1]
         hits = [
@@ -50,11 +99,11 @@ class TestOrbitPairEntourage:
         assert hits == [3]
 
     def test_diagonal_clause(self, hyperbola):
-        e = orbit_pair_entourage(hyperbola, empty_set(2))
+        e = OrbitPair(hyperbola, empty_set(2))
         assert entourage_membership(e, ((7, -3), (7, -3))) is True
 
     def test_gap_not_member(self, shift):
-        e = orbit_pair_entourage(shift, box_set((0, 1)))
+        e = OrbitPair(shift, box_set((0, 1)))
         assert entourage_membership(e, ((0,), (2,))) is False
         # difference 2 outside the self-difference [-1, 1]
         assert not any(0 - l in (0, 1) and 2 - l in (0, 1) for l in range(-20, 21))
@@ -65,8 +114,6 @@ class TestLemmaNeighborhood:
         v = verify_lemma_neighborhood(shift, box_set((0, 2)), (0,))
         assert v.confirmed
         # both sides equal [-2, 2]: L_{0,[0,2]} = [0,2], inverted sweep gives it
-        from coarseact.coarse import neighborhood
-
         got, exact = neighborhood(OrbitPair(shift, box_set((0, 2))), points_set((0,)))
         assert exact
         assert set_points_within(got, 10) == [(v,) for v in range(-2, 3)]
@@ -90,6 +137,52 @@ class TestLemmaNeighborhood:
             b = box_set(*((l, l + rng.randint(0, 3)) for l in lo))
             x = tuple(rng.randint(-4, 4) for _ in range(d))
             assert verify_lemma_neighborhood(inst, b, x, Budget(window=10)).confirmed
+
+    def test_union_past_the_cap_is_inconclusive(self, first_coordinate_shift):
+        # 41 feasible shifts of a two-piece B pass the enumeration cap, so the
+        # right side is a hull that over-approximates E(L,B)[x]
+        b = union_set(box_set((0, 40), (0, 0)), points_set((0, 5)))
+        v = verify_lemma_neighborhood(first_coordinate_shift, b, (0, 0))
+        assert v.status == "inconclusive"
+
+    def test_union_under_the_cap_confirms_exactly(self, first_coordinate_shift):
+        b = union_set(box_set((0, 10), (0, 0)), points_set((0, 5)))
+        v = verify_lemma_neighborhood(first_coordinate_shift, b, (0, 0))
+        assert v.confirmed and v.detail == "window equality"
+
+
+class TestFiniteLemmas:
+    def test_both_verifiers_confirm(self, cyclic_rotation):
+        b = points_set(0, 1)
+        v = verify_lemma_neighborhood(cyclic_rotation, b, 0)
+        assert v.confirmed and v.detail == "finite sweep equality"
+        v = verify_lemma_algebra(cyclic_rotation, b, points_set(1, 2))
+        assert v.confirmed and v.detail == "exhaustive finite verification"
+
+    def test_algebra_without_a_bounded_transporter(self, cyclic_rotation):
+        # a group bornology failing the covering axiom leaves L_{B1,B2}
+        # unbounded; on a finite space the moved set still bounds compositions
+        gb = finite_base_bornology(GroundSpace.finite((0, 1, 2)), (points_set(0),))
+        group = dataclasses.replace(cyclic_rotation.group, bornology=gb)
+        inst = dataclasses.replace(cyclic_rotation, group=group)
+        v = verify_lemma_algebra(inst, points_set(0, 1), points_set(1, 2))
+        assert v.confirmed and v.detail == "exhaustive finite verification"
+
+    def test_neighborhood_fault_refutes_with_pinned_witness(self, cyclic_rotation,
+                                                           monkeypatch):
+        # E(L,{0,1})[0] = {0, 1, 2}; the faulty sweep drops 1 from the left side
+        fault_pair_01(monkeypatch)
+        v = verify_lemma_neighborhood(cyclic_rotation, points_set(0, 1), 0)
+        assert v.refuted
+        assert v.witness == {"x": 0, "y": 1, "left": False, "right": True}
+
+    def test_algebra_fault_refutes_with_pinned_witness(self, cyclic_rotation, monkeypatch):
+        # the fault is symmetric, so the first broken identity is invariance:
+        # rotating (0, 1) by one step gives (1, 2), which stays a member
+        fault_pair_01(monkeypatch)
+        v = verify_lemma_algebra(cyclic_rotation, points_set(0, 1), points_set(1, 2))
+        assert v.refuted
+        assert v.witness == {"condition": "invariance", "pair": (0, 1), "l": 1}
 
 
 class TestLemmaAlgebra:
@@ -202,6 +295,20 @@ class TestRecovery:
     def test_trivial_maximal_group(self, trivial_maximal_group):
         assert induced_recovery_check(trivial_maximal_group).confirmed
 
+    def test_neighborhood_hull_holds_the_point_neighborhood(self):
+        # level n is [-n, n+3]; E_n[0] = ∪_{l ∈ L_{0,B_n}} (B_n - l) = [-2n-3, 2n+3]
+        from coarseact.associated import _neighborhood_hull
+
+        spec = chain_bornology(Z, [(affine(-1, 0), affine(1, 3))])
+        inst = ActionInstance("shift", lattice_group(1, cubes_chain(Z)), Z,
+                              TranslationRule(((1,),)), spec)
+        for n in range(3):
+            lvl = level_box(spec, n)
+            hull = _neighborhood_hull(inst, transporter(inst, points_set((0,)), BoxSet(lvl)), lvl)
+            nbhd, exact = neighborhood(OrbitPair(inst, BoxSet(lvl)), points_set((0,)))
+            assert exact and set_bounding_box(nbhd) == box_set((-2 * n - 3, 2 * n + 3)).box
+            assert box_contains_box(hull, set_bounding_box(nbhd)), n
+
 
 class TestTheoremWeak:
     def test_hyperbola_both_sides_true(self, hyperbola):
@@ -290,6 +397,21 @@ class TestMemberGridParity:
             for i, row in enumerate(grid):
                 y = tuple(int(c) for c in row)
                 assert bool(got[i]) == (entourage_membership(e, (x, y)) is True), y
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_set_membership_grid_matches_scalar(self, d):
+        from coarseact.associated import _set_member_grid, _window_grid
+
+        pts = points_set((0,) * d, (2,) + (-1,) * (d - 1), (-3,) * d)
+        half = box_set((NEG_INF, 1), *([(-2, POS_INF)] * (d - 1)))
+        slab = box_set((-1, 2), *([(NEG_INF, POS_INF)] * (d - 1)))
+        small = box_set(*([(0, 1)] * d))
+        grid = _window_grid(d, 4)
+        for s in (pts, half, slab, union_set(pts, half, small), union_set(slab, pts)):
+            got = _set_member_grid(s, grid)
+            for i, row in enumerate(grid):
+                y = tuple(int(c) for c in row)
+                assert bool(got[i]) == set_membership(s, y), (s, y)
 
 
 class TestScaledShifts:

@@ -14,8 +14,6 @@ from coarseact.boxes import (
 )
 from coarseact.bornology import (
     AFF_NEG_INF,
-    FiniteMap,
-    IdentityMap,
     OrbitInclusion,
     OrbitProjection,
     affine,
@@ -25,13 +23,11 @@ from coarseact.bornology import (
     finite_base_bornology,
     finite_bornology_closure,
     generate_from_base,
-    generated_family,
     image_bornology,
     inverse_image_bornology,
     is_bounded,
     level_box,
     maximal_bornology,
-    product_bornology,
 )
 
 Z = GroundSpace.lattice(1)
@@ -43,6 +39,11 @@ def all_subsets(labels):
     for r in range(len(labels) + 1):
         out.update(frozenset(c) for c in itertools.combinations(labels, r))
     return out
+
+
+def generated_family(base):
+    """All subsets of some maximal base element."""
+    return set().union(*(all_subsets(tuple(m)) for m in generate_from_base(base)))
 
 
 class TestAxiomCheck:
@@ -183,23 +184,6 @@ class TestIsBounded:
             assert vs.bounded and vs.index <= vb.index
 
 
-class TestProduct:
-    def test_cubes_times_cubes(self):
-        got = product_bornology(cubes_chain(Z), cubes_chain(Z))
-        assert got.space.dim == 2
-        assert level_box(got, 3) == level_box(cubes_chain(Z2), 3)
-
-    def test_maximal_times_maximal(self):
-        got = product_bornology(maximal_bornology(Z), maximal_bornology(Z))
-        assert got.kind == "maximal"
-
-    def test_finite_base_product(self):
-        b1 = finite_base_bornology(GroundSpace.finite(("a",)), (points_set("a"),))
-        b2 = finite_base_bornology(GroundSpace.finite(("x", "y")), (points_set("x", "y"),))
-        got = product_bornology(b1, b2)
-        assert got.base[0].points == {("a", "x"), ("a", "y")}
-
-
 class TestInduction:
     def test_orbit_inclusion_preimage(self):
         # orbit {(n, -n)} inside the plane against the lower-quadrant chain
@@ -215,23 +199,6 @@ class TestInduction:
                 and is_bounded(pull, points_set((n,))).index <= m
             }
             assert got == want
-
-    def test_identity(self):
-        spec = cubes_chain(Z)
-        assert inverse_image_bornology(IdentityMap(), spec) is spec
-        assert image_bornology(IdentityMap(), spec) is spec
-
-    def test_finite_map_preimage(self):
-        f = FiniteMap((("a", "x"), ("b", "x")))
-        b = finite_base_bornology(GroundSpace.finite(("x",)), (points_set("x"),))
-        got = inverse_image_bornology(f, b)
-        assert got.base[0].points == {"a", "b"}
-
-    def test_finite_map_image(self):
-        f = FiniteMap((("a", "x"), ("b", "x")))
-        b = finite_base_bornology(GroundSpace.finite(("a", "b")), (points_set("a"),))
-        got = image_bornology(f, b)
-        assert got.base[0].points == {"x"}
 
     def test_orbit_projection_is_group_chain(self):
         gb = cubes_chain(Z)

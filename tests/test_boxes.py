@@ -9,7 +9,6 @@ from coarseact.boxes import (
     POS_INF,
     DimensionMismatch,
     EmptyBoxError,
-    UnsupportedVariant,
     box,
     box_difference_slabs,
     box_intersect,
@@ -17,7 +16,6 @@ from coarseact.boxes import (
     box_set,
     difference_box,
     points_set,
-    self_difference_set,
     set_membership,
     set_translate,
     union_set,
@@ -133,33 +131,6 @@ class TestTranslate:
         back = set_translate(set_translate(s, (v,)), (-v,))
         for p in range(-20, 21):
             assert set_membership(back, (p,)) == set_membership(s, (p,))
-
-
-class TestSelfDifference:
-    def test_cube_radius_one(self):
-        # enumerate pair differences over the 3-point set
-        pts = [-1, 0, 1]
-        expected = sorted({b - a for a in pts for b in pts})
-        got = self_difference_set(box_set((-1, 1)))
-        assert got == box_set((-2, 2))
-        assert expected == brute_points(-2, 2)
-
-    def test_three_differences(self):
-        got = self_difference_set(points_set((0,), (5,)))
-        assert got == points_set((-5,), (0,), (5,))
-
-    def test_singleton(self):
-        assert self_difference_set(box_set((0, 0))) == box_set((0, 0))
-
-    def test_union_unsupported(self):
-        with pytest.raises(UnsupportedVariant):
-            self_difference_set(union_set(box_set((0, 1)), points_set((9,))))
-
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
-    @settings(max_examples=60, deadline=None)
-    def test_contains_zero(self, pts):
-        got = self_difference_set(points_set(*[(p,) for p in pts]))
-        assert set_membership(got, (0,))
 
 
 class TestSlabs:
