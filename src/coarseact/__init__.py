@@ -38,7 +38,6 @@ from .actions import (
 from .coarse import (
     ChainStructure,
     FiniteClosure,
-    MetricBall,
     OrbitPair,
     associated_connected_structure,
     close_finite_base,

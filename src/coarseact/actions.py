@@ -29,22 +29,18 @@ from .boxes import (
     is_finite_end,
     mat_vec,
     set_boxes,
-    set_is_empty,
 )
 from .bornology import (
     CHAIN,
     FINITE_BASE,
     MAXIMAL,
     BornologySpec,
-    OrbitInclusion,
-    OrbitProjection,
     chain_recession,
     generate_from_base,
-    image_bornology,
-    inverse_image_bornology,
     is_bounded,
     is_full_at_some_level,
     level_box,
+    orbit_pullback,
     _unit,
 )
 from .verdicts import (
@@ -149,9 +145,6 @@ class TranslationRule:
 
     matrix: tuple  # d rows x k columns
 
-    def apply_index(self, l: tuple, x: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(x, mat_vec(self.matrix, l)))
-
 
 @dataclass(frozen=True)
 class PermutationRule:
@@ -211,11 +204,11 @@ class ActionInstance:
     def matrix(self) -> tuple:
         return self.rule.matrix
 
-    def apply(self, l, x):
-        if isinstance(self.rule, (TranslationRule, AffineRule)):
-            return self.rule.apply_index(l, x)
-        i = self.group.elements.index(l) if not isinstance(l, int) else l
-        return self.rule.mapping(i)[x]
+
+def require_exact_rule(a: ActionInstance):
+    """The exact calculus covers translation and permutation rules only."""
+    if a.is_window_only:
+        raise UnsupportedVariant("affine rules route through the window oracle only")
 
 
 def action_homomorphism_check(a: ActionInstance) -> CheckReport:
@@ -692,11 +685,9 @@ class ExplicitTransporter:
 
 
 def transporter(a: ActionInstance, b, b2):
-    """L_{B,B'} = {l : l·B ∩ B' ≠ ∅} as an exact descriptor."""
-    if a.is_window_only:
-        raise UnsupportedVariant("affine rules route through the window oracle only")
-    if set_is_empty(b) or set_is_empty(b2):
-        return ExplicitTransporter(frozenset())
+    """L_{B,B'} = {l : l·B ∩ B' ≠ ∅} as an exact descriptor; a translation
+    rule gives a LatticeTransporter, with no cases when it is empty."""
+    require_exact_rule(a)
     if a.is_translation:
         cases = []
         for src in set_boxes(b):
@@ -704,8 +695,6 @@ def transporter(a: ActionInstance, b, b2):
                 c = difference_box(tgt, src)
                 if not c.empty:
                     cases.append(c)
-        if not cases:
-            return ExplicitTransporter(frozenset())
         return LatticeTransporter(a.matrix, tuple(dict.fromkeys(cases)))
     hits = []
     for i in range(len(a.group.elements)):
@@ -899,8 +888,7 @@ def classify(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> Classificati
     not depend on the chain index, so cone triviality at one level settles
     every level pair.  Per-level bound indexes are recorded up to the budget.
     """
-    if a.is_window_only:
-        raise UnsupportedVariant("affine rules route through the window oracle only")
+    require_exact_rule(a)
     if a.is_translation:
         cls = _classify_translation(a, budget)
     else:
@@ -1065,9 +1053,11 @@ def orbit_bornologies(a: ActionInstance, x):
             raise GeometryError(
                 "orbit parameterization needs a trivial kernel; factor the action first"
             )
-        pull = inverse_image_bornology(OrbitInclusion(a.matrix, tuple(x)), a.space_bornology)
-        push = image_bornology(OrbitProjection(a.matrix, tuple(x)), a.group.bornology)
-        return pull, push
+        # the orbit map is injective, so the pushforward is the group bornology
+        gb = a.group.bornology
+        if gb.kind not in (MAXIMAL, CHAIN) or gb.matrix is not None:
+            raise UnsupportedVariant("orbit projection needs a plain chain upstream")
+        return orbit_pullback(a.matrix, tuple(x), a.space_bornology), gb
     orbit = sorted({a.rule.mapping(i)[x] for i in range(len(a.group.elements))}, key=str)
     sb = a.space_bornology
     from .bornology import finite_base_bornology, maximal_bornology

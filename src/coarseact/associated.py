@@ -40,7 +40,6 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     Classification,
-    LatticeTransporter,
     chains_mutually_cofinal,
     classify,
     coset_sample_points,
@@ -325,12 +324,10 @@ def _windowed_sweep_bound(a: ActionInstance, b1, b2, budget: Budget):
     t = transporter(a, b1, b2)
     parts = [b1, b2]
     hull = None
-    if isinstance(t, LatticeTransporter):
-        k = len(t.matrix[0])
-        for l in bx.box_points(cube(budget.window, k)):
-            if t.member(l):
-                moved = set_bounding_box(set_translate(b1, mat_vec(a.matrix, l)))
-                hull = moved if hull is None else box_hull(hull, moved)
+    for l in bx.box_points(cube(budget.window, a.group.rank)):
+        if t.member(l):
+            moved = set_bounding_box(set_translate(b1, mat_vec(a.matrix, l)))
+            hull = moved if hull is None else box_hull(hull, moved)
     if hull is not None:
         parts.append(BoxSet(hull))
     return union_set(*parts)
@@ -501,12 +498,9 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -
 
 
 def _neighborhood_hull(a: ActionInstance, t, lvl):
-    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}.
-
-    A translation transporter is a LatticeTransporter or empty.
-    """
+    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}."""
     hull = None
-    for case in getattr(t, "cases", ()):
+    for case in t.cases:
         bb = rational_bbox(t.matrix, case)
         if bb is None:
             continue

@@ -388,53 +388,22 @@ def _point_inside(bb: Box):
 # --- induction --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitInclusion:
-    """Parameter-lattice inclusion n ↦ base_point + M·n into the ground space."""
-
-    matrix: tuple
-    base_point: tuple
-
-
-@dataclass(frozen=True)
-class OrbitProjection:
-    """Orbit map l ↦ base_point + M·l, read on the parameter lattice.
-
-    Requires a trivial kernel so parameters label orbit points uniquely.
-    """
-
-    matrix: tuple
-    base_point: tuple
-
-
-def inverse_image_bornology(f, b: BornologySpec) -> BornologySpec:
-    if isinstance(f, OrbitInclusion):
-        if b.kind == MAXIMAL:
-            return maximal_bornology(GroundSpace.lattice(len(f.matrix[0])))
-        if b.kind != CHAIN or b.matrix is not None:
-            raise UnsupportedVariant("orbit inclusion needs a plain chain upstream")
-        # {n : x + M n ∈ shape(m)} = {n : M n ∈ shape(m) - x}
-        shifted = tuple(
-            (_shift_end(lo, -x), _shift_end(hi, -x))
-            for (lo, hi), x in zip(b.shape, f.base_point)
-        )
-        params = GroundSpace.lattice(len(f.matrix[0]))
-        return chain_bornology(params, shifted, matrix=f.matrix)
-    raise UnsupportedVariant(f"unsupported map descriptor {f!r}")
+def orbit_pullback(matrix, base_point, b: BornologySpec) -> BornologySpec:
+    """The pullback of b along the orbit map n ↦ base_point + M·n on ℤ^k."""
+    params = GroundSpace.lattice(len(matrix[0]))
+    if b.kind == MAXIMAL:
+        return maximal_bornology(params)
+    if b.kind != CHAIN or b.matrix is not None:
+        raise UnsupportedVariant("orbit inclusion needs a plain chain upstream")
+    # {n : x + M n ∈ shape(m)} = {n : M n ∈ shape(m) - x}
+    shifted = tuple(
+        (_shift_end(lo, -x), _shift_end(hi, -x))
+        for (lo, hi), x in zip(b.shape, base_point)
+    )
+    return chain_bornology(params, shifted, matrix=matrix)
 
 
 def _shift_end(end: AffineEnd, delta: int) -> AffineEnd:
     if end.is_symbolic:
         return end
     return AffineEnd(end.coeff, end.offset + delta)
-
-
-def image_bornology(pi, b: BornologySpec) -> BornologySpec:
-    if isinstance(pi, OrbitProjection):
-        # on the parameter lattice the image of a group box is the box itself
-        if b.kind == MAXIMAL:
-            return maximal_bornology(GroundSpace.lattice(len(pi.matrix[0])))
-        if b.kind != CHAIN or b.matrix is not None:
-            raise UnsupportedVariant("orbit projection needs a plain chain upstream")
-        return chain_bornology(GroundSpace.lattice(len(pi.matrix[0])), b.shape)
-    raise UnsupportedVariant(f"unsupported map descriptor {pi!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import inf
+from math import inf, prod
 from operator import sub
 
 NEG_INF = -inf
@@ -492,7 +492,7 @@ def _piece_contained(outer, piece) -> bool | None:
     boxes = [p.box for p in outer_pieces if isinstance(p, BoxSet)]
     if any(box_contains_box(ob, b) for ob in boxes):
         return True
-    if b.is_bounded() and _piece_point_count(b) <= 4096:
+    if box_size(b) <= 4096:
         return all(set_membership(outer, p) for p in box_points(b))
     if b.dim == 1 and all(isinstance(p, (BoxSet, FinitePoints)) for p in outer_pieces):
         return _interval_union_contains(outer_pieces, b)
@@ -503,13 +503,9 @@ def _piece_contained(outer, piece) -> bool | None:
     return None
 
 
-def _piece_point_count(b: Box):
-    n = 1
-    for w in b.widths():
-        n *= w
-        if n > 4096:
-            return n
-    return n
+def box_size(b: Box):
+    """The number of integer points of b: 0 when empty, inf when unbounded."""
+    return prod(b.widths())
 
 
 def _finite_corners(b: Box):

@@ -2,9 +2,9 @@
 
 The engine builds four normal forms: the translation-invariant DiffRel(s) =
 {(x,y) : y - x ∈ s}, the connected pairs diag ∪ B×B, the orbit pairs E(L,B),
-and compositions of two orbit pairs.  Metric balls and lattice group-right
-entourages are input forms that rewrite to DiffRel exactly, as do orbit pairs
-of surjective translation actions; that is what makes the structure-comparison
+and compositions of two orbit pairs.  Sup-metric balls and lattice group-right
+levels are built as DiffRels, and orbit pairs of surjective translation
+actions rewrite to DiffRel exactly; that is what makes the structure-comparison
 identities decidable.  Finite ground spaces close explicit relation bases into
 an antichain of maximal relations by fixpoint.
 """
@@ -63,6 +63,7 @@ from .actions import (
     column_lattice_index,
     covering_residues,
     lattice_box_feasible,
+    require_exact_rule,
     transporter,
     transporter_bounded,
     uncovered_direction,
@@ -84,14 +85,6 @@ NBHD_ENUM_CAP = 60
 
 
 # --- entourage descriptors ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricBall:
-    """Sup-metric ball relation {(x,y) : |x-y|_inf <= radius} on a lattice."""
-
-    space: GroundSpace
-    radius: int
 
 
 @dataclass(frozen=True)
@@ -123,28 +116,11 @@ class OrbitPair:
 
 
 @dataclass(frozen=True)
-class GroupRight:
-    """{(l,h) : h - l ∈ D} over a lattice group (finite groups use the
-    explicit closure of group_right_structure)."""
-
-    group: GroupSpec
-    d_set: object
-
-    @property
-    def space(self) -> GroundSpace:
-        return GroundSpace.lattice(self.group.rank)
-
-
-@dataclass(frozen=True)
 class Compose:
     """e1 ∘ e2; the engine composes orbit pairs of one action."""
 
     e1: object
     e2: object
-
-    @property
-    def space(self):
-        return self.e1.space
 
 
 # --- membership --------------------------------------------------------------
@@ -164,10 +140,8 @@ def entourage_membership(e, pair, budget: Budget = DEFAULT_BUDGET):
 
 def _member_test(e, budget: Budget):
     """A per-pair membership function for e, with e's own work done."""
-    if isinstance(e, MetricBall):
-        return lambda x, y: max(abs(a - b) for a, b in zip(x, y)) <= e.radius
-    if isinstance(e, (GroupRight, DiffRel)):
-        s = e.d_set if isinstance(e, GroupRight) else e.shift_set
+    if isinstance(e, DiffRel):
+        s = e.shift_set
         return lambda x, y: set_membership(s, tuple(b - a for a, b in zip(x, y)))
     if isinstance(e, ConnectedPairs):
         s = e.bounded_set
@@ -184,6 +158,7 @@ def _orbit_pair_test(e: OrbitPair):
     if set_is_empty(b):
         return lambda x, y: x == y
     if not a.is_translation:
+        require_exact_rule(a)
         mappings = map(a.rule.mapping, range(len(a.group.elements)))
         moved = [{mapping[p] for p in b.points} for mapping in mappings]
         return lambda x, y: x == y or any(x in s and y in s for s in moved)
@@ -284,10 +259,7 @@ def _compose_candidates(r1, r2, space: GroundSpace, x, z, budget: Budget):
     region2 = set_translate(set_negate(r2), z)
     inter = _intersect_sets(region1, region2)
     bb = set_bounding_box(inter)
-    count = 1
-    for w in bb.widths():
-        count = count * w if w != POS_INF else POS_INF
-    complete = count != POS_INF and count <= 4000
+    complete = bx.box_size(bb) <= 4000
     if not complete:
         radius = budget.window if d == 1 else (10 if d == 2 else 4)
         bb = bx.clip_box(bb, min(budget.window, radius))
@@ -361,8 +333,6 @@ def reach(e):
     if not sp.is_lattice:
         return None
     d = sp.dim
-    if isinstance(e, (MetricBall, GroupRight)):
-        return entourage_rewrite(e).descriptor.shift_set
     if isinstance(e, DiffRel):
         return e.shift_set
     if isinstance(e, OrbitPair):
@@ -370,11 +340,6 @@ def reach(e):
             return FinitePoints(frozenset({(0,) * d}))
         diff, _ = _piecewise_difference(e.bounded_set, e.bounded_set)
         return union_set(diff, FinitePoints(frozenset({(0,) * d})))
-    if isinstance(e, Compose):
-        r1, r2 = reach(e.e1), reach(e.e2)
-        if r1 is None or r2 is None:
-            return None
-        return _piecewise_minkowski(r1, r2)[0]
     return None
 
 
@@ -385,7 +350,7 @@ def _piecewise_difference(starget, ssource):
         for sb in set_boxes(ssource):
             out.append(BoxSet(difference_box(tb, sb)))
     if not out:
-        return BoxSet(bx.empty_box(_dim_of(starget))), True
+        return BoxSet(bx.empty_box(bx._descriptor_dim(starget))), True
     return _union_or_hull(*out)
 
 
@@ -396,7 +361,7 @@ def _piecewise_minkowski(s1, s2):
         for b in set_boxes(s2):
             out.append(BoxSet(minkowski_sum(a, b)))
     if not out:
-        return BoxSet(bx.empty_box(_dim_of(s1))), True
+        return BoxSet(bx.empty_box(bx._descriptor_dim(s1))), True
     return _union_or_hull(*out)
 
 
@@ -406,14 +371,10 @@ def _union_or_hull(*members):
     try:
         return union_set(*members), True
     except GeometryError:
-        hull = bx.empty_box(_dim_of(members[0]))
+        hull = bx.empty_box(bx._descriptor_dim(members[0]))
         for m in members:
             hull = box_hull(hull, set_bounding_box(m))
         return BoxSet(hull), False
-
-
-def _dim_of(s):
-    return set_bounding_box(s).dim
 
 
 @dataclass(frozen=True)
@@ -424,10 +385,6 @@ class Rewrite:
 
 def entourage_rewrite(e) -> Rewrite:
     """Sound normalization; exact=False marks an over-approximating bound."""
-    if isinstance(e, MetricBall):
-        return Rewrite(DiffRel(e.space, BoxSet(cube(e.radius, e.space.dim))), True)
-    if isinstance(e, GroupRight):
-        return Rewrite(DiffRel(e.space, e.d_set), True)
     if isinstance(e, OrbitPair):
         return _rewrite_orbit_pair(e)
     if isinstance(e, Compose):
@@ -452,27 +409,13 @@ def _rewrite_orbit_pair(e: OrbitPair) -> Rewrite:
 
 
 def _rewrite_compose(e: Compose) -> Rewrite:
-    """Operands that rewrite exactly to DiffRel compose to a DiffRel; orbit
-    pairs of one translation action fall back to the transporter bound."""
+    """Operands that rewrite exactly to DiffRel compose to a DiffRel; any
+    other composition stays as it is."""
     r1, r2 = entourage_rewrite(e.e1), entourage_rewrite(e.e2)
     d1, d2 = r1.descriptor, r2.descriptor
-    both_diff = isinstance(d1, DiffRel) and isinstance(d2, DiffRel)
-    if both_diff and r1.exact and r2.exact:
+    if isinstance(d1, DiffRel) and isinstance(d2, DiffRel) and r1.exact and r2.exact:
         shifts, exact = _piecewise_minkowski(d1.shift_set, d2.shift_set)
         return Rewrite(DiffRel(d1.space, shifts), exact)
-    if (
-        isinstance(e.e1, OrbitPair)
-        and isinstance(e.e2, OrbitPair)
-        and e.e1.action is e.e2.action
-        and e.e1.action.is_translation
-    ):
-        bound = orbit_compose_bound(e.e1, e.e2)
-        if bound is not None:
-            return Rewrite(OrbitPair(e.e1.action, bound), False)
-    if both_diff:
-        # over-approximating composition of tagged bounds
-        shifts, _ = _piecewise_minkowski(d1.shift_set, d2.shift_set)
-        return Rewrite(DiffRel(d1.space, shifts), False)
     return Rewrite(e, True)
 
 
@@ -506,18 +449,13 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
         return FinitePoints(frozenset(moved))
     if not transporter_bounded(a, t).bounded:
         return None
-    from .actions import ExplicitTransporter, LatticeTransporter, rational_bbox
+    from .actions import rational_bbox
 
     hull = None
-    if isinstance(t, LatticeTransporter):
-        for case in t.cases:
-            bb = rational_bbox(t.matrix, case)
-            if bb is not None:
-                hull = bb if hull is None else box_hull(hull, bb)
-    elif isinstance(t, ExplicitTransporter) and t.elements:
-        for l in t.elements:
-            pb = point_box(tuple(l))
-            hull = pb if hull is None else box_hull(hull, pb)
+    for case in t.cases:
+        bb = rational_bbox(t.matrix, case)
+        if bb is not None:
+            hull = bb if hull is None else box_hull(hull, bb)
     if hull is None:
         return _union_or_hull(b1, b2)[0]
     swept = minkowski_sum(bx.image_hull(a.matrix, hull), set_bounding_box(b1))
@@ -529,9 +467,8 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
 
 def neighborhood(e, a_set, budget: Budget = DEFAULT_BUDGET):
     """(E[A], exact): the set {y : ∃x ∈ A, (x,y) ∈ E}."""
-    if isinstance(e, (MetricBall, DiffRel, GroupRight)):
-        shift = entourage_rewrite(e).descriptor.shift_set
-        return _piecewise_minkowski(a_set, shift)
+    if isinstance(e, DiffRel):
+        return _piecewise_minkowski(a_set, e.shift_set)
     if isinstance(e, ConnectedPairs):
         # A itself (the diagonal), plus all of B once A meets B
         meets = any(
@@ -552,6 +489,7 @@ def _orbit_neighborhood(e: OrbitPair, a_set, budget: Budget):
     if set_is_empty(b):
         return a_set, True
     if not a.is_translation:
+        require_exact_rule(a)
         out = set()
         for i in range(len(a.group.elements)):
             mapping = a.rule.mapping(i)
@@ -657,13 +595,12 @@ class ChainStructure:
 
     def level(self, n: int):
         if self.kind == "metric_ball":
-            return MetricBall(self.space, n)
+            return DiffRel(self.space, BoxSet(cube(n, self.space.dim)))
         if self.kind == "connected_pairs":
             lvl = BoxSet(level_box(self.bornology, n))
             return ConnectedPairs(self.space, lvl)
         if self.kind == "group_right":
-            d_n = BoxSet(level_box(self.group.bornology, n))
-            return GroupRight(self.group, d_n)
+            return DiffRel(self.space, BoxSet(level_box(self.group.bornology, n)))
         if self.kind == "orbit_pair":
             b_n = BoxSet(level_box(self.action.space_bornology, n))
             return OrbitPair(self.action, b_n)
@@ -926,7 +863,7 @@ def entourage_leq_exact(e1, e2):
     d1, d2 = r1.descriptor, r2.descriptor
     if isinstance(d1, DiffRel) and _is_zero_only(d1.shift_set, d1.space.dim):
         for cand in (e2, d2):
-            if isinstance(cand, (OrbitPair, MetricBall, ConnectedPairs)):
+            if isinstance(cand, (OrbitPair, ConnectedPairs)):
                 return True, None
         if isinstance(d2, DiffRel) and r2.exact:
             zero = (0,) * d1.space.dim
@@ -1100,19 +1037,10 @@ def _pair_realizing_escape(b, outer_shifts):
 def _count_points_at_most(s, n: int) -> bool:
     count = 0
     for piece in set_pieces(s):
-        if isinstance(piece, FinitePoints):
-            count += len(piece.points)
-        else:
-            w = piece.box.widths()
-            prod = 1
-            for x in w:
-                prod = prod * x if x != POS_INF else POS_INF
-            if prod == POS_INF:
-                return False
-            count += prod
+        count += len(piece.points) if isinstance(piece, FinitePoints) else bx.box_size(piece.box)
         if count > n:
             return False
-    return count <= n
+    return True
 
 
 def _point_outside(s, d, radius: int = 64):
@@ -1320,14 +1248,7 @@ def _escape_scale(b: BornologySpec, top: int, *points) -> int:
 
 def _first_two_point_level(b: BornologySpec, budget: Budget):
     for n in range(budget.max_index + 9):
-        lvl = level_box(b, n)
-        if lvl.empty:
-            continue
-        widths = lvl.widths()
-        prod = 1
-        for w in widths:
-            prod = prod * w if w != POS_INF else POS_INF
-        if prod == POS_INF or prod >= 2:
+        if bx.box_size(level_box(b, n)) >= 2:
             return n
     return None
 

@@ -56,8 +56,6 @@ from .coarse import (
     Compose,
     ConnectedPairs,
     DiffRel,
-    GroupRight,
-    MetricBall,
     OrbitPair,
     close_finite_base,
     entourage_members,
@@ -136,7 +134,7 @@ def _affine_oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
     for l in bx.box_points(cube(gw, a.group.rank)):
         found = False
         for x in bx.box_points(cube(xw, a.space.dim)):
-            if set_membership(b, x) and set_membership(b2, a.apply(l, x)):
+            if set_membership(b, x) and set_membership(b2, a.rule.apply_index(l, x)):
                 found = True
                 break
         if found:
@@ -178,7 +176,6 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
         gw = max(4, gw // 2)
         notes = [f"group window shrunk to {gw} to fit the enumeration budget"]
     if cells > _SWEEP_CELL_CAP:
-        scale = 1
         while cells > _SWEEP_CELL_CAP and any(r > 2 for r in radii):
             radii = [max(2, r - max(1, r // 4)) for r in radii]
             cells = (2 * gw + 1) ** k
@@ -200,12 +197,8 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
 def oracle_entourage_member(e, pair, gw: int) -> bool:
     """Membership of one pair by explicit enumeration."""
     x, y = pair
-    if isinstance(e, MetricBall):
-        return max(abs(a - b) for a, b in zip(x, y)) <= e.radius
     if isinstance(e, DiffRel):
         return set_membership(e.shift_set, tuple(b - a for a, b in zip(x, y)))
-    if isinstance(e, GroupRight):
-        return set_membership(e.d_set, tuple(b - a for a, b in zip(x, y)))
     if isinstance(e, ConnectedPairs):
         return x == y or (
             set_membership(e.bounded_set, x) and set_membership(e.bounded_set, y)
@@ -635,9 +628,10 @@ def _entourage_levels(inst: ActionInstance, budget):
     sets = _sample_sets(inst, 3)
     levels = [OrbitPair(inst, s) for s in sets[:3]]
     if inst.space.is_lattice:
-        levels.append(MetricBall(inst.space, 2))
+        levels.append(DiffRel(inst.space, BoxSet(cube(2, inst.space.dim))))
         if inst.group.is_lattice and inst.group.bornology.kind == "chain":
-            levels.append(GroupRight(inst.group, BoxSet(level_box(inst.group.bornology, 1))))
+            levels.append(DiffRel(GroundSpace.lattice(inst.group.rank),
+                                  BoxSet(level_box(inst.group.bornology, 1))))
     return levels
 
 

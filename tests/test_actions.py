@@ -129,6 +129,17 @@ class TestActionChecks:
 
 
 class TestTransporter:
+    def test_empty_translation_transporter(self, shift):
+        from coarseact.actions import LatticeTransporter
+        from coarseact.boxes import empty_set
+        from coarseact.verdicts import bounded_at
+
+        for b, b2 in ((empty_set(1), box_set((0, 1))), (box_set((0, 1)), empty_set(1))):
+            t = transporter(shift, b, b2)
+            assert isinstance(t, LatticeTransporter) and t.cases == ()
+            assert not any(t.member((l,)) for l in range(-20, 21))
+            assert transporter_bounded(shift, t) == bounded_at(0, "empty transporter")
+
     def test_shift_interval(self, shift):
         t = transporter(shift, box_set((0, 1)), box_set((5, 6)))
         assert t.cases == (box((4, 6)),)

@@ -16,6 +16,7 @@ from coarseact.boxes import (
     box_set,
     difference_box,
     points_set,
+    set_contains_set,
     set_membership,
     set_translate,
     union_set,
@@ -131,6 +132,15 @@ class TestTranslate:
         back = set_translate(set_translate(s, (v,)), (-v,))
         for p in range(-20, 21):
             assert set_membership(back, (p,)) == set_membership(s, (p,))
+
+
+class TestIntervalUnionContainment:
+    def test_points_bridge_the_gaps(self):
+        # an unbounded box in a 1-d union: merged intervals decide it exactly
+        parts = [box_set((NEG_INF, 0)), points_set((1,)), points_set((2,)), box_set((3, 10))]
+        assert set_contains_set(union_set(*parts), box_set((NEG_INF, 10))) is True
+        del parts[1]
+        assert set_contains_set(union_set(*parts), box_set((NEG_INF, 10))) is False
 
 
 class TestSlabs:

@@ -334,6 +334,23 @@ class TestAffineRules:
         assert got == [(7,), (8,), (9,)]
         assert any("window-oracle" in n for n in notes)
 
+    def test_orbit_pair_paths_decline(self):
+        from coarseact.associated import verify_lemma_algebra, verify_lemma_neighborhood
+        from coarseact.boxes import FinitePoints, UnsupportedVariant, box_set
+        from coarseact.coarse import OrbitPair, entourage_members, neighborhood
+
+        a = parse_instance(fixture("reflect_shift.instance")).action
+        b = box_set((0, 1))
+        calls = (
+            lambda: entourage_members(OrbitPair(a, b), [((0,), (1,))]),
+            lambda: neighborhood(OrbitPair(a, b), FinitePoints(frozenset({(0,)}))),
+            lambda: verify_lemma_neighborhood(a, b, (0,)),
+            lambda: verify_lemma_algebra(a, b, b),
+        )
+        for call in calls:
+            with pytest.raises(UnsupportedVariant, match="window oracle"):
+                call()
+
     def test_rejects_non_signed_permutation(self):
         text = parse_instance(fixture("reflect_shift.instance"))
         bad = serialize_instance(text).replace("arow0 = (-1)", "arow0 = (2)")

@@ -5,7 +5,10 @@ import pytest
 
 from coarseact.boxes import (
     NEG_INF,
+    POS_INF,
+    BoxSet,
     FinitePoints,
+    GeometryError,
     GroundSpace,
     box_set,
     empty_set,
@@ -15,6 +18,9 @@ from coarseact.boxes import (
     union_set,
 )
 from coarseact.bornology import (
+    AFF_NEG_INF,
+    affine,
+    chain_bornology,
     cubes_chain,
     maximal_bornology,
 )
@@ -24,10 +30,9 @@ from coarseact.coarse import (
     Compose,
     ConnectedPairs,
     DiffRel,
-    GroupRight,
-    MetricBall,
     OrbitPair,
     associated_connected_structure,
+    associated_orbit_structure,
     close_finite_base,
     coarsely_bounded,
     coarsely_transitive_check,
@@ -136,8 +141,9 @@ class TestCloseFiniteBase:
 
 class TestMembership:
     def test_metric_ball_boundary(self):
-        assert entourage_membership(MetricBall(Z, 3), ((0,), (3,))) is True
-        assert entourage_membership(MetricBall(Z, 3), ((0,), (4,))) is False
+        ball = DiffRel(Z, box_set((-3, 3)))
+        assert entourage_membership(ball, ((0,), (3,))) is True
+        assert entourage_membership(ball, ((0,), (4,))) is False
 
     def test_orbit_pair_with_witness(self, hyperbola):
         e = OrbitPair(hyperbola, box_set((NEG_INF, 0), (NEG_INF, 0)))
@@ -186,12 +192,14 @@ class TestMembership:
                     assert set_membership(b, tuple(c - s for c, s in zip(p, shift)))
 
     def test_group_right_difference(self, shift):
-        e = GroupRight(shift.group, box_set((-2, 2)))
+        e = DiffRel(GroundSpace.lattice(shift.group.rank), box_set((-2, 2)))
+        assert group_right_structure(shift.group).level(2) == e
         assert entourage_membership(e, ((10,), (13,))) is False
         assert entourage_membership(e, ((10,), (12,))) is True
 
     def test_metric_ball_zero_is_diagonal(self):
-        ball = MetricBall(Z2, 0)
+        ball = DiffRel(Z2, box_set((0, 0), (0, 0)))
+        assert metric_ball_structure(Z2).level(0) == ball
         for p in itertools.product(range(-4, 5), repeat=2):
             for q in itertools.product(range(-4, 5), repeat=2):
                 assert entourage_membership(ball, (p, q)) == (p == q)
@@ -222,7 +230,8 @@ class TestMembership:
 
 class TestRewrite:
     def test_compose_metric_balls(self):
-        got = entourage_rewrite(Compose(MetricBall(Z, 2), MetricBall(Z, 3)))
+        got = entourage_rewrite(Compose(DiffRel(Z, box_set((-2, 2))),
+                                        DiffRel(Z, box_set((-3, 3)))))
         assert got.exact
         # membership equality on the window [-16, 16]^2
         for x in range(-16, 17):
@@ -285,7 +294,7 @@ class TestRewrite:
 
 class TestNeighborhood:
     def test_ball_around_point(self):
-        got, exact = neighborhood(MetricBall(Z, 2), points_set((0,)))
+        got, exact = neighborhood(DiffRel(Z, box_set((-2, 2))), points_set((0,)))
         assert exact and got == box_set((-2, 2))
 
     def test_diag_identity(self, hyperbola):
@@ -318,12 +327,13 @@ class TestNeighborhood:
         # 70 unit squares exceed the union cap; their hull also covers the
         # gaps between them, such as (5, 0), so the answer is not exact
         a_set = FinitePoints(frozenset((10 * i, 0) for i in range(70)))
-        got, exact = neighborhood(MetricBall(Z2, 1), a_set)
+        ball = DiffRel(Z2, box_set((-1, 1), (-1, 1)))
+        got, exact = neighborhood(ball, a_set)
         assert set_membership(got, (5, 0))
         assert exact is False
         # below the cap the pieces stay apart and the answer is exact
         few = FinitePoints(frozenset((10 * i, 0) for i in range(8)))
-        got, exact = neighborhood(MetricBall(Z2, 1), few)
+        got, exact = neighborhood(ball, few)
         assert exact is True
         assert set_membership(got, (1, 1)) and not set_membership(got, (5, 0))
 
@@ -385,6 +395,25 @@ class TestCoarselyBounded:
         n, exact = neighborhood(cs.level(3), s)
         assert exact
         assert coarsely_bounded(cs, n).bounded
+
+    def test_orbit_chain_without_exact_rewrite(self):
+        # x -> x + 2l reaches every other point only, so E(L, B) has no exact
+        # DiffRel or connected-pairs rewrite and the space chain decides
+        double = TranslationRule(((2,),))
+        a = ActionInstance("double", lattice_group(1, cubes_chain(Z)), Z,
+                           double, cubes_chain(Z))
+        cs = associated_orbit_structure(a)
+        v = coarsely_bounded(cs, box_set((0, 5)))
+        assert v.bounded and v.index == 5
+        v = coarsely_bounded(cs, box_set((0, POS_INF)))
+        assert v.unbounded and v.direction == (1,)
+        # the chain (-inf, m] has a recession ray along M, so no answer
+        half_lines = chain_bornology(Z, [(AFF_NEG_INF, affine(1, 0))])
+        a = ActionInstance("double", lattice_group(1, cubes_chain(Z)), Z,
+                           double, half_lines)
+        v = coarsely_bounded(associated_orbit_structure(a), box_set((0, POS_INF)))
+        assert v.outcome == "inconclusive"
+        assert v.note == "orbit chain without exact rewrite"
 
 
 class TestAssociatedConnected:
@@ -453,6 +482,16 @@ class TestStructureLeq:
         assert structure_leq(b, c).confirmed
         assert structure_leq(a, c).confirmed
 
+    def test_finite_closures(self):
+        space = GroundSpace.finite((0, 1, 2))
+        small = close_finite_base(space, [{(0, 1)}])
+        assert structure_leq(small, close_finite_base(space, [{(0, 1), (1, 2)}])).confirmed
+        v = structure_leq(small, close_finite_base(space, [{(1, 2)}]))
+        assert v.refuted
+        assert v.witness == {"relation": [(0, 0), (0, 1), (1, 0), (1, 1)], "pair": (0, 1)}
+        with pytest.raises(GeometryError, match="mixed"):
+            structure_leq(small, metric_ball_structure(Z))
+
 
 class TestContainmentSoundness:
     def test_exact_verdicts_agree_with_membership(self):
@@ -465,7 +504,7 @@ class TestContainmentSoundness:
         for seed in range(1, 13):
             inst = random_instance(seed, "lattice-k1")
             d = inst.space.dim
-            ents = [MetricBall(inst.space, rng.randint(0, 4))]
+            ents = [DiffRel(inst.space, BoxSet(cube(rng.randint(0, 4), d)))]
             for _ in range(2):
                 lo = tuple(rng.randint(-3, 1) for _ in range(d))
                 b = box_set(*((l, l + rng.randint(0, 3)) for l in lo))

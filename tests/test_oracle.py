@@ -23,7 +23,7 @@ from coarseact.actions import (
 )
 from coarseact.coarse import (
     Compose,
-    MetricBall,
+    DiffRel,
     OrbitPair,
     close_finite_base,
     entourage_members,
@@ -81,7 +81,7 @@ class TestOracleMembership:
         assert oracle_entourage_member(e, ((0, 0), (-3, 2)), 20) is False
 
     def test_neighborhood_sweep(self, shift):
-        e = MetricBall(Z, 2)
+        e = DiffRel(Z, box_set((-2, 2)))
         got = oracle_neighborhood(e, points_set((0,)), 8, 8)
         assert got == {(v,) for v in range(-2, 3)}
 
@@ -331,3 +331,39 @@ class TestCrossCheck:
         reports = cross_check([shift], primitives=("entourage", "neighborhood"),
                               window=16)
         assert any(not r.passed for r in reports)
+
+
+class TestOracleIndependence:
+    """The oracle path names no function of the symbolic calculus."""
+
+    CALCULUS = ("coarse", "actions", "bornology", "associated")
+    HELPERS = ("_oracle_members", "_oracle_compose_orbit", "_permuted_orbit_member",
+               "_affine_oracle_transporter", "existence_truncation_bound",
+               "_per_coordinate_bounds", "_coordinate_vacuous", "_grid", "_ends",
+               "naive_closure", "_verify_family_closed")
+
+    def test_oracle_path_names_no_calculus_function(self):
+        import ast
+        import importlib
+        import inspect
+
+        import coarseact.oracle as oracle_mod
+
+        tree = ast.parse(inspect.getsource(oracle_mod))
+        calculus = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module in self.CALCULUS:
+                mod = importlib.import_module(f"coarseact.{node.module}")
+                calculus.update(a.asname or a.name for a in node.names
+                                if inspect.isfunction(getattr(mod, a.name)))
+        assert {"transporter", "entourage_members", "neighborhood"} <= calculus
+        funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        checked = [name for name in funcs if name.startswith("oracle_")]
+        checked += self.HELPERS
+        assert len(checked) > len(self.HELPERS)
+        for name in checked:
+            named = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+            named |= {a.asname or a.name for n in ast.walk(funcs[name])
+                      if isinstance(n, ast.ImportFrom) for a in n.names}
+            assert not named & calculus, (name, sorted(named & calculus))
