@@ -35,7 +35,9 @@ from .bornology import (
     FINITE_BASE,
     MAXIMAL,
     BornologySpec,
+    bornology_axiom_check,
     chain_recession,
+    first_level,
     generate_from_base,
     is_bounded,
     is_full_at_some_level,
@@ -244,78 +246,29 @@ def action_homomorphism_check(a: ActionInstance) -> CheckReport:
     )
 
 
-# --- symbolic end bookkeeping for bornological-map checks -------------------
+# --- bornological-map checks --------------------------------------------------
+#
+# Chain ends are affine in the index and the covering axiom makes each finite
+# end widen without bound, so a sum, negation or image of levels is bounded
+# unless an infinite end meets a finite end of the target chain.
 
 
-@dataclass(frozen=True)
-class BiAffine:
-    """c0 + ci*i + cj*j, or a symbolic infinity; i, j range over chain indexes."""
-
-    c0: int = 0
-    ci: int = 0
-    cj: int = 0
-    inf: int = 0
-
-    def __add__(self, other: "BiAffine") -> "BiAffine":
-        if self.inf or other.inf:
-            s = self.inf or other.inf
-            if self.inf and other.inf and self.inf != other.inf:
-                raise GeometryError("opposite infinities in end sum")
-            return BiAffine(inf=s)
-        return BiAffine(self.c0 + other.c0, self.ci + other.ci, self.cj + other.cj)
-
-
-def _end_to_biaffine(end, var: str) -> BiAffine:
-    if end.is_symbolic:
-        return BiAffine(inf=end.inf)
-    if var == "i":
-        return BiAffine(end.offset, ci=end.coeff)
-    if var == "j":
-        return BiAffine(end.offset, cj=end.coeff)
-    return BiAffine(end.offset)
-
-
-def _scaled_end(end, c: int, want_upper: bool, var: str) -> BiAffine:
-    """Upper/lower end of c * [lo(m), hi(m)] as a BiAffine in var."""
-    if c == 0:
-        return BiAffine(0)
-    lo_e, hi_e = end  # c > 0 keeps end roles; c < 0 swaps them
-    chosen = (hi_e if want_upper else lo_e) if c > 0 else (lo_e if want_upper else hi_e)
-    b = _end_to_biaffine(chosen, var)
-    if b.inf:
-        return BiAffine(inf=b.inf * (1 if c > 0 else -1))
-    return BiAffine(c * b.c0, c * b.ci, c * b.cj)
-
-
-def _covered_for_all_indexes(chain_end, query: BiAffine, upper: bool) -> bool:
-    """Whether every (i, j) instance of the query end fits under the chain end.
-
-    chain_end is the space chain's own AffineEnd (in its index m); ∃m per (i,j)
-    suffices.  Symbolic chain ends absorb anything; widening ends absorb every
-    finite value; constant ends need the query constant and dominated.
-    """
-    if chain_end.inf == (1 if upper else -1):
-        return True
-    if chain_end.is_symbolic:
-        return query.inf == chain_end.inf
-    if query.inf:
-        return False
-    if upper and chain_end.coeff > 0:
-        return True
-    if not upper and chain_end.coeff < 0:
-        return True
-    if chain_end.coeff != 0:
-        # anti-monotone chain end: only index 0 is usable
-        return False
-    if query.ci == 0 and query.cj == 0:
-        return query.c0 <= chain_end.offset if upper else query.c0 >= chain_end.offset
-    if upper:
-        return query.ci <= 0 and query.cj <= 0 and query.c0 <= chain_end.offset
-    return query.ci >= 0 and query.cj >= 0 and query.c0 >= chain_end.offset
+def _axiom_failure(*specs):
+    """(name, witness) of the first failed axiom among the bornologies, or None."""
+    for spec in specs:
+        failures = bornology_axiom_check(spec).failures()
+        if failures:
+            return (failures[0].name, failures[0].witness)
+    return None
 
 
 def group_bornological_check(g: GroupSpec) -> CheckReport:
-    """Multiplication and inversion send bounded sets to bounded sets."""
+    """Multiplication and inversion send bounded sets to bounded sets.
+
+    D_i + D_j has the chain's own infinite ends, so multiplication passes;
+    -D_i swaps the ends, so inversion fails on a side whose end is finite
+    while the opposite end is infinite.
+    """
     if not g.is_lattice or g.bornology.kind == MAXIMAL:
         return CheckReport(
             "group_bornological",
@@ -323,42 +276,29 @@ def group_bornological_check(g: GroupSpec) -> CheckReport:
         )
     if g.bornology.kind != CHAIN or g.bornology.matrix is not None:
         raise UnsupportedVariant("lattice group bornology must be a plain chain")
+    failed = _axiom_failure(g.bornology)
     shape = g.bornology.shape
-    mul_bad = None
-    inv_bad = None
+    inv_bad = failed
     for c, (lo, hi) in enumerate(shape):
-        sum_lo = _end_to_biaffine(lo, "i") + _end_to_biaffine(lo, "j")
-        sum_hi = _end_to_biaffine(hi, "i") + _end_to_biaffine(hi, "j")
-        if not _covered_for_all_indexes(lo, sum_lo, upper=False):
-            mul_bad = mul_bad or ("coordinate", c, "lower")
-        if not _covered_for_all_indexes(hi, sum_hi, upper=True):
-            mul_bad = mul_bad or ("coordinate", c, "upper")
-        neg_lo = _negate_biaffine(_end_to_biaffine(hi, "i"))
-        neg_hi = _negate_biaffine(_end_to_biaffine(lo, "i"))
-        if not _covered_for_all_indexes(lo, neg_lo, upper=False):
+        if hi.inf == 1 and not lo.is_symbolic:
             inv_bad = inv_bad or ("coordinate", c, "lower", _unit(-1, c, len(shape)))
-        if not _covered_for_all_indexes(hi, neg_hi, upper=True):
+        if lo.inf == -1 and not hi.is_symbolic:
             inv_bad = inv_bad or ("coordinate", c, "upper", _unit(1, c, len(shape)))
     return CheckReport(
         "group_bornological",
-        (CheckItem("multiplication", mul_bad is None, witness=mul_bad),
+        (CheckItem("multiplication", failed is None, witness=failed),
          CheckItem("inversion", inv_bad is None, witness=inv_bad)),
     )
-
-
-def _negate_biaffine(b: BiAffine) -> BiAffine:
-    if b.inf:
-        return BiAffine(inf=-b.inf)
-    return BiAffine(-b.c0, -b.ci, -b.cj)
 
 
 def action_bornological_check(a: ActionInstance) -> CheckReport:
     """The action map sends product-bounded sets to bounded sets.
 
-    Translation rules: the image of D_i × B_j is B_j ⊕ M·D_i, whose
-    per-coordinate extents are exact interval arithmetic; the check compares
-    those BiAffine ends against the space chain.  Permutation rules on finite
-    spaces are vacuous.
+    Translation rules: the image of D_i × B_j is B_j ⊕ M·D_i.  Row r of it
+    reaches +inf when a positive entry meets an infinite upper group end or a
+    negative entry an infinite lower one (every nonzero entry, under the
+    maximal group bornology), and the check fails where a finite space end
+    faces such a row.  Permutation rules on finite spaces are vacuous.
     """
     if isinstance(a.rule, AffineRule):
         return CheckReport(
@@ -372,29 +312,26 @@ def action_bornological_check(a: ActionInstance) -> CheckReport:
         return CheckReport("action_bornological", (CheckItem("image_bounded", True),))
     if a.space_bornology.kind != CHAIN or a.space_bornology.matrix is not None:
         raise UnsupportedVariant("space bornology must be a plain chain or maximal")
-    m = a.matrix
-    bad = None
     gb = a.group.bornology
+    bad = _axiom_failure(gb, a.space_bornology)
     for r, (lo, hi) in enumerate(a.space_bornology.shape):
-        q_lo = _end_to_biaffine(lo, "j")
-        q_hi = _end_to_biaffine(hi, "j")
-        if gb.kind == MAXIMAL:
-            # any group box: contribution is the full row range of M over ℤ^k
-            for c in range(a.group.rank):
-                if m[r][c] != 0:
-                    q_lo = q_lo + BiAffine(inf=-1)
-                    q_hi = q_hi + BiAffine(inf=1)
-                    break
-        else:
-            for c in range(a.group.rank):
-                q_lo = q_lo + _scaled_end(gb.shape[c], m[r][c], want_upper=False, var="i")
-                q_hi = q_hi + _scaled_end(gb.shape[c], m[r][c], want_upper=True, var="i")
-        if not _covered_for_all_indexes(lo, q_lo, upper=False):
+        if not lo.is_symbolic and _row_reaches_infinity(gb, a.matrix[r], -1):
             bad = bad or ("coordinate", r, "lower")
-        if not _covered_for_all_indexes(hi, q_hi, upper=True):
+        if not hi.is_symbolic and _row_reaches_infinity(gb, a.matrix[r], 1):
             bad = bad or ("coordinate", r, "upper")
     return CheckReport(
         "action_bornological", (CheckItem("image_bounded", bad is None, witness=bad),)
+    )
+
+
+def _row_reaches_infinity(gb: BornologySpec, row, sign: int) -> bool:
+    """Whether row·D_i reaches sign·inf: an entry of that sign meets an
+    infinite upper group end, or one of the other sign an infinite lower end."""
+    if gb.kind == MAXIMAL:
+        return any(row)
+    return any(
+        gb.shape[c][1].inf == 1 if v * sign > 0 else gb.shape[c][0].inf == -1
+        for c, v in enumerate(row) if v
     )
 
 
@@ -941,7 +878,7 @@ def _classify_translation(a: ActionInstance, budget: Budget) -> Classification:
             )
         else:
             x = samples[0]
-            j = _first_feasible_point_level(a, x, budget)
+            j = is_bounded(sb, FinitePoints(frozenset({x}))).index
             weakly = refuted(
                 witness={"point": x, "level": j, "direction": w_rays[0]},
                 detail="point transporter contains a recession ray",
@@ -967,7 +904,7 @@ def _classify_translation(a: ActionInstance, budget: Budget) -> Classification:
                 "transporter recession cone is trivial", witness=tuple(certs)
             )
         else:
-            lv = _first_nonempty_level(a, budget)
+            lv = first_level(sb)
             b_proper = refuted(
                 witness={"levels": (lv, lv), "direction": p_rays[0]},
                 detail="level-pair transporter contains a recession ray",
@@ -984,21 +921,6 @@ def _level_set(a: ActionInstance, n: int):
         return FinitePoints(frozenset(a.space.labels))
     elems = generate_from_base(a.space_bornology.base)
     return FinitePoints(elems[min(n, len(elems) - 1)])
-
-
-def _first_nonempty_level(a: ActionInstance, budget: Budget) -> int:
-    for n in range(budget.max_index + 9):
-        if not level_box(a.space_bornology, n).empty:
-            return n
-    return 0
-
-
-def _first_feasible_point_level(a: ActionInstance, x, budget: Budget) -> int:
-    for n in range(budget.max_index + 9):
-        lb = level_box(a.space_bornology, n)
-        if not lb.empty and lb.contains(x):
-            return n
-    return 0
 
 
 def _classify_finite(a: ActionInstance, budget: Budget) -> Classification:

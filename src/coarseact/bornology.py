@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil
 
 from .boxes import (
     NEG_INF,
@@ -235,32 +234,46 @@ def finite_bornology_closure(space: GroundSpace, base) -> set:
 
 def least_index_cover_lower(end: AffineEnd, v) -> int | None:
     """Smallest m ≥ 0 with end(m) ≤ v, or None."""
-    if end.inf == -1:
-        return 0
-    if end.inf == 1:
-        return None
+    if end.inf:
+        return 0 if end.inf == -1 else None
     if v == NEG_INF:
         return None
     if v == POS_INF:
         return 0
     if end.coeff < 0:
-        return max(0, ceil((end.offset - v) / (-end.coeff)))
+        return max(0, -((v - end.offset) // -end.coeff))
     return 0 if end.offset <= v else None
 
 
 def least_index_cover_upper(end: AffineEnd, v) -> int | None:
     """Smallest m ≥ 0 with end(m) ≥ v, or None."""
-    if end.inf == 1:
+    return least_index_cover_lower(AffineEnd(-end.coeff, -end.offset, -end.inf), -v)
+
+
+def first_level(spec: BornologySpec, points: int = 1) -> int | None:
+    """Least index whose level box holds at least `points` (1 or 2) points.
+
+    A coordinate's width hi(m) - lo(m) is affine in m, so the first index
+    where it reaches 0 (a point) or 1 (two points) is one least-index query;
+    a coordinate with an infinite end is wide from index 0.  None when no
+    level qualifies, which a chain passing the axioms never gives.
+    """
+    if spec.kind == MAXIMAL:
         return 0
-    if end.inf == -1:
+
+    def first_width(lo, hi, width):
+        if lo.is_symbolic or hi.is_symbolic:
+            return 0
+        gap = AffineEnd(lo.coeff - hi.coeff, lo.offset - hi.offset)
+        return least_index_cover_lower(gap, -width)
+
+    nonempty = [first_width(lo, hi, 0) for lo, hi in spec.shape]
+    if None in nonempty:
         return None
-    if v == POS_INF:
-        return None
-    if v == NEG_INF:
-        return 0
-    if end.coeff > 0:
-        return max(0, ceil((v - end.offset) / end.coeff))
-    return 0 if end.offset >= v else None
+    if points == 1:
+        return max(nonempty)
+    wide = [m for m in (first_width(lo, hi, 1) for lo, hi in spec.shape) if m is not None]
+    return max(max(nonempty), min(wide)) if wide else None
 
 
 def constraint_ranges(spec: BornologySpec, s) -> list[tuple]:

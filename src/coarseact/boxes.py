@@ -67,14 +67,6 @@ def is_finite_end(v) -> bool:
     return v != NEG_INF and v != POS_INF
 
 
-def end_min(a, b):
-    return a if a <= b else b
-
-
-def end_max(a, b):
-    return a if a >= b else b
-
-
 @dataclass(frozen=True)
 class Box:
     """Product of integer intervals; canonical empty box has zeroed ends."""
@@ -206,8 +198,8 @@ def box_hull(b1: Box, b2: Box) -> Box:
     if b2.empty:
         return b1
     return Box(
-        tuple(end_min(a, b) for a, b in zip(b1.lower, b2.lower)),
-        tuple(end_max(a, b) for a, b in zip(b1.upper, b2.upper)),
+        tuple(min(a, b) for a, b in zip(b1.lower, b2.lower)),
+        tuple(max(a, b) for a, b in zip(b1.upper, b2.upper)),
     )
 
 
@@ -271,8 +263,8 @@ def box_difference_slabs(b: Box, carve: Box) -> list[Box]:
                 slabs.append(above)
         remaining = box(
             *(
-                (end_max(lo_c, remaining.lower[j]) if j == i else remaining.lower[j],
-                 end_min(hi_c, remaining.upper[j]) if j == i else remaining.upper[j])
+                (max(lo_c, remaining.lower[j]) if j == i else remaining.lower[j],
+                 min(hi_c, remaining.upper[j]) if j == i else remaining.upper[j])
                 for j in range(b.dim)
             )
         )
@@ -374,7 +366,7 @@ def _merge_intervals(members):
     for lo, hi in ivals[1:]:
         mlo, mhi = merged[-1]
         if lo <= mhi + 1:
-            merged[-1] = (mlo, end_max(mhi, hi))
+            merged[-1] = (mlo, max(mhi, hi))
         else:
             merged.append((lo, hi))
     return [BoxSet(box(iv)) for iv in merged] + rest
@@ -533,7 +525,7 @@ def _interval_union_contains(pieces, b: Box) -> bool:
     merged = []
     for lo, hi in ivals:
         if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], end_max(merged[-1][1], hi))
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
     return any(lo <= b.lower[0] and b.upper[0] <= hi for lo, hi in merged)
@@ -556,8 +548,8 @@ def row_range(row: tuple, b: Box) -> tuple:
         if c == 0:
             continue
         a, bb = c * l, c * u
-        lo += end_min(a, bb)
-        hi += end_max(a, bb)
+        lo += min(a, bb)
+        hi += max(a, bb)
     return lo, hi
 
 

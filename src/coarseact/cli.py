@@ -62,7 +62,6 @@ class ParseError(ValueError):
 _SECTION_RE = re.compile(r"^\[([a-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^([a-z][a-z0-9_]*)\s*=\s*(.+)$")
 _AFFINE_RE = re.compile(r"^(-?\d+)\*m([+-]\d+)$")
-_KNOWN_SECTIONS = ("space", "group", "action", "bornology.x", "bornology.l")
 
 _KEYS = {
     "space": {"kind", "dim", "size"},

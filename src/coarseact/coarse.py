@@ -50,6 +50,7 @@ from .bornology import (
     chain_bornology,
     chain_recession,
     cubes_chain,
+    first_level,
     generate_from_base,
     is_bounded,
     level_box,
@@ -187,29 +188,6 @@ def _offsets(x, pieces) -> list:
     return [difference_box(px, piece) for piece in pieces]
 
 
-def orbit_pair_witness(e: OrbitPair, x, y):
-    """A group element l with x, y ∈ l·B, for replaying memberships (k = 1)."""
-    a, b = e.action, e.bounded_set
-    if not a.is_translation or a.group.rank != 1:
-        return None
-    from .actions import _interval_k1
-
-    pieces = set_boxes(b)
-    ys = _offsets(y, pieces)
-    for cu in _offsets(x, pieces):
-        for cv in ys:
-            c = box_intersect(cu, cv)
-            if c.empty:
-                continue
-            iv = _interval_k1(a.matrix, c)
-            if iv is None:
-                continue
-            lo, hi = iv
-            val = lo if lo != NEG_INF else (hi if hi != POS_INF else 0)
-            return (int(val),)
-    return None
-
-
 def _compose_test(e: Compose, budget: Budget):
     rw = entourage_rewrite(e)
     if rw.exact and not isinstance(rw.descriptor, Compose):
@@ -339,7 +317,7 @@ def reach(e):
         if set_is_empty(e.bounded_set):
             return FinitePoints(frozenset({(0,) * d}))
         diff, _ = _piecewise_difference(e.bounded_set, e.bounded_set)
-        return union_set(diff, FinitePoints(frozenset({(0,) * d})))
+        return _union_or_hull(diff, FinitePoints(frozenset({(0,) * d})))[0]
     return None
 
 
@@ -1206,9 +1184,7 @@ def _equi_connected(a: ActionInstance, cs, budget: Budget) -> Verdict:
         return confirmed("trivial action: E_l = E")
     # sweep hull of B_n under all translates M·l
     rec = chain_recession(b) if b.kind == CHAIN else None
-    n_wit = _first_two_point_level(b, budget)
-    if n_wit is None:
-        return confirmed("levels never exceed one point")
+    n_wit = first_level(b, 2)
     sweep_dirs = []
     for r, row in enumerate(m):
         if any(v != 0 for v in row):
@@ -1244,13 +1220,6 @@ def _escape_scale(b: BornologySpec, top: int, *points) -> int:
     for p in points:
         bound = max(bound, max(abs(c) for c in p))
     return 2 * bound + 2
-
-
-def _first_two_point_level(b: BornologySpec, budget: Budget):
-    for n in range(budget.max_index + 9):
-        if bx.box_size(level_box(b, n)) >= 2:
-            return n
-    return None
 
 
 def _second_point(lvl: Box, x):

@@ -745,21 +745,29 @@ def _oracle_compose_orbit(inst, e1, e2, pairs, gw) -> list:
 
 
 def _check_bounded(inst, window, budget) -> CrossCheckReport:
-    """Replay BoundedAt certificates: the set clipped to the window must sit
-    inside the certified chain level."""
+    """Replay boundedness certificates: the set clipped to the window must sit
+    inside a certified chain level, and an escape ray must stay in the set.
+    The half-space x_0 >= 0 probes the escape side; where it is bounded (a
+    maximal bornology) its window is not enumerated."""
     from .bornology import is_bounded
 
     rep = CrossCheckReport("bounded", inst.name, window)
     if not inst.space.is_lattice:
         return rep
-    for s in _sample_sets(inst):
+    full = (bx.NEG_INF, bx.POS_INF)
+    half_space = BoxSet(bx.box((0, bx.POS_INF), *[full] * (inst.space.dim - 1)))
+    for s in _sample_sets(inst) + [half_space]:
         v = is_bounded(inst.space_bornology, s)
         if not v.bounded:
-            if v.direction is not None and v.base_point is not None:
-                for t in (0, 1, 3):
-                    p = tuple(b + t * c for b, c in zip(v.base_point, v.direction))
-                    if not set_membership(s, p):
-                        rep.mismatches.append({"set": s, "escape_point": p})
+            if v.direction is None or v.base_point is None:
+                rep.mismatches.append({"set": s, "escape": None})
+                continue
+            for t in (0, 1, 3):
+                p = tuple(b + t * c for b, c in zip(v.base_point, v.direction))
+                if not set_membership(s, p):
+                    rep.mismatches.append({"set": s, "escape_point": p})
+            continue
+        if s is half_space:
             continue
         lvl = level_box(inst.space_bornology, v.index)
         for p in set_points_within(s, min(window, 10)):

@@ -3,6 +3,7 @@ import pytest
 from coarseact.boxes import GroundSpace
 from coarseact.bornology import (
     AFF_NEG_INF,
+    AFF_POS_INF,
     affine,
     chain_bornology,
     cubes_chain,
@@ -12,6 +13,19 @@ from coarseact.actions import ActionInstance, TranslationRule, lattice_group
 
 Z = GroundSpace.lattice(1)
 Z2 = GroundSpace.lattice(2)
+
+
+def random_chain(rng, space, max_offset=20):
+    """A seeded chain that passes the axioms: each end infinite or widening,
+    with offsets up to max_offset so that some chains start late."""
+    shape = []
+    for _ in range(space.dim):
+        lo = AFF_NEG_INF if rng.random() < 0.25 else affine(
+            -rng.randint(1, 2), rng.randint(-max_offset, max_offset))
+        hi = AFF_POS_INF if rng.random() < 0.25 else affine(
+            rng.randint(1, 2), rng.randint(-max_offset, max_offset))
+        shape.append((lo, hi))
+    return chain_bornology(space, shape)
 
 
 def lower_quadrant_chain():

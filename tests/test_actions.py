@@ -11,17 +11,24 @@ from hypothesis import strategies as st
 from coarseact.boxes import (
     NEG_INF,
     POS_INF,
+    BoxSet,
     GroundSpace,
     box,
     box_set,
+    image_hull,
+    minkowski_sum,
+    negate_box,
     point_box,
     points_set,
 )
 from coarseact.bornology import (
     AFF_NEG_INF,
+    AFF_POS_INF,
     affine,
     chain_bornology,
     cubes_chain,
+    is_bounded,
+    level_box,
     maximal_bornology,
 )
 from coarseact.actions import (
@@ -50,7 +57,7 @@ from coarseact.actions import (
     transporter_bounded,
     uncovered_direction,
 )
-from conftest import Z, Z2
+from conftest import Z, Z2, random_chain
 
 
 def brute_transporter(inst, b, b2, gw=20, xw=24):
@@ -126,6 +133,49 @@ class TestActionChecks:
         inst = ActionInstance("rot", g, space, PermutationRule(perms),
                               maximal_bornology(space))
         assert action_homomorphism_check(inst).passed
+
+
+class TestBornologicalMapSemantics:
+    """The end rules against is_bounded on the sets they speak about, over
+    seeded chains that pass the axioms (some start past index 8).  At index
+    24 every level is nonempty, so a failure shows at some listed pair."""
+
+    INDEXES = (0, 6, 12, 18, 24)
+
+    def test_group_checks_match_boundedness(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            k = rng.randint(1, 2)
+            gb = random_chain(rng, GroundSpace.lattice(k))
+            report = group_bornological_check(lattice_group(k, gb))
+            levels = [level_box(gb, i) for i in self.INDEXES]
+            inversion = all(is_bounded(gb, BoxSet(negate_box(d))).bounded for d in levels)
+            multiplication = all(is_bounded(gb, BoxSet(minkowski_sum(d, e))).bounded
+                                 for d in levels for e in levels)
+            assert report.item("inversion").passed == inversion, gb
+            assert report.item("multiplication").passed == multiplication, gb
+
+    def test_action_check_matches_boundedness(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            k, d = rng.randint(1, 2), rng.randint(1, 2)
+            params, space = GroundSpace.lattice(k), GroundSpace.lattice(d)
+            gb = maximal_bornology(params) if rng.random() < 0.2 else random_chain(rng, params)
+            sb = random_chain(rng, space)
+            m = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(d))
+            a = ActionInstance("a", lattice_group(k, gb), space, TranslationRule(m), sb)
+            expected = all(
+                is_bounded(sb, BoxSet(minkowski_sum(level_box(sb, j),
+                                                    image_hull(m, level_box(gb, i))))).bounded
+                for i in self.INDEXES for j in self.INDEXES
+            )
+            assert action_bornological_check(a).passed == expected, (gb, sb, m)
+
+    def test_failed_axiom_fails_every_item(self):
+        spec = chain_bornology(Z, [(affine(-1, 0), affine(0, 5))])
+        report = group_bornological_check(lattice_group(1, spec))
+        assert [it.passed for it in report.items] == [False, False]
+        assert report.item("inversion").witness[0] == "covering"
 
 
 class TestTransporter:
@@ -332,6 +382,19 @@ class TestClassify:
         assert kernel_vector(((0,),)) == (1,)
         assert kernel_vector(((1, 1),)) in ((-1, 1), (1, -1))
         assert kernel_vector(((1, 0), (0, 1))) is None
+
+    def test_late_chain_witnesses_replay(self):
+        # the space levels are empty before index 20
+        sb = chain_bornology(Z2, [(affine(-1, 20), affine(1, -20)),
+                                  (AFF_NEG_INF, AFF_POS_INF)])
+        a = ActionInstance("late", lattice_group(1, cubes_chain(Z)), Z2,
+                           TranslationRule(((0,), (1,))), sb)
+        cls = classify(a)
+        assert cls.b_proper.refuted and cls.b_proper.witness["levels"] == (20, 20)
+        w = cls.weakly_b_proper.witness
+        assert cls.weakly_b_proper.refuted and w["level"] == 20
+        assert level_box(sb, 20).contains(w["point"])
+        assert not level_box(sb, 19).contains(w["point"])
 
     def test_finite_instances_degenerate(self):
         mul = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from coarseact.boxes import (
     POS_INF,
     GroundSpace,
     box_set,
+    box_size,
     points_set,
     union_set,
 )
@@ -20,12 +22,15 @@ from coarseact.bornology import (
     cubes_chain,
     finite_base_bornology,
     finite_bornology_closure,
+    first_level,
     generate_from_base,
     is_bounded,
     level_box,
     maximal_bornology,
     orbit_pullback,
 )
+
+from conftest import random_chain
 
 Z = GroundSpace.lattice(1)
 Z2 = GroundSpace.lattice(2)
@@ -165,6 +170,12 @@ class TestIsBounded:
         v = is_bounded(cubes_chain(Z), s)
         assert v.bounded and v.index == 9
 
+    def test_point_past_float_precision(self):
+        # the least index is integer arithmetic: a float quotient rounds
+        # 10**17 + 1 down to 10**17, a level without the point
+        v = is_bounded(cubes_chain(Z), points_set((-(10**17 + 1),)))
+        assert v.bounded and v.index == 10**17 + 1
+
     def test_finite_base_containment(self):
         space = GroundSpace.finite(("a", "b", "c"))
         spec = finite_base_bornology(space, (points_set("a", "b"), points_set("a", "b", "c")))
@@ -179,6 +190,25 @@ class TestIsBounded:
         vb, vs = is_bounded(cubes_chain(Z), big), is_bounded(cubes_chain(Z), small)
         if vb.bounded:
             assert vs.bounded and vs.index <= vb.index
+
+
+class TestFirstLevel:
+    def test_matches_uncapped_scan(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            spec = random_chain(rng, GroundSpace.lattice(rng.randint(1, 3)), 30)
+            assert bornology_axiom_check(spec).passed
+            for points in (1, 2):
+                scan = next(m for m in itertools.count()
+                            if box_size(level_box(spec, m)) >= points)
+                assert first_level(spec, points) == scan, (spec, points)
+
+    def test_late_chain(self):
+        spec = chain_bornology(Z, [(affine(-1, 20), affine(1, -20))])
+        assert (first_level(spec), first_level(spec, 2)) == (20, 21)
+
+    def test_maximal_starts_at_zero(self):
+        assert first_level(maximal_bornology(Z2), 2) == 0
 
 
 class TestInduction:

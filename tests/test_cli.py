@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coarseact.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    EXIT_REFUTED,
     EXIT_USAGE,
     ParseError,
     parse_instance,
@@ -127,6 +128,19 @@ class TestCommands:
             ["theorem", "transitive", fixture("trivial.instance")], capsys
         )
         assert code == EXIT_USAGE
+
+    def test_transitive_not_applicable_exits(self, capsys, tmp_path):
+        # the trivial action is not coarsely transitive, so the recovery
+        # theorem does not apply; only an expectation of that exits 0
+        text = open(fixture("trivial.instance")).read()
+        text += "\n[coarse.candidate.m]\nkind = metric_ball\n"
+        f = tmp_path / "trivial_candidate.instance"
+        f.write_text(text)
+        code, out, _ = run(["theorem", "transitive", str(f), "--format", "machine"], capsys)
+        assert "\nstatus=not_applicable\n" in out and code == EXIT_REFUTED
+        f.write_text(text.replace("[expect]\n", "[expect]\ntheorem_transitive = not_applicable\n"))
+        code, _, _ = run(["theorem", "transitive", str(f)], capsys)
+        assert code == EXIT_OK
 
     def test_transitive_with_candidate(self, capsys):
         code, out, _ = run(

@@ -42,7 +42,6 @@ from coarseact.coarse import (
     group_right_structure,
     metric_ball_structure,
     neighborhood,
-    orbit_pair_witness,
     structure_leq,
     structures_equivalent,
 )
@@ -149,13 +148,7 @@ class TestMembership:
         e = OrbitPair(hyperbola, box_set((NEG_INF, 0), (NEG_INF, 0)))
         pair = ((5, -5), (0, -10))
         assert entourage_membership(e, pair) is True
-        l = orbit_pair_witness(e, *pair)
-        assert l == (5,)
-        # replay: both points lie in l·B
-        for p in pair:
-            moved = tuple(c - s for c, s in zip(p, (l[0], -l[0])))
-            assert moved[0] <= 0 and moved[1] <= 0
-        # window cross-check over l in [-20, 20]
+        # window cross-check over l in [-20, 20]: both points lie in l·B
         hits = [
             n
             for n in range(-20, 21)
@@ -164,32 +157,6 @@ class TestMembership:
             )
         ]
         assert 5 in hits
-
-    def test_witness_replays_on_unions(self):
-        # every returned l puts both points in M·l + B, checked by set
-        # membership; a refused pair gets no witness
-        rng = random.Random(11)
-        for _ in range(40):
-            m = ((rng.choice([-2, -1, 1, 2]),), (rng.randint(-2, 2),))
-            a = ActionInstance("line", lattice_group(1, cubes_chain(Z)), Z2,
-                               TranslationRule(m), cubes_chain(Z2))
-            b = union_set(*(
-                box_set(*((lo, lo + rng.randint(0, 2))
-                          for lo in (rng.randint(-3, 3), rng.randint(-3, 3))))
-                for _ in range(rng.randint(2, 3))
-            ), points_set((rng.randint(-3, 3), rng.randint(-3, 3))))
-            e = OrbitPair(a, b)
-            for x in itertools.product(range(-3, 4), repeat=2):
-                y = tuple(c + rng.randint(-3, 3) for c in x)
-                if x == y:
-                    continue
-                l = orbit_pair_witness(e, x, y)
-                if entourage_membership(e, (x, y)) is False:
-                    assert l is None
-                    continue
-                shift = tuple(row[0] * l[0] for row in m)
-                for p in (x, y):
-                    assert set_membership(b, tuple(c - s for c, s in zip(p, shift)))
 
     def test_group_right_difference(self, shift):
         e = DiffRel(GroundSpace.lattice(shift.group.rank), box_set((-2, 2)))
@@ -570,6 +537,20 @@ class TestEquiControlled:
         assert entourage_membership(cs.level(lvl), orig) is True
         for m in range(9):
             assert entourage_membership(cs.level(m), pair) is False
+
+    def test_late_chain_refuted_at_first_two_point_level(self, shift):
+        # levels 0..20 hold at most one point, so every connected-pairs level
+        # up to the budget is the diagonal; a sweep still escapes at level 21
+        b = chain_bornology(Z, [(affine(-1, 20), affine(1, -20))])
+        cs = associated_connected_structure(b)
+        v = equi_controlled_check(shift, cs)
+        assert v.refuted and v.witness["level"] == 21
+        (x, y), l = v.witness["pair"], v.witness["l"]
+        orig = ((x[0] - l[0],), (y[0] - l[0],))
+        assert orig[0] != orig[1]
+        assert entourage_membership(cs.level(21), orig) is True
+        for m in range(9):
+            assert entourage_membership(cs.level(m), (x, y)) is False
 
 
 class TestCoarselyTransitive:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -195,6 +196,19 @@ class TestUnionDifferential:
         assert entourage_members(Compose(e1, e2), pairs) == [True] * 3
         assert _oracle_compose_orbit(a, e1, e2, pairs, 12) == [True] * 3
 
+    def test_compose_reach_past_union_cap(self):
+        # B ⊖ B of eight points is 64 pieces, and with {0} the reach used to
+        # pass the union cap of 64 and raise GeometryError
+        plane = GroundSpace.lattice(2)
+        a = ActionInstance("double", lattice_group(2, maximal_bornology(plane)), plane,
+                           TranslationRule(((2, 0), (0, 2))), maximal_bornology(plane))
+        e = OrbitPair(a, points_set(*((10 * i, 0) for i in range(8))))
+        pairs = [((0, 0), (10, 0)), ((1, 0), (11, 0)), ((0, 0), (2, 0)),
+                 ((0, 0), (70, 0)), ((0, 0), (20, 2))]
+        expected = [True, False, False, True, False]
+        assert entourage_members(Compose(e, e), pairs) == expected
+        assert _oracle_compose_orbit(a, e, e, pairs, 4) == expected
+
     def test_permuted_batch_gives_permuted_answers(self):
         rng = random.Random(5)
         for seed in range(0, 48, 3):
@@ -330,6 +344,22 @@ class TestCrossCheck:
         monkeypatch.setattr(coarse_mod, "difference_box", faulty)
         reports = cross_check([shift], primitives=("entourage", "neighborhood"),
                               window=16)
+        assert any(not r.passed for r in reports)
+
+    def test_fault_injection_escape_direction(self, shift, monkeypatch):
+        # an escape ray turned around leaves the half-space probe
+        import coarseact.bornology as bornology_mod
+
+        real = bornology_mod._chain_escape
+
+        def faulty(spec, s, row, bad_value):
+            v = real(spec, s, row, bad_value)
+            if v.direction is None:
+                return v
+            return replace(v, direction=tuple(-c for c in v.direction))
+
+        monkeypatch.setattr(bornology_mod, "_chain_escape", faulty)
+        reports = cross_check([shift], primitives=("bounded",))
         assert any(not r.passed for r in reports)
 
 
