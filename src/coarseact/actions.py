@@ -426,23 +426,42 @@ def _fm_bounds_k2(ineqs, var: int):
 
 
 def _interval_k1(m: tuple, c: Box):
-    """Exact integer interval {l : M·l ∈ C} for k = 1; None if empty."""
-    lo, hi = NEG_INF, POS_INF
-    for row, cl, ch in zip(m, c.lower, c.upper):
-        a = row[0]
+    """Exact integer interval {l : M·l ∈ C} for k = 1 (0 - (-M)·l ∈ C); None if empty."""
+    return _k1_interval(_k1_rows([(-row[0],) for row in m], c.lower, c.upper), (0,) * len(m))
+
+
+def _k1_rows(m: tuple, lower: tuple, upper: tuple) -> tuple:
+    """x - M·l ∈ p (k = 1, p the box with these ends) read once per p: row i
+    with a = M[i][0] ≠ 0 is |a|·l ∈ [s·x_i - hi, s·x_i - lo], s = sign(a) and
+    (lo, hi) the ends times s in order, finite ends only; zero rows keep p's."""
+    zeros, lows, highs = [], [], []
+    for i, (row, lo, hi) in enumerate(zip(m, lower, upper)):
+        a, s = row[0], 1
         if a == 0:
-            if not (cl <= 0 <= ch):
-                return None
+            zeros.append((i, lo, hi))
             continue
         if a < 0:
-            a, cl, ch = -a, -ch, -cl
-        if is_finite_end(cl):
-            lo = max(lo, _ceil_div(int(cl), a))
-        if is_finite_end(ch):
-            hi = min(hi, int(ch) // a)
-    if lo != NEG_INF and hi != POS_INF and lo > hi:
-        return None
-    return (lo, hi)
+            a, s, lo, hi = -a, -1, -hi, -lo
+        if is_finite_end(hi):
+            lows.append((i, s, a, int(hi)))
+        if is_finite_end(lo):
+            highs.append((i, s, a, int(lo)))
+    return zeros, lows, highs
+
+
+def _k1_interval(rows: tuple, x: tuple):
+    """{l ∈ ℤ : x - M·l ∈ p} as (lo, hi) with ±inf ends, for the rows
+    _k1_rows read from M and p; None if empty.  Builds no box."""
+    zeros, lows, highs = rows
+    for i, lo, hi in zeros:
+        if not lo <= x[i] <= hi:
+            return None
+    lo, hi = NEG_INF, POS_INF
+    for i, s, a, e in lows:
+        lo = max(lo, -((e - s * x[i]) // a))
+    for i, s, a, e in highs:
+        hi = min(hi, (s * x[i] - e) // a)
+    return (lo, hi) if lo <= hi else None
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -573,9 +592,8 @@ def rational_bbox(m: tuple, c: Box) -> Box | None:
         return None
     if k == 1:
         iv = _interval_k1(m, c)
-        if iv is None:
-            return None
-        return box((iv[0], iv[1]))
+        # a non-empty interval is a canonical box already
+        return None if iv is None else Box((iv[0],), (iv[1],))
     if k != 2:
         raise UnsupportedVariant("bounding boxes implemented for k <= 2")
     ineqs = _ineqs_from_box(m, c)

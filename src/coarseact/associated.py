@@ -45,6 +45,8 @@ from .actions import (
     coset_sample_points,
     orbit_bornologies,
     rational_bbox,
+    _k1_interval,
+    _k1_rows,
     transporter,
     transporter_bounded,
     _level_set,
@@ -101,12 +103,16 @@ def _set_member_grid(s, pts: np.ndarray) -> np.ndarray:
     import numpy as np
 
     out = np.zeros(len(pts), dtype=bool)
+    first, last = pts.min(axis=0), pts.max(axis=0)
     for piece in bx.set_pieces(s):
         if isinstance(piece, FinitePoints):
-            vals = {tuple(p) for p in piece.points}
-            out |= np.fromiter(
-                (tuple(row) in vals for row in pts), dtype=bool, count=len(pts)
-            )
+            # integer keys over the grid's bounding box; a point outside it matches no row
+            near = [p for p in piece.points if all(
+                a <= c <= b for a, c, b in zip(first.tolist(), p, last.tolist()))]
+            if near:
+                dims = last - first + 1
+                out |= np.isin(np.ravel_multi_index((pts - first).T, dims),
+                               np.ravel_multi_index((np.array(near) - first).T, dims))
         else:
             lo = np.array(piece.box.lower, dtype=float)
             hi = np.array(piece.box.upper, dtype=float)
@@ -127,16 +133,11 @@ def _orbit_member_grid(e: OrbitPair, x, ygrid: np.ndarray) -> np.ndarray:
     if set_is_empty(e.bounded_set):
         return out
     if a.is_translation and a.group.rank == 1:
-        m = np.array([row[0] for row in a.matrix], dtype=float)
-        for bu in set_boxes(e.bounded_set):
-            ju = _interval_k1_np(m, np.array(x, dtype=float), bu)
-            if ju is None:
-                continue
-            for bv in set_boxes(e.bounded_set):
-                lo, hi = _interval_bounds_np(m, ygrid.astype(float), bv)
-                lo = np.maximum(lo, ju[0])
-                hi = np.minimum(hi, ju[1])
-                out |= np.ceil(lo) <= np.floor(hi)
+        rows = [_k1_rows(a.matrix, p.lower, p.upper) for p in set_boxes(e.bounded_set)]
+        for ju in filter(None, (_k1_interval(r, x) for r in rows)):
+            for r in rows:
+                lo, hi = _k1_intervals_np(r, ygrid)
+                out |= np.maximum(lo, ju[0]) <= np.minimum(hi, ju[1])
         return out
     rest = np.nonzero(~out)[0]
     pairs = [(tuple(x), tuple(int(c) for c in ygrid[i])) for i in rest]
@@ -144,34 +145,19 @@ def _orbit_member_grid(e: OrbitPair, x, ygrid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interval_k1_np(m: np.ndarray, x: np.ndarray, piece) -> tuple | None:
+def _k1_intervals_np(rows: tuple, ys: np.ndarray):
+    """actions._k1_interval at each row of ys: arrays lo, hi; lo > hi if empty."""
     import numpy as np
 
-    lo, hi = _interval_bounds_np(m, x[None, :], piece)
-    lo, hi = float(lo[0]), float(hi[0])
-    if np.ceil(lo) > np.floor(hi):
-        return None
-    return lo, hi
-
-
-def _interval_bounds_np(m: np.ndarray, xs: np.ndarray, piece):
-    """Per-row bounds of {l : x - m*l ∈ piece} intersected over rows."""
-    import numpy as np
-
-    lo = np.full(len(xs), -np.inf)
-    hi = np.full(len(xs), np.inf)
-    for r in range(len(m)):
-        c = m[r]
-        plo, phi = float(piece.lower[r]), float(piece.upper[r])
-        if c == 0:
-            bad = ~((xs[:, r] >= plo) & (xs[:, r] <= phi))
-            lo[bad] = np.inf
-            hi[bad] = -np.inf
-            continue
-        a = (xs[:, r] - phi) / c
-        b = (xs[:, r] - plo) / c
-        lo = np.maximum(lo, np.minimum(a, b))
-        hi = np.minimum(hi, np.maximum(a, b))
+    zeros, lows, highs = rows
+    lo, hi = np.full(len(ys), -np.inf), np.full(len(ys), np.inf)
+    for i, zlo, zhi in zeros:
+        off = (ys[:, i] < zlo) | (ys[:, i] > zhi)
+        lo[off], hi[off] = np.inf, -np.inf
+    for i, s, a, e in lows:
+        lo = np.maximum(lo, -((e - s * ys[:, i]) // a))
+    for i, s, a, e in highs:
+        hi = np.minimum(hi, (s * ys[:, i] - e) // a)
     return lo, hi
 
 

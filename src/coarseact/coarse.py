@@ -61,6 +61,9 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     GroupSpec,
+    _interval_k1,
+    _k1_interval,
+    _k1_rows,
     column_lattice_index,
     covering_residues,
     lattice_box_feasible,
@@ -164,13 +167,26 @@ def _orbit_pair_test(e: OrbitPair):
         moved = [{mapping[p] for p in b.points} for mapping in mappings]
         return lambda x, y: x == y or any(x in s and y in s for s in moved)
     pieces = set_boxes(b)
+    if a.group.rank == 1:
+        offsets = _k1_offsets(a.matrix, pieces)
+
+        def member_k1(x, y):
+            # (x,y) ∈ E(L,B) iff x = y or some I_p(x) meets some I_q(y)
+            if x == y:
+                return True
+            jys = offsets(y)
+            return any(max(lo, u) <= min(hi, v) for lo, hi in offsets(x) for u, v in jys)
+
+        return member_k1
 
     def member(x, y):
         if x == y:
             return True
         undecided = False
-        ys = _offsets(y, pieces)
-        for cu in _offsets(x, pieces):
+        # x ⊖ p: the shifts M·l that carry the piece p to x
+        px, py = point_box(x), point_box(y)
+        ys = [difference_box(py, q) for q in pieces]
+        for cu in [difference_box(px, p) for p in pieces]:
             for cv in ys:
                 c = box_intersect(cu, cv)
                 r = lattice_box_feasible(a.matrix, c) if not c.empty else False
@@ -182,17 +198,18 @@ def _orbit_pair_test(e: OrbitPair):
     return member
 
 
-def _offsets(x, pieces) -> list:
-    """x ⊖ piece for each piece: the shifts M·l that can carry the piece to x."""
-    px = point_box(x)
-    return [difference_box(px, piece) for piece in pieces]
+def _k1_offsets(m: tuple, pieces):
+    """For k = 1, x ↦ the non-empty intervals I_p(x) = {l : x - M·l ∈ p}."""
+    rows = [_k1_rows(m, p.lower, p.upper) for p in pieces]
+    return lambda x: [iv for r in rows if (iv := _k1_interval(r, x)) is not None]
 
 
 def _compose_test(e: Compose, budget: Budget):
-    rw = entourage_rewrite(e)
+    e1, e2 = e.e1, e.e2
+    f1, f2 = entourage_rewrite(e1), entourage_rewrite(e2)
+    rw = _rewrite_compose(e, f1, f2)
     if rw.exact and not isinstance(rw.descriptor, Compose):
         return _member_test(rw.descriptor, budget)
-    e1, e2 = e.e1, e.e2
     if (
         isinstance(e1, OrbitPair)
         and isinstance(e2, OrbitPair)
@@ -202,7 +219,7 @@ def _compose_test(e: Compose, budget: Budget):
     ):
         return _orbit_compose_test_k1(e1, e2)
     in1, in2 = _member_test(e1, budget), _member_test(e2, budget)
-    r1, r2 = reach(e1), reach(e2)
+    r1, r2 = reach(e1, f1), reach(e2, f2)
 
     def member(x, z):
         # through y = x or y = z
@@ -270,24 +287,20 @@ def _orbit_compose_test_k1(e1: OrbitPair, e2: OrbitPair):
     """
     in1, in2 = _orbit_pair_test(e1), _orbit_pair_test(e2)
     m = e1.action.matrix
-    from .actions import _interval_k1
-
     b1, b2 = e1.bounded_set, e2.bounded_set
     if set_is_empty(b1) or set_is_empty(b2):
         return lambda x, z: bool(in1(x, z) or in2(x, z) or x == z)
     pieces1, pieces2 = set_boxes(b1), set_boxes(b2)
-
-    def intervals(boxes):
-        return [iv for c in boxes if (iv := _interval_k1(m, c)) is not None]
-
     # t := l - h must satisfy M t ∈ pd ⊖ pc, for every pc of B1 and pd of B2
-    jts = intervals(difference_box(pd, pc) for pc in pieces1 for pd in pieces2)
+    jts = [iv for pc in pieces1 for pd in pieces2
+           if (iv := _interval_k1(m, difference_box(pd, pc))) is not None]
+    offsets1, offsets2 = _k1_offsets(m, pieces1), _k1_offsets(m, pieces2)
 
     def member(x, z):
         if in1(x, z) or in2(x, z):
             return True
-        jws = intervals(_offsets(z, pieces2))
-        for ju in intervals(_offsets(x, pieces1)):
+        jws = offsets2(z)
+        for ju in offsets1(x):
             for jt in jts:
                 # h ∈ Ju ⊖ Jt: the Minkowski difference of integer intervals
                 # is exact
@@ -302,22 +315,20 @@ def _orbit_compose_test_k1(e1: OrbitPair, e2: OrbitPair):
 # --- reach and rewrite -------------------------------------------------------
 
 
-def reach(e):
+def reach(e, rw: Rewrite):
     """A set containing {y - x : (x,y) ∈ e} on lattices; None when unknown.
+    rw is e's rewrite, whose DiffRel (exact or not) already holds (B ⊖ B) ∪ {0}.
 
     May over-approximate (used for candidate generation and hull reasoning).
     """
     sp = e.space
     if not sp.is_lattice:
         return None
-    d = sp.dim
-    if isinstance(e, DiffRel):
-        return e.shift_set
+    if isinstance(e, (DiffRel, OrbitPair)) and isinstance(rw.descriptor, DiffRel):
+        return rw.descriptor.shift_set
     if isinstance(e, OrbitPair):
-        if set_is_empty(e.bounded_set):
-            return FinitePoints(frozenset({(0,) * d}))
         diff, _ = _piecewise_difference(e.bounded_set, e.bounded_set)
-        return _union_or_hull(diff, FinitePoints(frozenset({(0,) * d})))[0]
+        return _union_or_hull(diff, FinitePoints(frozenset({(0,) * sp.dim})))[0]
     return None
 
 
@@ -366,7 +377,7 @@ def entourage_rewrite(e) -> Rewrite:
     if isinstance(e, OrbitPair):
         return _rewrite_orbit_pair(e)
     if isinstance(e, Compose):
-        return _rewrite_compose(e)
+        return _rewrite_compose(e, entourage_rewrite(e.e1), entourage_rewrite(e.e2))
     return Rewrite(e, True)
 
 
@@ -386,10 +397,9 @@ def _rewrite_orbit_pair(e: OrbitPair) -> Rewrite:
     return Rewrite(DiffRel(a.space, diff), exact)
 
 
-def _rewrite_compose(e: Compose) -> Rewrite:
-    """Operands that rewrite exactly to DiffRel compose to a DiffRel; any
-    other composition stays as it is."""
-    r1, r2 = entourage_rewrite(e.e1), entourage_rewrite(e.e2)
+def _rewrite_compose(e: Compose, r1: Rewrite, r2: Rewrite) -> Rewrite:
+    """Operands whose rewrites r1, r2 are exact DiffRels compose to a DiffRel;
+    any other composition stays as it is."""
     d1, d2 = r1.descriptor, r2.descriptor
     if isinstance(d1, DiffRel) and isinstance(d2, DiffRel) and r1.exact and r2.exact:
         shifts, exact = _piecewise_minkowski(d1.shift_set, d2.shift_set)

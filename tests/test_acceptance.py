@@ -211,9 +211,10 @@ def test_criterion_6_oracle_agreement(flagships):
     mismatched = [r for r in reports if not r.passed]
     elapsed = time.monotonic() - start
     assert not mismatched, mismatched[:3]
-    # fault injection: three seeded single-end faults each produce a mismatch
+    # fault injection: four seeded single-end faults each produce a mismatch
     import coarseact.actions as actions_mod
     import coarseact.coarse as coarse_mod
+    from coarseact.actions import _k1_interval as real_interval
     from coarseact.boxes import Box
     from coarseact.boxes import box_intersect as real_intersect
     from coarseact.boxes import difference_box as real_diff
@@ -225,6 +226,13 @@ def test_criterion_6_oracle_agreement(flagships):
         if out.empty or out.upper[0] == float("inf"):
             return out
         return Box(out.lower, (out.upper[0] + 1,) + out.upper[1:])
+
+    def fault_interval_end(rows, x):
+        # rank-1 membership meets per-point intervals, not boxes
+        out = real_interval(rows, x)
+        if out is None or out[0] == -float("inf"):
+            return out
+        return (out[0] - 1, out[1])
 
     def fault_intersect_end(b1, b2):
         out = real_intersect(b1, b2)
@@ -242,7 +250,9 @@ def test_criterion_6_oracle_agreement(flagships):
     hyperbola = flagships[1]
     injections = [
         (actions_mod, "difference_box", fault_transporter_end, shift, ("transporter",)),
-        (coarse_mod, "box_intersect", fault_intersect_end, hyperbola, ("entourage",)),
+        (coarse_mod, "_k1_interval", fault_interval_end, hyperbola, ("entourage",)),
+        (coarse_mod, "box_intersect", fault_intersect_end, random_instance(4, "lattice-k2"),
+         ("entourage",)),
         (coarse_mod, "difference_box", fault_membership_end, shift,
          ("entourage", "neighborhood")),
     ]
@@ -256,7 +266,7 @@ def test_criterion_6_oracle_agreement(flagships):
         faults.append(any(not r.passed for r in broken))
     assert all(faults), faults
     report(6, True, f"105 instances agree at W=32 in {elapsed:.1f}s; "
-                    f"3/3 faults detected")
+                    f"4/4 faults detected")
 
 
 def test_criterion_7_finite_algebra():

@@ -200,8 +200,10 @@ class TestLemmaAlgebra:
 
     def test_membership_fault_refutes_with_pinned_witness(self, shift, monkeypatch):
         # the entourage fault of acceptance criterion 6: x ⊖ piece reaches two
-        # past its upper end; the first witness of the scan is pinned
+        # past its upper end, both where it is a box and where rank-1
+        # membership reads it as rows; the first witness of the scan is pinned
         import coarseact.coarse as coarse_mod
+        from coarseact.actions import _k1_rows as real_rows
         from coarseact.boxes import Box
         from coarseact.boxes import difference_box as real_diff
 
@@ -211,7 +213,14 @@ class TestLemmaAlgebra:
                 return out
             return Box(out.lower, out.upper[:-1] + (out.upper[-1] + 2,))
 
+        def fault_membership_rows(m, lower, upper):
+            # the upper end of x ⊖ piece is x - piece.lower
+            if lower[-1] != -float("inf"):
+                lower = lower[:-1] + (lower[-1] - 2,)
+            return real_rows(m, lower, upper)
+
         monkeypatch.setattr(coarse_mod, "difference_box", fault_membership_end)
+        monkeypatch.setattr(coarse_mod, "_k1_rows", fault_membership_rows)
         v = verify_lemma_algebra(shift, box_set((0, 0)), box_set((0, 3)))
         assert v.refuted
         assert v.witness == {"condition": "composition", "pair": ((0,), (6,))}
@@ -222,9 +231,9 @@ class TestLemmaAlgebra:
         real = coarse_mod._rewrite_compose
         calls = []
 
-        def counted(e):
+        def counted(e, *factor_rewrites):
             calls.append(e)
-            return real(e)
+            return real(e, *factor_rewrites)
 
         monkeypatch.setattr(coarse_mod, "_rewrite_compose", counted)
         q = box_set((-2, 1), (0, 2))
@@ -406,8 +415,12 @@ class TestMemberGridParity:
         half = box_set((NEG_INF, 1), *([(-2, POS_INF)] * (d - 1)))
         slab = box_set((-1, 2), *([(NEG_INF, POS_INF)] * (d - 1)))
         small = box_set(*([(0, 1)] * d))
+        # points past the window, one past the int64 range, and one on its edge
+        far = points_set((5,) * d, (10**20,) + (0,) * (d - 1), (1,) + (-5,) * (d - 1),
+                         (-4,) * d)
         grid = _window_grid(d, 4)
-        for s in (pts, half, slab, union_set(pts, half, small), union_set(slab, pts)):
+        for s in (pts, half, slab, union_set(pts, half, small), union_set(slab, pts), far,
+                  union_set(far, small)):
             got = _set_member_grid(s, grid)
             for i, row in enumerate(grid):
                 y = tuple(int(c) for c in row)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarseact.boxes import (
     NEG_INF,
@@ -10,9 +12,13 @@ from coarseact.boxes import (
     FinitePoints,
     GeometryError,
     GroundSpace,
+    box_intersect,
     box_set,
+    difference_box,
     empty_set,
+    point_box,
     points_set,
+    set_boxes,
     set_membership,
     set_points_within,
     union_set,
@@ -24,7 +30,12 @@ from coarseact.bornology import (
     cubes_chain,
     maximal_bornology,
 )
-from coarseact.actions import ActionInstance, TranslationRule, lattice_group
+from coarseact.actions import (
+    ActionInstance,
+    TranslationRule,
+    lattice_box_feasible,
+    lattice_group,
+)
 from coarseact.coarse import (
     ChainStructure,
     Compose,
@@ -36,6 +47,7 @@ from coarseact.coarse import (
     close_finite_base,
     coarsely_bounded,
     coarsely_transitive_check,
+    entourage_members,
     entourage_membership,
     entourage_rewrite,
     equi_controlled_check,
@@ -193,6 +205,91 @@ class TestMembership:
             p, q = rng.choice(pts), rng.choice(pts)
             assert entourage_membership(e, (p, q)) == entourage_membership(e, (q, p))
             assert entourage_membership(e, (p, p)) is True
+
+
+def _translation(m):
+    space, k = GroundSpace.lattice(len(m)), len(m[0])
+    return ActionInstance("m", lattice_group(k, cubes_chain(GroundSpace.lattice(k))), space,
+                          TranslationRule(m), cubes_chain(space))
+
+
+@st.composite
+def _rank1_orbit_case(draw):
+    """A rank-1 M with entries in ±3 (zero rows too), B a box or a union of
+    2-3 boxes and points with some infinite ends, and window pairs."""
+    d = draw(st.integers(1, 3))
+    m = tuple((draw(st.integers(-3, 3)),) for _ in range(d))
+    ends = st.integers(-6, 6)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            pieces.append(points_set(*draw(st.lists(st.tuples(*[ends] * d), min_size=1,
+                                                    max_size=2))))
+            continue
+        sides = []
+        for _ in range(d):
+            lo, hi = sorted((draw(ends), draw(ends)))
+            sides.append((draw(st.sampled_from((lo, lo, NEG_INF))),
+                          draw(st.sampled_from((hi, hi, POS_INF)))))
+        pieces.append(box_set(*sides))
+    point = st.tuples(*[st.integers(-9, 9)] * d)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=25))
+    return m, union_set(*pieces), pairs
+
+
+class TestRankOneMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(_rank1_orbit_case())
+    def test_interval_overlap_matches_box_feasibility(self, case):
+        # the rank-1 interval test against the box formula it replaces
+        m, b, pairs = case
+        pieces = set_boxes(b)
+
+        def by_boxes(x, y):
+            return x == y or any(
+                lattice_box_feasible(m, box_intersect(difference_box(point_box(x), p),
+                                                      difference_box(point_box(y), q)))
+                for p in pieces for q in pieces)
+
+        got = entourage_members(OrbitPair(_translation(m), b), pairs)
+        assert got == [by_boxes(x, y) for x, y in pairs]
+
+    def test_no_box_built_per_pair(self, hyperbola, monkeypatch):
+        import coarseact.coarse as coarse_mod
+
+        calls = []
+        for name in ("difference_box", "box_intersect"):
+            real = getattr(coarse_mod, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(coarse_mod, name, counted)
+        b = union_set(box_set((0, 2), (NEG_INF, 0)), box_set((-6, -4), (3, 5)))
+        assert len(set_boxes(b)) == 2
+        pts = list(itertools.product(range(-5, 6), repeat=2))
+        pairs = [(p, q) for p in pts[::7] for q in pts[::5]]
+        got = entourage_members(OrbitPair(hyperbola, b), pairs)
+        assert True in got and False in got
+        assert calls == []
+
+    def test_compose_builds_each_factor_difference_once(self, monkeypatch):
+        import coarseact.coarse as coarse_mod
+
+        real = coarse_mod._piecewise_difference
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(coarse_mod, "_piecewise_difference", counted)
+        a = _translation(((2, 0), (0, 2)))
+        e = Compose(OrbitPair(a, box_set((0, 1), (0, 1))), OrbitPair(a, box_set((-1, 0), (0, 2))))
+        pairs = [((0, 0), (0, 0)), ((0, 0), (1, 2)), ((0, 0), (9, 9)), ((1, 1), (-2, 3))]
+        entourage_members(e, pairs)
+        assert len(calls) == 2
 
 
 class TestRewrite:

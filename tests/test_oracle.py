@@ -317,7 +317,8 @@ class TestCrossCheck:
         reports = cross_check([shift], primitives=("transporter",), window=16)
         assert any(not r.passed for r in reports)
 
-    def test_fault_injection_box_intersect(self, hyperbola, monkeypatch):
+    def test_fault_injection_box_intersect(self, monkeypatch):
+        # rank-2 orbit-pair membership still meets x ⊖ p and y ⊖ q as boxes
         import coarseact.coarse as coarse_mod
         from coarseact.boxes import box_intersect as real, Box
 
@@ -328,6 +329,22 @@ class TestCrossCheck:
             return Box(tuple(l - 1 for l in out.lower), out.upper)
 
         monkeypatch.setattr(coarse_mod, "box_intersect", faulty)
+        reports = cross_check([random_instance(4, "lattice-k2")], primitives=("entourage",),
+                              window=16)
+        assert any(not r.passed for r in reports)
+
+    def test_fault_injection_interval_lower_end(self, hyperbola, monkeypatch):
+        # rank-1 orbit-pair membership meets the intervals I_p(x) and I_q(y)
+        import coarseact.coarse as coarse_mod
+        from coarseact.actions import _k1_interval as real
+
+        def faulty(rows, x):
+            out = real(rows, x)
+            if out is None or out[0] == -float("inf"):
+                return out
+            return (out[0] - 1, out[1])
+
+        monkeypatch.setattr(coarse_mod, "_k1_interval", faulty)
         reports = cross_check([hyperbola], primitives=("entourage",), window=16)
         assert any(not r.passed for r in reports)
 
