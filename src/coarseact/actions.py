@@ -426,8 +426,19 @@ def _fm_bounds_k2(ineqs, var: int):
 
 
 def _interval_k1(m: tuple, c: Box):
-    """Exact integer interval {l : M·l ∈ C} for k = 1 (0 - (-M)·l ∈ C); None if empty."""
-    return _k1_interval(_k1_rows([(-row[0],) for row in m], c.lower, c.upper), (0,) * len(m))
+    """Exact integer interval {l : M·l ∈ C} for k = 1; None if empty."""
+    lo, hi = NEG_INF, POS_INF
+    for (a,), clo, chi in zip(m, c.lower, c.upper):
+        if a < 0:
+            a, clo, chi = -a, -chi, -clo
+        if a == 0 and not clo <= 0 <= chi:
+            return None
+        # a·l ∈ [clo, chi], a ≥ 0
+        if a and is_finite_end(clo):
+            lo = max(lo, _ceil_div(int(clo), a))
+        if a and is_finite_end(chi):
+            hi = min(hi, int(chi) // a)
+    return (lo, hi) if lo <= hi else None
 
 
 def _k1_rows(m: tuple, lower: tuple, upper: tuple) -> tuple:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from operator import add
 
 from . import boxes as bx
 from .boxes import (
@@ -24,7 +23,6 @@ from .boxes import (
     is_finite_end,
     mat_vec,
     set_bounding_box,
-    set_boxes,
     set_is_empty,
     set_membership,
     set_translate,
@@ -45,8 +43,6 @@ from .actions import (
     coset_sample_points,
     orbit_bornologies,
     rational_bbox,
-    _k1_interval,
-    _k1_rows,
     transporter,
     transporter_bounded,
     _level_set,
@@ -55,6 +51,7 @@ from .coarse import (
     ChainStructure,
     Compose,
     OrbitPair,
+    _int_array,
     associated_orbit_structure,
     coarsely_transitive_check,
     entourage_members,
@@ -120,47 +117,6 @@ def _set_member_grid(s, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit_member_grid(e: OrbitPair, x, ygrid: np.ndarray) -> np.ndarray:
-    """Membership of (x, y) in E(L,B) for every y in the grid, exactly.
-
-    Translation rules with k = 1 vectorize: the feasible l form per-piece
-    integer intervals, so the test is interval arithmetic over arrays.
-    """
-    import numpy as np
-
-    a = e.action
-    out = np.all(ygrid == np.array(x), axis=1)
-    if set_is_empty(e.bounded_set):
-        return out
-    if a.is_translation and a.group.rank == 1:
-        rows = [_k1_rows(a.matrix, p.lower, p.upper) for p in set_boxes(e.bounded_set)]
-        for ju in filter(None, (_k1_interval(r, x) for r in rows)):
-            for r in rows:
-                lo, hi = _k1_intervals_np(r, ygrid)
-                out |= np.maximum(lo, ju[0]) <= np.minimum(hi, ju[1])
-        return out
-    rest = np.nonzero(~out)[0]
-    pairs = [(tuple(x), tuple(int(c) for c in ygrid[i])) for i in rest]
-    out[rest] = [bool(r) for r in entourage_members(e, pairs)]
-    return out
-
-
-def _k1_intervals_np(rows: tuple, ys: np.ndarray):
-    """actions._k1_interval at each row of ys: arrays lo, hi; lo > hi if empty."""
-    import numpy as np
-
-    zeros, lows, highs = rows
-    lo, hi = np.full(len(ys), -np.inf), np.full(len(ys), np.inf)
-    for i, zlo, zhi in zeros:
-        off = (ys[:, i] < zlo) | (ys[:, i] > zhi)
-        lo[off], hi[off] = np.inf, -np.inf
-    for i, s, a, e in lows:
-        lo = np.maximum(lo, -((e - s * ys[:, i]) // a))
-    for i, s, a, e in highs:
-        hi = np.minimum(hi, (s * ys[:, i] - e) // a)
-    return lo, hi
-
-
 def verify_lemma_neighborhood(a: ActionInstance, b, x, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Compare E(L,B)[x] computed two independent ways at the swept points.
 
@@ -174,16 +130,22 @@ def verify_lemma_neighborhood(a: ActionInstance, b, x, budget: Budget = DEFAULT_
     x = tuple(x) if a.space.is_lattice else x
     rhs, exact = neighborhood(e, FinitePoints(frozenset({x})), budget)
     if a.space.is_lattice:
+        import numpy as np
+
         d = a.space.dim
         ys = _window_grid(d, min(budget.window, 32 if d <= 2 else 10))
-        left = _orbit_member_grid(e, x, ys).tolist()
+        # (n, 2, d) pairs laid out coordinate-major, as the batch reads them
+        pairs = np.stack(np.broadcast_arrays(_int_array(x)[:, None], ys.T)).transpose(2, 0, 1)
         right = _set_member_grid(rhs, ys).tolist()
         note = "window equality"
     else:
         ys = a.space.labels
-        left = [m is True for m in entourage_members(e, [(x, y) for y in ys], budget)]
+        pairs = [(x, y) for y in ys]
         right = [set_membership(rhs, y) for y in ys]
         note = "finite sweep equality"
+    left = entourage_members(e, pairs, budget)
+    if left != right:
+        left = [m is True for m in left]
     if left == right:
         return confirmed(note + ("" if exact else " (right side truncated)"))
     i = next(i for i, (l, r) in enumerate(zip(left, right)) if l != r)
@@ -205,17 +167,11 @@ def _sample_pairs(d: int, window: int, count: int, seed: int = 0) -> list:
                 p = tuple(sign * t if j == i else 0 for j in range(d))
                 pairs.append((z, p))
                 pairs.append((p, tuple(2 * c for c in p)))
-    while len(pairs) < count:
-        p = tuple(rng.randint(-window, window) for _ in range(d))
-        q = tuple(rng.randint(-window, window) for _ in range(d))
-        pairs.append((p, q))
-    seen = []
-    known = set()
-    for pr in pairs:
-        if pr not in known:
-            known.add(pr)
-            seen.append(pr)
-    return seen[:count]
+    # seeded draws, d for p and then d for q, until the list holds count
+    draws = [rng.randrange(-window, window + 1) for _ in range(2 * d * (count - len(pairs)))]
+    pairs += [(tuple(draws[k:k + d]), tuple(draws[k + d:k + 2 * d]))
+              for k in range(0, len(draws), 2 * d)]
+    return list(dict.fromkeys(pairs))[:count]
 
 
 def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUDGET) -> Verdict:
@@ -228,25 +184,28 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
         pairs = _sample_pairs(d, min(budget.window, 32), 240)
         points = _sample_points(d, min(budget.window, 32), 40)
         sweep_ls = _sample_group_elements(a, budget)
-        shifts = [mat_vec(a.matrix, l) for l in sweep_ls]
-        moved_pairs = [(tuple(map(add, x, s)), tuple(map(add, y, s)))
-                       for x, y in pairs for s in shifts]
+        # the sample as an (n, 2, d) array; (x + M·l, y + M·l) in the order
+        # of: for (x, y) in pairs, for l in sweep_ls
+        sample = _int_array(pairs)
+        shifts = _int_array([mat_vec(a.matrix, l) for l in sweep_ls])
+        moved_pairs = (sample[:, None] + shifts[None, :, None]).reshape(-1, 2, d)
         note = "sampled window verification"
     else:
         eu = OrbitPair(a, FinitePoints(frozenset(b1.points | b2.points)))
         points = a.space.labels
-        pairs = list(itertools.product(points, repeat=2))
+        sample = pairs = list(itertools.product(points, repeat=2))
         sweep_ls = a.group.elements
         mappings = [a.rule.mapping(i) for i in range(len(sweep_ls))]
         moved_pairs = [(g[x], g[y]) for x, y in pairs for g in mappings]
         note = "exhaustive finite verification"
     # each descriptor answers its whole sample in one batch; the scans below
     # keep the order of the conditions, so the first witness is the same
-    m1s = entourage_members(e1, pairs, budget)
-    m1ts = entourage_members(e1, [(y, x) for x, y in pairs], budget)
+    m1s = entourage_members(e1, sample, budget)
+    transposed = sample[:, ::-1] if a.space.is_lattice else [(y, x) for x, y in pairs]
+    m1ts = entourage_members(e1, transposed, budget)
     n = len(sweep_ls)
     moved = entourage_members(e1, moved_pairs, budget)
-    m2s = entourage_members(e2, pairs, budget)
+    m2s = entourage_members(e2, sample, budget)
     hits = [p for p, m1, m2 in zip(pairs, m1s, m2s) if m1 is True or m2 is True]
     in_union = dict(zip(hits, entourage_members(eu, hits, budget)))
     for i, (x, y) in enumerate(pairs):
@@ -255,8 +214,9 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
         if m1 is not None and m1t is not None and m1 != m1t:
             return refuted(witness={"condition": "transpose", "pair": (x, y)})
         # (i) invariance under the swept group elements
-        if m1 is not None:
-            for l, ms in zip(sweep_ls, moved[i * n:(i + 1) * n]):
+        row = moved[i * n:(i + 1) * n]
+        if m1 is not None and row.count(m1) + row.count(None) < n:
+            for l, ms in zip(sweep_ls, row):
                 if ms is not None and ms != m1:
                     return refuted(
                         witness={"condition": "invariance", "pair": (x, y), "l": l}
@@ -274,7 +234,7 @@ def verify_lemma_algebra(a: ActionInstance, b1, b2, budget: Budget = DEFAULT_BUD
     if bound is None:
         bound = _windowed_sweep_bound(a, b1, b2, budget)
     eb = OrbitPair(a, bound)
-    composed = entourage_members(Compose(e1, e2), pairs, budget)
+    composed = entourage_members(Compose(e1, e2), sample, budget)
     hits = [p for p, mc in zip(pairs, composed) if mc is True]
     for (x, z), mb in zip(hits, entourage_members(eb, hits, budget)):
         if mb is False:

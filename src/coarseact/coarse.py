@@ -28,6 +28,7 @@ from .boxes import (
     box_intersect,
     cube,
     difference_box,
+    is_finite_end,
     mat_vec,
     minkowski_sum,
     point_box,
@@ -86,6 +87,9 @@ from .verdicts import (
 )
 
 NBHD_ENUM_CAP = 60
+# the rank-1 batch kernel runs in int64 while coordinates and finite ends stay
+# below _K1_SMALL in magnitude; ±_K1_INF then stand for infinite ends
+_K1_SMALL, _K1_INF = 2**40, 2**61
 
 
 # --- entourage descriptors ---------------------------------------------------
@@ -132,14 +136,34 @@ class Compose:
 
 def entourage_members(e, pairs, budget: Budget = DEFAULT_BUDGET) -> list:
     """Membership of each pair in e: exact where decidable, None where only
-    budget evidence exists.  The work that depends on e alone runs once."""
+    budget evidence exists.  The work that depends on e alone runs once.
+
+    pairs is a sequence of (x, y) or an (n, 2, d) integer array.  A rank-1
+    translation orbit pair, or a composition of two that no rewrite makes a
+    DiffRel, answers the whole batch by interval arithmetic over integer
+    arrays: int64 with ±2**61 for infinite ends while every coordinate and
+    finite end is below 2**40 in magnitude, Python ints past that.
+    """
+    factors = (e.e1, e.e2) if isinstance(e, Compose) else (e,)
+    a = getattr(factors[0], "action", None)
+    if not (all(isinstance(f, OrbitPair) and f.action is a for f in factors)
+            and a.is_translation and a.group.rank == 1):
+        factors = ()
+    elif len(factors) == 2:
+        rw = _rewrite_compose(e, *map(entourage_rewrite, factors))
+        if rw.exact and not isinstance(rw.descriptor, Compose):
+            e, factors = rw.descriptor, ()
+    if factors:
+        return _k1_members(factors, pairs) if len(pairs) else []
     member = _member_test(e, budget)
+    if hasattr(pairs, "tolist"):
+        pairs = [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
     return [member(x, y) for x, y in pairs]
 
 
 def entourage_membership(e, pair, budget: Budget = DEFAULT_BUDGET):
-    """entourage_members for one pair."""
-    return entourage_members(e, (pair,), budget)[0]
+    """Membership of one pair, by the scalar test: no numpy is loaded."""
+    return _member_test(e, budget)(*pair)
 
 
 def _member_test(e, budget: Budget):
@@ -204,20 +228,79 @@ def _k1_offsets(m: tuple, pieces):
     return lambda x: [iv for r in rows if (iv := _k1_interval(r, x)) is not None]
 
 
+def _k1_members(factors, pairs) -> list:
+    """entourage_members of E(L,B) or E(L,B1)∘E(L,B2) for a rank-1 translation
+    action, by interval arithmetic over every pair at once."""
+    import numpy as np
+
+    pts = _int_array(pairs)
+    pieces = [set_boxes(f.bounded_set) for f in factors]
+    ends = [v for ps in pieces for p in ps for v in p.lower + p.upper if is_finite_end(v)]
+    inf = _K1_INF
+    if pts.dtype == object or any(abs(v) >= _K1_SMALL for v in ends):
+        # Python ints: interval ends stay within 4 times the largest coordinate
+        # or end, so 16 times that stands for infinity
+        pts = pts.astype(object)
+        inf = 2 ** (max(map(abs, ends + [pts.min(), pts.max()])).bit_length() + 4)
+    m = factors[0].action.matrix
+    # coordinate-major (d, n) copies: numpy reduces and indexes along n fastest
+    x, y = np.ascontiguousarray(pts.transpose(1, 2, 0))
+    rows = [[_k1_rows(m, p.lower, p.upper) for p in ps] for ps in pieces]
+    ix, iy = ([[_k1_bounds(r, q, inf) for r in rs] for rs in rows] for q in (x, y))
+    out = (x == y).all(axis=0)
+    # (x,y) ∈ E(L,B) iff x = y or some I_p(x) meets some I_q(y)
+    for jx, jy in zip(ix, iy):
+        for (lo, hi), (u, v) in itertools.product(jx, jy):
+            out |= np.maximum(lo, u) <= np.minimum(hi, v)
+    if len(factors) == 2:
+        # (x,z) ∈ E(L,B1)∘E(L,B2) also when M·l ∈ x ⊖ B1, M·h ∈ z ⊖ B2 and
+        # M·(l - h) ∈ B2 ⊖ B1: l - h lies in one of the intervals J_t, and h
+        # in I_u(x) ⊖ J_t (the Minkowski difference of integer intervals is exact)
+        jts = [(max(iv[0], -inf), min(iv[1], inf)) for pc in pieces[0] for pd in pieces[1]
+               if (iv := _interval_k1(m, difference_box(pd, pc))) is not None]
+        for (lo, hi), (t0, t1), (u, v) in itertools.product(ix[0], jts, iy[1]):
+            out |= (lo <= hi) & (np.maximum(lo - t1, u) <= np.minimum(hi - t0, v))
+    return out.tolist()
+
+
+def _k1_bounds(rows: tuple, pts, inf):
+    """_k1_interval at n points given as a (d, n) integer array: arrays lo, hi
+    with ±inf for infinite ends and lo > hi where the interval is empty."""
+    import numpy as np
+
+    zeros, lows, highs = rows
+    n = pts.shape[1]
+    lo, hi = np.full(n, -inf, dtype=pts.dtype), np.full(n, inf, dtype=pts.dtype)
+    for i, s, a, e in lows:
+        lo = np.maximum(lo, -((e - s * pts[i]) // a))
+    for i, s, a, e in highs:
+        hi = np.minimum(hi, (s * pts[i] - e) // a)
+    for i, zlo, zhi in zeros:
+        off = (pts[i] < zlo) | (pts[i] > zhi)
+        lo[off], hi[off] = inf, -inf
+    return lo, hi
+
+
+def _int_array(values):
+    """values as an int64 array when every entry is below 2**40 in magnitude,
+    else as an array of Python ints; exact either way."""
+    import numpy as np
+
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+        if not arr.size or -_K1_SMALL < arr.min() <= arr.max() < _K1_SMALL:
+            return arr
+    except OverflowError:
+        pass
+    return np.array(values, dtype=object)
+
+
 def _compose_test(e: Compose, budget: Budget):
     e1, e2 = e.e1, e.e2
     f1, f2 = entourage_rewrite(e1), entourage_rewrite(e2)
     rw = _rewrite_compose(e, f1, f2)
     if rw.exact and not isinstance(rw.descriptor, Compose):
         return _member_test(rw.descriptor, budget)
-    if (
-        isinstance(e1, OrbitPair)
-        and isinstance(e2, OrbitPair)
-        and e1.action is e2.action
-        and e1.action.is_translation
-        and e1.action.group.rank == 1
-    ):
-        return _orbit_compose_test_k1(e1, e2)
     in1, in2 = _member_test(e1, budget), _member_test(e2, budget)
     r1, r2 = reach(e1, f1), reach(e2, f2)
 
@@ -276,40 +359,6 @@ def _tristate_or(a, b):
     if a is False and b is False:
         return False
     return None
-
-
-def _orbit_compose_test_k1(e1: OrbitPair, e2: OrbitPair):
-    """Exact orbit∘orbit composition for rank-1 translation actions.
-
-    (x,z) ∈ E(L,B1)∘E(L,B2) iff x=z-side degeneracies hold, or there are
-    l, h with M·l ∈ x⊖B1, M·h ∈ z⊖B2 and M·(h-l) ∈ B2⊖B1; for k = 1 each
-    condition is an integer interval, so feasibility is interval arithmetic.
-    """
-    in1, in2 = _orbit_pair_test(e1), _orbit_pair_test(e2)
-    m = e1.action.matrix
-    b1, b2 = e1.bounded_set, e2.bounded_set
-    if set_is_empty(b1) or set_is_empty(b2):
-        return lambda x, z: bool(in1(x, z) or in2(x, z) or x == z)
-    pieces1, pieces2 = set_boxes(b1), set_boxes(b2)
-    # t := l - h must satisfy M t ∈ pd ⊖ pc, for every pc of B1 and pd of B2
-    jts = [iv for pc in pieces1 for pd in pieces2
-           if (iv := _interval_k1(m, difference_box(pd, pc))) is not None]
-    offsets1, offsets2 = _k1_offsets(m, pieces1), _k1_offsets(m, pieces2)
-
-    def member(x, z):
-        if in1(x, z) or in2(x, z):
-            return True
-        jws = offsets2(z)
-        for ju in offsets1(x):
-            for jt in jts:
-                # h ∈ Ju ⊖ Jt: the Minkowski difference of integer intervals
-                # is exact
-                lo, hi = ju[0] - jt[1], ju[1] - jt[0]
-                if any(max(lo, jw[0]) <= min(hi, jw[1]) for jw in jws):
-                    return True
-        return False
-
-    return member
 
 
 # --- reach and rewrite -------------------------------------------------------

@@ -214,7 +214,7 @@ def test_criterion_6_oracle_agreement(flagships):
     # fault injection: four seeded single-end faults each produce a mismatch
     import coarseact.actions as actions_mod
     import coarseact.coarse as coarse_mod
-    from coarseact.actions import _k1_interval as real_interval
+    from coarseact.coarse import _k1_bounds as real_bounds
     from coarseact.boxes import Box
     from coarseact.boxes import box_intersect as real_intersect
     from coarseact.boxes import difference_box as real_diff
@@ -227,12 +227,12 @@ def test_criterion_6_oracle_agreement(flagships):
             return out
         return Box(out.lower, (out.upper[0] + 1,) + out.upper[1:])
 
-    def fault_interval_end(rows, x):
-        # rank-1 membership meets per-point intervals, not boxes
-        out = real_interval(rows, x)
-        if out is None or out[0] == -float("inf"):
-            return out
-        return (out[0] - 1, out[1])
+    def fault_interval_end(rows, pts, inf):
+        # rank-1 membership meets per-point interval arrays, not boxes
+        import numpy as np
+
+        lo, hi = real_bounds(rows, pts, inf)
+        return np.where((lo > -inf) & (lo <= hi), lo - 1, lo), hi
 
     def fault_intersect_end(b1, b2):
         out = real_intersect(b1, b2)
@@ -250,7 +250,7 @@ def test_criterion_6_oracle_agreement(flagships):
     hyperbola = flagships[1]
     injections = [
         (actions_mod, "difference_box", fault_transporter_end, shift, ("transporter",)),
-        (coarse_mod, "_k1_interval", fault_interval_end, hyperbola, ("entourage",)),
+        (coarse_mod, "_k1_bounds", fault_interval_end, hyperbola, ("entourage",)),
         (coarse_mod, "box_intersect", fault_intersect_end, random_instance(4, "lattice-k2"),
          ("entourage",)),
         (coarse_mod, "difference_box", fault_membership_end, shift,

@@ -38,6 +38,7 @@ from coarseact.coarse import (
     OrbitPair,
     associated_connected_structure,
     associated_orbit_structure,
+    entourage_members,
     entourage_membership,
     group_right_structure,
     metric_ball_structure,
@@ -137,6 +138,14 @@ class TestLemmaNeighborhood:
             b = box_set(*((l, l + rng.randint(0, 3)) for l in lo))
             x = tuple(rng.randint(-4, 4) for _ in range(d))
             assert verify_lemma_neighborhood(inst, b, x, Budget(window=10)).confirmed
+
+    def test_far_bounded_set_is_exact(self, shift):
+        # B = {10**17}: no y ≠ x of the window shares a translate of B with
+        # x, so E(L,B)[x] = {x}; rounding 10**17 - y in floats once put -8 in
+        assert entourage_membership(OrbitPair(shift, box_set((10**17, 10**17))),
+                                    ((0,), (-8,))) is False
+        v = verify_lemma_neighborhood(shift, box_set((10**17, 10**17)), (0,))
+        assert v.confirmed and v.detail == "window equality"
 
     def test_union_past_the_cap_is_inconclusive(self, first_coordinate_shift):
         # 41 feasible shifts of a two-piece B pass the enumeration cap, so the
@@ -390,9 +399,10 @@ class TestTheoremTransitive:
 
 class TestMemberGridParity:
     def test_vectorized_membership_matches_scalar(self, hyperbola, shift):
+        # the batch answers a grid of pairs (x, y) as an (n, 2, d) array
         import numpy as np
 
-        from coarseact.associated import _orbit_member_grid, _window_grid
+        from coarseact.associated import _window_grid
 
         cases = [
             (hyperbola, box_set((NEG_INF, 0), (NEG_INF, 1)), (1, -2)),
@@ -402,10 +412,10 @@ class TestMemberGridParity:
         for inst, b, x in cases:
             e = OrbitPair(inst, b)
             grid = _window_grid(inst.space.dim, 6)
-            got = _orbit_member_grid(e, x, grid)
+            got = entourage_members(e, np.stack(np.broadcast_arrays(np.array(x), grid), axis=1))
             for i, row in enumerate(grid):
                 y = tuple(int(c) for c in row)
-                assert bool(got[i]) == (entourage_membership(e, (x, y)) is True), y
+                assert got[i] is entourage_membership(e, (x, y)), y
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_set_membership_grid_matches_scalar(self, d):

@@ -278,14 +278,16 @@ _NUMPY_PROBE = (
 
 
 class TestStartupImports:
-    """The exact commands never need numpy; only the oracle and the lattice
-    lemma verifier import it."""
+    """The exact commands never need numpy; only the oracle, the lattice
+    lemma verifiers and rank-1 membership batches import it."""
 
     @pytest.mark.parametrize("argv", [
         ["axioms", "hyperbola.instance"],
         ["classify", "hyperbola.instance"],
         ["theorem", "weak", "shift.instance"],
         ["theorem", "main", "hyperbola.instance"],
+        # the candidate and minimality path, through structure_leq
+        ["theorem", "main", "shift.instance"],
         ["theorem", "main", "cyclic_rotation.instance"],
         ["closure", "cyclic_rotation.instance"],
     ])

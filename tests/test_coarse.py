@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarseact.boxes import (
@@ -18,9 +18,11 @@ from coarseact.boxes import (
     empty_set,
     point_box,
     points_set,
+    set_bounding_box,
     set_boxes,
     set_membership,
     set_points_within,
+    set_translate,
     union_set,
 )
 from coarseact.bornology import (
@@ -237,7 +239,86 @@ def _rank1_orbit_case(draw):
     return m, union_set(*pieces), pairs
 
 
+# offsets around the int64 kernel's 2**40 bound and past the int64 range
+_FAR = st.sampled_from((0, 2**40 - 10, 2**40, -2**40 - 3, 2**62, 2**70, -2**70))
+
+
+def _far(draw, d):
+    return (0,) * d if draw(st.integers(0, 3)) == 0 else tuple(draw(_FAR) for _ in range(d))
+
+
+def _moved_pairs(pairs, v):
+    return [(tuple(map(sum, zip(x, v))), tuple(map(sum, zip(y, v)))) for x, y in pairs]
+
+
+@st.composite
+def _rank1_far_case(draw):
+    """_rank1_orbit_case with B moved by a far offset v, and the pairs moved
+    by v, by -v or not at all."""
+    m, b, pairs = draw(_rank1_orbit_case())
+    v = _far(draw, len(m))
+    moves = (v, v, tuple(-c for c in v), (0,) * len(m))
+    return m, set_translate(b, v), _moved_pairs(pairs, draw(st.sampled_from(moves)))
+
+
+@st.composite
+def _rank1_compose_case(draw):
+    """Rank-1 M (zero rows too) on Z or Z^2, bounded B1 and B2 of boxes and
+    points moved by far offsets, and pairs near the origin or near B1 or B2."""
+    d = draw(st.integers(1, 2))
+    m = tuple((draw(st.integers(-3, 3)),) for _ in range(d))
+    ends = st.integers(-3, 3)
+    sets, offsets = [], [(0,) * d]
+    for _ in range(2):
+        pieces = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                pieces.append(points_set(draw(st.tuples(*[ends] * d))))
+            else:
+                pieces.append(box_set(*(sorted((draw(ends), draw(ends))) for _ in range(d))))
+        offsets.append(_far(draw, d))
+        sets.append(set_translate(union_set(*pieces), offsets[-1]))
+    point = st.tuples(*[st.integers(-6, 6)] * d)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=10))
+    return m, sets, _moved_pairs(pairs, draw(st.sampled_from(offsets)))
+
+
 class TestRankOneMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(_rank1_far_case())
+    @example((((1,),), box_set((2**62, 2**62 + 3)), [((0,), (1,))]))
+    @example((((1,),), box_set((10 - 2**71, 13 - 2**71)), [((2**71 - 10,), (2**71 - 9,))]))
+    def test_batch_matches_scalar(self, case):
+        # int64 below 2**40, Python ints past it: the same exact answers
+        m, b, pairs = case
+        e = OrbitPair(_translation(m), b)
+        got = entourage_members(e, pairs)
+        assert got == [entourage_membership(e, p) for p in pairs]
+        assert all(type(r) is bool for r in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rank1_compose_case())
+    @example((((2,),), [box_set((0, 2))] * 2, [((0,), (4,)), ((0,), (5,))]))
+    @example((((2,),), [box_set((2**70, 2**70 + 2))] * 2, [((2**70,), (2**70 + 4,))]))
+    def test_batch_compose_matches_middle_point_search(self, case):
+        # (x, z) ∈ E1∘E2 iff some y has (x, y) ∈ E1 and (y, z) ∈ E2; x and y
+        # share a translate of B1, so y - x lies within B1's widths; in the
+        # examples only y = 2 (or 2**70 + 2) links (0, 4), and nothing (0, 5)
+        m, (b1, b2), pairs = case
+        a = _translation(m)
+        e1, e2 = OrbitPair(a, b1), OrbitPair(a, b2)
+        bb = set_bounding_box(b1)
+        w = max(hi - lo for lo, hi in zip(bb.lower, bb.upper))
+        steps = list(itertools.product(range(-w, w + 1), repeat=len(m)))
+
+        def by_search(x, z):
+            return any(entourage_membership(e1, (x, y)) and entourage_membership(e2, (y, z))
+                       for y in (tuple(map(sum, zip(x, s))) for s in steps))
+
+        got = entourage_members(Compose(e1, e2), pairs)
+        assert got == [by_search(x, z) for x, z in pairs]
+        assert all(type(r) is bool for r in got)
+
     @settings(max_examples=300, deadline=None)
     @given(_rank1_orbit_case())
     def test_interval_overlap_matches_box_feasibility(self, case):

@@ -334,17 +334,18 @@ class TestCrossCheck:
         assert any(not r.passed for r in reports)
 
     def test_fault_injection_interval_lower_end(self, hyperbola, monkeypatch):
-        # rank-1 orbit-pair membership meets the intervals I_p(x) and I_q(y)
+        # rank-1 orbit-pair membership meets the intervals I_p(x) and I_q(y),
+        # computed for the whole batch at once
+        import numpy as np
+
         import coarseact.coarse as coarse_mod
-        from coarseact.actions import _k1_interval as real
+        from coarseact.coarse import _k1_bounds as real
 
-        def faulty(rows, x):
-            out = real(rows, x)
-            if out is None or out[0] == -float("inf"):
-                return out
-            return (out[0] - 1, out[1])
+        def faulty(rows, pts, inf):
+            lo, hi = real(rows, pts, inf)
+            return np.where((lo > -inf) & (lo <= hi), lo - 1, lo), hi
 
-        monkeypatch.setattr(coarse_mod, "_k1_interval", faulty)
+        monkeypatch.setattr(coarse_mod, "_k1_bounds", faulty)
         reports = cross_check([hyperbola], primitives=("entourage",), window=16)
         assert any(not r.passed for r in reports)
 
