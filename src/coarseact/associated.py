@@ -45,6 +45,7 @@ from .actions import (
     rational_bbox,
     transporter,
     transporter_bounded,
+    _k1_hull,
     _level_set,
 )
 from .coarse import (
@@ -405,17 +406,20 @@ def associated_structure(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
 # --- theorem verifiers -------------------------------------------------------
 
 
-def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
+                           classification: Classification | None = None) -> Verdict:
     """B_{E(L,B_X)} = B_X as mutual chain cofinality.
 
     Direction one: B_n ⊆ E(L,B_n)[{x}] for x ∈ B_n via the identity element.
     Direction two: every E_n[{a}] over the sample grid is B_X-bounded, which
-    for translation rules reduces to point-transporter boundedness.
+    for translation rules reduces to point-transporter boundedness.  The
+    sample grid is a given classification's coset sample points.
     """
     if not a.space.is_lattice:
         return confirmed("finite degeneracy: both sides are the power set")
     certs = []
-    samples = coset_sample_points(a)[:6]
+    samples = (classification.sample_points if classification
+               else coset_sample_points(a))[:6]
     for n in range(budget.max_index + 1):
         lvl = level_box(a.space_bornology, n)
         if lvl.empty:
@@ -444,7 +448,11 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -
 
 
 def _neighborhood_hull(a: ActionInstance, t, lvl):
-    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}."""
+    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}; at rank 1
+    B_n − M·hull(T), which is the hull of the swept cases as M·l is monotone."""
+    if a.group.rank == 1:
+        hull = _k1_hull(t)[1]
+        return hull and bx.minkowski_sum(bx.negate_box(bx.image_hull(a.matrix, hull)), lvl)
     hull = None
     for case in t.cases:
         bb = rational_bbox(t.matrix, case)
@@ -514,7 +522,7 @@ def verify_theorem_main(a: ActionInstance, candidates=(),
             detail="weak properness or the base property fails",
         )
     if cond2.confirmed:
-        recovery = induced_recovery_check(a, budget)
+        recovery = induced_recovery_check(a, budget, classification=cls)
         assoc = associated_orbit_structure(a)
         equi = equi_controlled_check(a, assoc, budget)
         if recovery.confirmed and equi.confirmed:

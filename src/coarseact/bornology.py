@@ -18,6 +18,7 @@ from .boxes import (
     NEG_INF,
     POS_INF,
     Box,
+    BoxSet,
     FinitePoints,
     GeometryError,
     GroundSpace,
@@ -314,7 +315,12 @@ def is_bounded(spec: BornologySpec, s, budget=None) -> BoundVerdict:
         return bounded_at(0, note="empty set")
     if spec.kind == FINITE_BASE:
         return _finite_base_bounded(spec, s)
-    ranges = constraint_ranges(spec, s)
+    if isinstance(s, BoxSet):
+        b = s.box
+        ranges = (zip(b.lower, b.upper) if spec.matrix is None
+                  else [row_range(row, b) for row in spec.matrix])
+    else:
+        ranges = constraint_ranges(spec, s)
     worst = 0
     for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape, ranges)):
         k_lo = least_index_cover_lower(lo_end, lo)

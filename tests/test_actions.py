@@ -14,16 +14,20 @@ from coarseact.boxes import (
     BoxSet,
     GroundSpace,
     box,
+    box_hull,
     box_set,
+    empty_set,
     image_hull,
     minkowski_sum,
     negate_box,
     point_box,
     points_set,
+    union_set,
 )
 from coarseact.bornology import (
     AFF_NEG_INF,
     AFF_POS_INF,
+    MAXIMAL,
     affine,
     chain_bornology,
     cubes_chain,
@@ -32,10 +36,13 @@ from coarseact.bornology import (
     maximal_bornology,
 )
 from coarseact.actions import (
+    _case_unbounded_ray,
     _echelon,
     _interval_k1,
+    _k1_hull,
     _residue,
     ActionInstance,
+    LatticeTransporter,
     TranslationRule,
     PermutationRule,
     action_bornological_check,
@@ -57,6 +64,7 @@ from coarseact.actions import (
     transporter_bounded,
     uncovered_direction,
 )
+from coarseact.verdicts import bounded_at, unbounded
 from conftest import Z, Z2, random_chain
 
 
@@ -601,3 +609,144 @@ class TestImplicationChain:
                 assert cls.weakly_b_proper.confirmed
             if cls.weakly_b_proper.confirmed:
                 assert cls.bi.confirmed
+
+
+# --- rank 1: the interval route against the general route ----------------------------
+
+
+
+@st.composite
+def _k1_boxes(draw, d, inf_odds=5):
+    """Boxes with finite or infinite ends (each end infinite once in
+    inf_odds draws); a negative width makes one empty."""
+    pairs = []
+    for _ in range(d):
+        lo = NEG_INF if draw(st.integers(1, inf_odds)) == 1 else draw(st.integers(-8, 8))
+        if draw(st.integers(1, inf_odds)) == 1:
+            hi = POS_INF
+        elif lo == NEG_INF:
+            hi = draw(st.integers(-8, 8))
+        else:
+            hi = lo + draw(st.integers(-2, 10))
+        pairs.append((lo, hi))
+    return box(*pairs)
+
+
+@st.composite
+def _k1_sets(draw, d):
+    """Unions of up to two boxes and a few points, or the empty set."""
+    members = [BoxSet(draw(_k1_boxes(d))) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        pt = st.tuples(*[st.integers(-8, 8)] * d)
+        members.append(points_set(*draw(st.lists(pt, min_size=1, max_size=3))))
+    return union_set(*members) if members else empty_set(d)
+
+
+@st.composite
+def _k1_group_bornologies(draw):
+    """The maximal bornology, or a chain on ℤ (some failing the covering axiom)."""
+    if draw(st.integers(0, 3)) == 0:
+        return maximal_bornology(Z)
+    lo = draw(st.one_of(st.just(AFF_NEG_INF),
+                        st.builds(affine, st.integers(-2, 0), st.integers(-6, 6))))
+    hi = draw(st.one_of(st.just(AFF_POS_INF),
+                        st.builds(affine, st.integers(0, 2), st.integers(-6, 6))))
+    return chain_bornology(Z, [(lo, hi)])
+
+
+@st.composite
+def _k1_instances(draw):
+    """(action, transporter): a rank-1 translation rule on ℤ^d, d ≤ 3, and a
+    transporter between unions, or one built from raw (maybe empty) cases."""
+    d = draw(st.integers(1, 3))
+    # a zero row asks 0 ∈ case; one matrix in eight is all zero
+    m = tuple((0 if zero else draw(st.integers(-3, 3)),)
+              for zero in [draw(st.integers(0, 7)) == 0] * d)
+    space = GroundSpace.lattice(d)
+    a = ActionInstance("k1", lattice_group(1, draw(_k1_group_bornologies())), space,
+                       TranslationRule(m), maximal_bornology(space))
+    if draw(st.booleans()):
+        return a, transporter(a, draw(_k1_sets(d)), draw(_k1_sets(d)))
+    # half-lines are common among raw cases, so that an earlier case can be
+    # unbounded on the other side from a later one
+    cases = draw(st.lists(_k1_boxes(d, inf_odds=3), max_size=4))
+    return a, LatticeTransporter(m, tuple(cases))
+
+
+def _general_transporter_bounded(a, t):
+    """The route rank 2 takes: a recession ray per case, else is_bounded on
+    the hull of the cases' rational bounding boxes."""
+    if a.group.bornology.kind == MAXIMAL:
+        return bounded_at(0, note="maximal group bornology")
+    hull = None
+    for case in t.cases:
+        ray, _ = _case_unbounded_ray(t.matrix, case)
+        if ray is not None:
+            return unbounded(direction=ray, base_point=None,
+                             note="recession ray of the transporter polyhedron")
+        bb = rational_bbox(t.matrix, case)
+        if bb is not None:
+            hull = bb if hull is None else box_hull(hull, bb)
+    if hull is None:
+        return bounded_at(0, note="empty transporter")
+    return is_bounded(a.group.bornology, BoxSet(hull))
+
+
+def _general_neighborhood_hull(a, t, lvl):
+    hull = None
+    for case in t.cases:
+        bb = rational_bbox(t.matrix, case)
+        if bb is not None:
+            swept = minkowski_sum(negate_box(image_hull(a.matrix, bb)), lvl)
+            hull = swept if hull is None else box_hull(hull, swept)
+    return hull
+
+
+class TestRank1IntervalRoute:
+    """Rank-1 transporter questions answered from one integer interval per
+    case give the verdicts and boxes of the general per-case route."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_k1_instances())
+    def test_transporter_bounded_matches_general_route(self, inst):
+        a, t = inst
+        assert transporter_bounded(a, t) == _general_transporter_bounded(a, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_k1_instances(), st.data())
+    def test_neighborhood_hull_matches_general_route(self, inst, data):
+        from coarseact.associated import _neighborhood_hull
+
+        a, t = inst
+        lvl = data.draw(_k1_boxes(a.space.dim).filter(lambda b: not b.empty))
+        assert _neighborhood_hull(a, t, lvl) == _general_neighborhood_hull(a, t, lvl)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_k1_instances())
+    def test_hull_matches_rational_bbox_hull(self, inst):
+        # the hull orbit_compose_bound sweeps
+        _, t = inst
+        hull = None
+        for case in t.cases:
+            bb = rational_bbox(t.matrix, case)
+            if bb is not None:
+                hull = bb if hull is None else box_hull(hull, bb)
+        assert _k1_hull(t)[1] == hull
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_half_line_cases_match_general_route(self, data):
+        # many half-line cases: the first unbounded case fixes the direction
+        d = data.draw(st.integers(1, 2))
+        m = tuple((data.draw(st.integers(-3, 3)),) for _ in range(d))
+        a = _translation_instance(m)
+        cases = data.draw(st.lists(_k1_boxes(d, inf_odds=2), min_size=2, max_size=4))
+        t = LatticeTransporter(m, tuple(cases))
+        assert transporter_bounded(a, t) == _general_transporter_bounded(a, t)
+
+    def test_direction_is_the_first_unbounded_case(self, shift):
+        # the first case is unbounded below only, the second above only
+        t = LatticeTransporter(((1,),), (box((NEG_INF, 0)), box((5, POS_INF))))
+        v = transporter_bounded(shift, t)
+        assert v.unbounded and v.direction == (-1,)
+        assert v == _general_transporter_bounded(shift, t)

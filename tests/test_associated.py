@@ -29,6 +29,7 @@ from coarseact.actions import (
     ActionInstance,
     PermutationRule,
     TranslationRule,
+    classify,
     finite_group,
     lattice_group,
     transporter,
@@ -312,6 +313,24 @@ class TestRecovery:
 
     def test_trivial_maximal_group(self, trivial_maximal_group):
         assert induced_recovery_check(trivial_maximal_group).confirmed
+
+    def test_trivial_maximal_group_witnesses(self, trivial_maximal_group):
+        # M = 0 under the maximal group bornology: the transporter of a point
+        # of B_n is all of ℤ, and the zero entry must add 0 to the hull, not
+        # 0·inf, so that E_n[pt] = B_n lands at level n
+        certs = induced_recovery_check(trivial_maximal_group).witness
+        got = [c for c in certs if c[0] == "nbhd_bounded" and c[1] <= 2]
+        assert got == [("nbhd_bounded", n, pt, n)
+                       for n, pts in ((0, [0]), (1, [0, -1, 1]), (2, [0, -1, 1, -2, 2]))
+                       for pt in [(p,) for p in pts]]
+
+    @pytest.mark.parametrize("name", ["shift", "hyperbola", "first_coordinate_shift",
+                                      "trivial", "trivial_maximal_group"])
+    def test_given_classification_keeps_the_witness(self, name, request):
+        inst = request.getfixturevalue(name)
+        cls = classify(inst)
+        assert (induced_recovery_check(inst, classification=cls)
+                == induced_recovery_check(inst))
 
     def test_neighborhood_hull_holds_the_point_neighborhood(self):
         # level n is [-n, n+3]; E_n[0] = ∪_{l ∈ L_{0,B_n}} (B_n - l) = [-2n-3, 2n+3]

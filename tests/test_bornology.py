@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from coarseact.boxes import (
     NEG_INF,
     POS_INF,
+    BoxSet,
     GroundSpace,
+    box,
     box_set,
     box_size,
     points_set,
@@ -16,19 +18,24 @@ from coarseact.boxes import (
 )
 from coarseact.bornology import (
     AFF_NEG_INF,
+    _chain_escape,
     affine,
     bornology_axiom_check,
     chain_bornology,
+    constraint_ranges,
     cubes_chain,
     finite_base_bornology,
     finite_bornology_closure,
     first_level,
     generate_from_base,
     is_bounded,
+    least_index_cover_lower,
+    least_index_cover_upper,
     level_box,
     maximal_bornology,
     orbit_pullback,
 )
+from coarseact.verdicts import bounded_at
 
 from conftest import random_chain
 
@@ -190,6 +197,56 @@ class TestIsBounded:
         vb, vs = is_bounded(cubes_chain(Z), big), is_bounded(cubes_chain(Z), small)
         if vb.bounded:
             assert vs.bounded and vs.index <= vb.index
+
+
+@st.composite
+def _unbounded_boxes(draw, d):
+    """Non-empty boxes whose ends are finite or infinite."""
+    pairs = []
+    for _ in range(d):
+        lo = NEG_INF if draw(st.integers(0, 3)) == 0 else draw(st.integers(-30, 30))
+        if draw(st.integers(0, 3)) == 0:
+            hi = POS_INF
+        else:
+            hi = draw(st.integers(-30, 30)) if lo == NEG_INF else lo + draw(st.integers(0, 30))
+        pairs.append((lo, hi))
+    return box(*pairs)
+
+
+def _ranges_route(spec, s):
+    """is_bounded's chain loop over constraint_ranges, the route that points
+    and unions take."""
+    worst = 0
+    for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape,
+                                                         constraint_ranges(spec, s))):
+        k_lo = least_index_cover_lower(lo_end, lo)
+        k_hi = least_index_cover_upper(hi_end, hi)
+        if k_lo is None or k_hi is None:
+            return _chain_escape(spec, s, r, lo if k_lo is None else hi)
+        worst = max(worst, k_lo, k_hi)
+    return bounded_at(worst)
+
+
+class TestIsBoundedBoxRead:
+    """A single box is read from its own ends (plain chain) or one row_range
+    per matrix row (pull-back chain); the verdict, escape direction, base
+    point and witness equal the constraint_ranges route's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.data())
+    def test_plain_chain(self, rng, d, data):
+        spec = random_chain(rng, GroundSpace.lattice(d))
+        s = BoxSet(data.draw(_unbounded_boxes(d)))
+        assert is_bounded(spec, s) == _ranges_route(spec, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 2), st.data())
+    def test_pullback_chain(self, rng, d, k, data):
+        m = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(d))
+        x = tuple(data.draw(st.integers(-10, 10)) for _ in range(d))
+        spec = orbit_pullback(m, x, random_chain(rng, GroundSpace.lattice(d)))
+        s = BoxSet(data.draw(_unbounded_boxes(k)))
+        assert is_bounded(spec, s) == _ranges_route(spec, s)
 
 
 class TestFirstLevel:

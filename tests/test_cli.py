@@ -286,7 +286,8 @@ class TestStartupImports:
         ["classify", "hyperbola.instance"],
         ["theorem", "weak", "shift.instance"],
         ["theorem", "main", "hyperbola.instance"],
-        # the candidate and minimality path, through structure_leq
+        # the candidate and minimality path: structure_leq decides it
+        # symbolically and asks no membership question (see the scalar probe)
         ["theorem", "main", "shift.instance"],
         ["theorem", "main", "cyclic_rotation.instance"],
         ["closure", "cyclic_rotation.instance"],
@@ -298,6 +299,21 @@ class TestStartupImports:
         assert proc.returncode == EXIT_OK
         assert proc.stdout
         assert proc.stderr.splitlines()[-1] == "numpy absent"
+
+    def test_scalar_membership_loads_no_numpy(self):
+        # one rank-1 orbit-pair question takes the scalar test, not the batch kernel
+        code = (
+            "import sys\n"
+            "from coarseact.boxes import box_set\n"
+            "from coarseact.cli import parse_instance\n"
+            "from coarseact.coarse import OrbitPair, entourage_membership\n"
+            f"a = parse_instance({fixture('shift.instance')!r}).action\n"
+            "e = OrbitPair(a, box_set((0, 3)))\n"
+            "print(entourage_membership(e, ((0,), (2,))), entourage_membership(e, ((0,), (5,))))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.split() == ["True", "False", "False"], proc.stderr
 
     def test_package_import_loads_no_numpy(self):
         proc = subprocess.run(
