@@ -53,7 +53,6 @@ from .verdicts import (
     Verdict,
     bounded_at,
     confirmed,
-    inconclusive,
     refuted,
     unbounded,
 )
@@ -681,47 +680,42 @@ def transporter_bounded(a: ActionInstance, t) -> "object":
         if not t.elements:
             return bounded_at(0, note="empty transporter")
         return is_bounded(gb, FinitePoints(t.elements))
-    if t.matrix and len(t.matrix[0]) == 1:
-        ray, hull = _k1_hull(t)
-    else:
-        ray = hull = None
-        for case in t.cases:
-            ray, status = _case_unbounded_ray(t.matrix, case)
-            if status is None:
-                return inconclusive("feasibility enumeration cap hit")
-            if ray is not None:
-                break
-            bb = rational_bbox(t.matrix, case)
-            if bb is not None:
-                hull = bb if hull is None else box_hull(hull, bb)
-    if ray is not None:
-        return unbounded(direction=ray, note="recession ray of the transporter polyhedron")
+    hull = None
+    for case in t.cases:
+        ray, status = _case_unbounded_ray(t.matrix, case)
+        if status is None:
+            from .verdicts import inconclusive
+
+            return inconclusive("feasibility enumeration cap hit")
+        if ray is not None:
+            return unbounded(
+                direction=ray,
+                base_point=None,
+                note="recession ray of the transporter polyhedron",
+            )
+        bb = rational_bbox(t.matrix, case)
+        if bb is not None:
+            hull = bb if hull is None else box_hull(hull, bb)
     if hull is None:
         return bounded_at(0, note="empty transporter")
-    return is_bounded(gb, BoxSet(hull))
-
-
-def _k1_hull(t: LatticeTransporter):
-    """(ray, hull) of a rank-1 transporter from each case's integer interval:
-    the first case's ray as _case_unbounded_ray finds it ((1,) before (-1,))
-    or None, and the 1-d box hull of the cases, None when every case is empty."""
-    ray, lo, hi = None, POS_INF, NEG_INF
-    ivs = (_interval_k1(t.matrix, case) for case in t.cases if not case.empty)
-    for c_lo, c_hi in filter(None, ivs):
-        if ray is None and (c_hi == POS_INF or c_lo == NEG_INF):
-            ray = (1,) if c_hi == POS_INF else (-1,)
-        lo, hi = min(lo, c_lo), max(hi, c_hi)
-    return ray, (Box((lo,), (hi,)) if lo <= hi else None)
+    verdict = is_bounded(gb, BoxSet(hull))
+    return verdict
 
 
 def _case_unbounded_ray(m, case: Box):
     """(ray, status): an integer unboundedness ray of {l : M·l ∈ case}, if any.
 
     status False/True mirrors integer feasibility; None means the feasibility
-    enumeration cap was hit (caller reports inconclusive).
+    enumeration cap was hit (caller reports inconclusive).  For k = 1 the
+    ray is read from an infinite end of the integer interval, (1,) first.
     """
     if case.empty:
         return None, False
+    if m and len(m[0]) == 1:
+        iv = _interval_k1(m, case)
+        if iv is None or (iv[0] != NEG_INF and iv[1] != POS_INF):
+            return None, False
+        return ((1,) if iv[1] == POS_INF else (-1,)), True
     rec = Box(
         tuple(NEG_INF if lo == NEG_INF else 0 for lo in case.lower),
         tuple(POS_INF if hi == POS_INF else 0 for hi in case.upper),

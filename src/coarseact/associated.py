@@ -45,7 +45,6 @@ from .actions import (
     rational_bbox,
     transporter,
     transporter_bounded,
-    _k1_hull,
     _level_set,
 )
 from .coarse import (
@@ -413,7 +412,7 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
     Direction one: B_n ⊆ E(L,B_n)[{x}] for x ∈ B_n via the identity element.
     Direction two: every E_n[{a}] over the sample grid is B_X-bounded, which
     for translation rules reduces to point-transporter boundedness.  The
-    sample grid is a given classification's coset sample points.
+    sample grid is the coset sample points, a given classification's if any.
     """
     if not a.space.is_lattice:
         return confirmed("finite degeneracy: both sides are the power set")
@@ -448,11 +447,7 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
 
 
 def _neighborhood_hull(a: ActionInstance, t, lvl):
-    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}; at rank 1
-    B_n − M·hull(T), which is the hull of the swept cases as M·l is monotone."""
-    if a.group.rank == 1:
-        hull = _k1_hull(t)[1]
-        return hull and bx.minkowski_sum(bx.negate_box(bx.image_hull(a.matrix, hull)), lvl)
+    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}."""
     hull = None
     for case in t.cases:
         bb = rational_bbox(t.matrix, case)

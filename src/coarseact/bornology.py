@@ -278,7 +278,13 @@ def first_level(spec: BornologySpec, points: int = 1) -> int | None:
 
 
 def constraint_ranges(spec: BornologySpec, s) -> list[tuple]:
-    """Exact (lo, hi) of each constraint row over s (identity rows if no matrix)."""
+    """Exact (lo, hi) of each constraint row over s (identity rows if no matrix);
+    a single box is read from its own ends or one row_range per matrix row."""
+    if isinstance(s, BoxSet) and not s.box.empty:
+        b = s.box
+        if spec.matrix is None:
+            return list(zip(b.lower, b.upper))
+        return [row_range(row, b) for row in spec.matrix]
     pieces = set_pieces(s)
     if not pieces:
         return []
@@ -315,12 +321,7 @@ def is_bounded(spec: BornologySpec, s, budget=None) -> BoundVerdict:
         return bounded_at(0, note="empty set")
     if spec.kind == FINITE_BASE:
         return _finite_base_bounded(spec, s)
-    if isinstance(s, BoxSet):
-        b = s.box
-        ranges = (zip(b.lower, b.upper) if spec.matrix is None
-                  else [row_range(row, b) for row in spec.matrix])
-    else:
-        ranges = constraint_ranges(spec, s)
+    ranges = constraint_ranges(spec, s)
     worst = 0
     for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape, ranges)):
         k_lo = least_index_cover_lower(lo_end, lo)

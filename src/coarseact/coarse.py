@@ -62,15 +62,12 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     GroupSpec,
-    _case_unbounded_ray,
     _interval_k1,
-    _k1_hull,
     _k1_interval,
     _k1_rows,
     column_lattice_index,
     covering_residues,
     lattice_box_feasible,
-    rational_bbox,
     require_exact_rule,
     transporter,
     transporter_bounded,
@@ -489,14 +486,13 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
         return FinitePoints(frozenset(moved))
     if not transporter_bounded(a, t).bounded:
         return None
-    if a.group.rank == 1:
-        hull = _k1_hull(t)[1]
-    else:
-        hull = None
-        for case in t.cases:
-            bb = rational_bbox(t.matrix, case)
-            if bb is not None:
-                hull = bb if hull is None else box_hull(hull, bb)
+    from .actions import rational_bbox
+
+    hull = None
+    for case in t.cases:
+        bb = rational_bbox(t.matrix, case)
+        if bb is not None:
+            hull = bb if hull is None else box_hull(hull, bb)
     if hull is None:
         return _union_or_hull(b1, b2)[0]
     swept = minkowski_sum(bx.image_hull(a.matrix, hull), set_bounding_box(b1))
@@ -566,6 +562,8 @@ def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
     b = e.bounded_set
     m = a.matrix
     xpt = FinitePoints(frozenset({x}))
+    from .actions import _case_unbounded_ray, rational_bbox
+
     feasible_ls = set()
     truncated = False
     for piece in set_boxes(b):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coarseact.boxes import (
     NEG_INF,
     POS_INF,
+    Box,
     BoxSet,
     GroundSpace,
     box,
@@ -39,7 +40,7 @@ from coarseact.actions import (
     _case_unbounded_ray,
     _echelon,
     _interval_k1,
-    _k1_hull,
+    _recession_rays,
     _residue,
     ActionInstance,
     LatticeTransporter,
@@ -611,8 +612,7 @@ class TestImplicationChain:
                 assert cls.bi.confirmed
 
 
-# --- rank 1: the interval route against the general route ----------------------------
-
+# --- rank 1: the interval read against the recession-box route ---------------
 
 
 @st.composite
@@ -673,14 +673,30 @@ def _k1_instances(draw):
     return a, LatticeTransporter(m, tuple(cases))
 
 
+def _recession_box_ray(m, case):
+    """The ray search every rank takes without the interval read: a ray of the
+    recession box {r : M·r ∈ rec(case)}, kept when the case is feasible."""
+    if case.empty:
+        return None, False
+    rec = Box(tuple(NEG_INF if lo == NEG_INF else 0 for lo in case.lower),
+              tuple(POS_INF if hi == POS_INF else 0 for hi in case.upper))
+    rays = _recession_rays(m, rec)
+    if not rays:
+        return None, False
+    feasible = lattice_box_feasible(m, case)
+    if feasible is None:
+        return None, None
+    return (rays[0], True) if feasible else (None, False)
+
+
 def _general_transporter_bounded(a, t):
-    """The route rank 2 takes: a recession ray per case, else is_bounded on
+    """The recession-box route: a recession ray per case, else is_bounded on
     the hull of the cases' rational bounding boxes."""
     if a.group.bornology.kind == MAXIMAL:
         return bounded_at(0, note="maximal group bornology")
     hull = None
     for case in t.cases:
-        ray, _ = _case_unbounded_ray(t.matrix, case)
+        ray, _ = _recession_box_ray(t.matrix, case)
         if ray is not None:
             return unbounded(direction=ray, base_point=None,
                              note="recession ray of the transporter polyhedron")
@@ -692,46 +708,22 @@ def _general_transporter_bounded(a, t):
     return is_bounded(a.group.bornology, BoxSet(hull))
 
 
-def _general_neighborhood_hull(a, t, lvl):
-    hull = None
-    for case in t.cases:
-        bb = rational_bbox(t.matrix, case)
-        if bb is not None:
-            swept = minkowski_sum(negate_box(image_hull(a.matrix, bb)), lvl)
-            hull = swept if hull is None else box_hull(hull, swept)
-    return hull
-
-
 class TestRank1IntervalRoute:
-    """Rank-1 transporter questions answered from one integer interval per
-    case give the verdicts and boxes of the general per-case route."""
+    """Rank-1 rays read from one integer interval per case give the rays,
+    feasibility statuses and verdicts of the recession-box route."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_k1_instances())
+    def test_case_ray_matches_recession_box_route(self, inst):
+        _, t = inst
+        for case in t.cases:
+            assert _case_unbounded_ray(t.matrix, case) == _recession_box_ray(t.matrix, case)
 
     @settings(max_examples=400, deadline=None)
     @given(_k1_instances())
     def test_transporter_bounded_matches_general_route(self, inst):
         a, t = inst
         assert transporter_bounded(a, t) == _general_transporter_bounded(a, t)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_k1_instances(), st.data())
-    def test_neighborhood_hull_matches_general_route(self, inst, data):
-        from coarseact.associated import _neighborhood_hull
-
-        a, t = inst
-        lvl = data.draw(_k1_boxes(a.space.dim).filter(lambda b: not b.empty))
-        assert _neighborhood_hull(a, t, lvl) == _general_neighborhood_hull(a, t, lvl)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_k1_instances())
-    def test_hull_matches_rational_bbox_hull(self, inst):
-        # the hull orbit_compose_bound sweeps
-        _, t = inst
-        hull = None
-        for case in t.cases:
-            bb = rational_bbox(t.matrix, case)
-            if bb is not None:
-                hull = bb if hull is None else box_hull(hull, bb)
-        assert _k1_hull(t)[1] == hull
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

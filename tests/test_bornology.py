@@ -10,6 +10,7 @@ from coarseact.boxes import (
     POS_INF,
     BoxSet,
     GroundSpace,
+    UnionSet,
     box,
     box_set,
     box_size,
@@ -214,11 +215,11 @@ def _unbounded_boxes(draw, d):
 
 
 def _ranges_route(spec, s):
-    """is_bounded's chain loop over constraint_ranges, the route that points
-    and unions take."""
+    """is_bounded's chain loop over the ranges of s as a one-member union,
+    the per-piece route that points and unions take."""
     worst = 0
-    for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape,
-                                                         constraint_ranges(spec, s))):
+    ranges = constraint_ranges(spec, UnionSet((s,)))
+    for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape, ranges)):
         k_lo = least_index_cover_lower(lo_end, lo)
         k_hi = least_index_cover_upper(hi_end, hi)
         if k_lo is None or k_hi is None:
@@ -230,7 +231,7 @@ def _ranges_route(spec, s):
 class TestIsBoundedBoxRead:
     """A single box is read from its own ends (plain chain) or one row_range
     per matrix row (pull-back chain); the verdict, escape direction, base
-    point and witness equal the constraint_ranges route's."""
+    point and witness equal the per-piece route's."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 3), st.data())
