@@ -37,11 +37,13 @@ from .bornology import (
     BornologySpec,
     bornology_axiom_check,
     chain_recession,
+    finite_base_bornology,
     first_level,
     generate_from_base,
     is_bounded,
     is_full_at_some_level,
     level_box,
+    maximal_bornology,
     orbit_pullback,
     _unit,
 )
@@ -53,6 +55,7 @@ from .verdicts import (
     Verdict,
     bounded_at,
     confirmed,
+    inconclusive,
     refuted,
     unbounded,
 )
@@ -682,53 +685,47 @@ def transporter_bounded(a: ActionInstance, t) -> "object":
         return is_bounded(gb, FinitePoints(t.elements))
     hull = None
     for case in t.cases:
-        ray, status = _case_unbounded_ray(t.matrix, case)
+        ray, status, bb = _case_extent(t.matrix, case)
         if status is None:
-            from .verdicts import inconclusive
-
             return inconclusive("feasibility enumeration cap hit")
         if ray is not None:
-            return unbounded(
-                direction=ray,
-                base_point=None,
-                note="recession ray of the transporter polyhedron",
-            )
-        bb = rational_bbox(t.matrix, case)
+            return _ray_unbounded(ray)
         if bb is not None:
             hull = bb if hull is None else box_hull(hull, bb)
     if hull is None:
         return bounded_at(0, note="empty transporter")
-    verdict = is_bounded(gb, BoxSet(hull))
-    return verdict
+    return is_bounded(gb, BoxSet(hull))
 
 
-def _case_unbounded_ray(m, case: Box):
-    """(ray, status): an integer unboundedness ray of {l : M·l ∈ case}, if any.
+def _ray_unbounded(ray):
+    """The verdict on a transporter whose case polyhedron has this ray."""
+    return unbounded(direction=ray, base_point=None,
+                     note="recession ray of the transporter polyhedron")
 
-    status False/True mirrors integer feasibility; None means the feasibility
-    enumeration cap was hit (caller reports inconclusive).  For k = 1 the
-    ray is read from an infinite end of the integer interval, (1,) first.
-    """
+
+def _case_extent(m, case: Box):
+    """(ray, status, bbox) of {l : M·l ∈ case}, the case read once: an integer
+    ray of a feasible case with status True, or no ray, rational_bbox(M, case)
+    and status False (None when the feasibility enumeration cap was hit).
+    For k = 1 all three come from one integer interval, (1,) ray first."""
     if case.empty:
-        return None, False
+        return None, False, None
     if m and len(m[0]) == 1:
         iv = _interval_k1(m, case)
-        if iv is None or (iv[0] != NEG_INF and iv[1] != POS_INF):
-            return None, False
-        return ((1,) if iv[1] == POS_INF else (-1,)), True
+        if iv is None:
+            return None, False, None
+        if iv[0] != NEG_INF and iv[1] != POS_INF:
+            return None, False, Box((iv[0],), (iv[1],))
+        return ((1,) if iv[1] == POS_INF else (-1,)), True, None
     rec = Box(
         tuple(NEG_INF if lo == NEG_INF else 0 for lo in case.lower),
         tuple(POS_INF if hi == POS_INF else 0 for hi in case.upper),
     )
     rays = _recession_rays(m, rec)
-    if not rays:
-        return None, False
-    feasible = lattice_box_feasible(m, case)
-    if feasible is None:
-        return None, None
+    feasible = lattice_box_feasible(m, case) if rays else False
     if feasible:
-        return rays[0], True
-    return None, False
+        return rays[0], True, None
+    return None, feasible, rational_bbox(m, case)
 
 
 # --- classification ----------------------------------------------------------
@@ -1002,8 +999,6 @@ def orbit_bornologies(a: ActionInstance, x):
     if a.is_translation:
         if all(all(v == 0 for v in row) for row in a.matrix):
             # one-point orbit: both bornologies are trivial on it
-            from .bornology import maximal_bornology
-
             point_space = GroundSpace.finite((tuple(x),))
             return maximal_bornology(point_space), maximal_bornology(point_space)
         if kernel_vector(a.matrix) is not None:
@@ -1017,8 +1012,6 @@ def orbit_bornologies(a: ActionInstance, x):
         return orbit_pullback(a.matrix, tuple(x), a.space_bornology), gb
     orbit = sorted({a.rule.mapping(i)[x] for i in range(len(a.group.elements))}, key=str)
     sb = a.space_bornology
-    from .bornology import finite_base_bornology, maximal_bornology
-
     ospace = GroundSpace.finite(tuple(orbit))
     if sb.kind == MAXIMAL:
         pull = maximal_bornology(ospace)
@@ -1096,8 +1089,7 @@ def chains_mutually_cofinal(pull: BornologySpec, push: BornologySpec,
         return refuted(witness={"direction": rays[0]},
                        detail="pullback level contains a recession ray")
     for j in range(budget.max_index + 1):
-        c = level_box(pull, j)
-        bb = rational_bbox(pull.matrix, c) if not c.empty else None
+        bb = rational_bbox(pull.matrix, level_box(pull, j))
         if bb is None:
             continue
         v = is_bounded(push, BoxSet(bb))

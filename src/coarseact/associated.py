@@ -15,6 +15,7 @@ import random
 
 from . import boxes as bx
 from .boxes import (
+    Box,
     BoxSet,
     FinitePoints,
     GeometryError,
@@ -22,6 +23,7 @@ from .boxes import (
     cube,
     is_finite_end,
     mat_vec,
+    row_range,
     set_bounding_box,
     set_is_empty,
     set_membership,
@@ -30,6 +32,7 @@ from .boxes import (
 )
 from .bornology import (
     CHAIN,
+    MAXIMAL,
     BornologySpec,
     is_bounded,
     level_box,
@@ -38,13 +41,14 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     Classification,
+    _case_extent,
+    _ray_unbounded,
     chains_mutually_cofinal,
     classify,
     coset_sample_points,
     orbit_bornologies,
     rational_bbox,
     transporter,
-    transporter_bounded,
     _level_set,
 )
 from .coarse import (
@@ -419,24 +423,35 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
     certs = []
     samples = (classification.sample_points if classification
                else coset_sample_points(a))[:6]
+    sb, gb = a.space_bornology, a.group.bornology
+    maximal = gb.kind == MAXIMAL
     for n in range(budget.max_index + 1):
-        lvl = level_box(a.space_bornology, n)
+        lvl = level_box(sb, n)
         if lvl.empty:
             continue
         x = _point_inside(lvl)
         certs.append(("contains_level", n, x))
         for pt in samples:
-            t = transporter(a, FinitePoints(frozenset({pt})), BoxSet(lvl))
-            tv = transporter_bounded(a, t)
-            if tv.outcome == "unbounded":
+            # the point transporter L_{pt,B_n} is {l : M·l ∈ B_n − pt}; a
+            # maximal group bornology bounds it, so no ray is sought there
+            case = bx.translate_box(lvl, tuple(-p for p in pt))
+            ray, status, bb = ((None, False, rational_bbox(a.matrix, case)) if maximal
+                               else _case_extent(a.matrix, case))
+            tv = _ray_unbounded(ray) if ray is not None else None
+            if status is False and bb is not None and not maximal:
+                tv = is_bounded(gb, BoxSet(bb))
+            if tv is not None and tv.unbounded:
                 return refuted(
                     witness={"level": n, "point": pt, "verdict": tv},
                     detail="a point neighborhood escapes the bornology",
                 )
-            hull = _neighborhood_hull(a, t, lvl)
-            if hull is None:
+            if bb is None:
                 continue
-            v = is_bounded(a.space_bornology, BoxSet(hull))
+            # E_n[pt] = ∪_{l ∈ bb} (B_n − M·l): each row of B_n less its range over bb
+            ranges = [row_range(row, bb) for row in a.matrix]
+            swept = Box(tuple(lo - r[1] for lo, r in zip(lvl.lower, ranges)),
+                        tuple(hi - r[0] for hi, r in zip(lvl.upper, ranges)))
+            v = is_bounded(sb, BoxSet(swept))
             if not v.bounded:
                 return refuted(
                     witness={"level": n, "point": pt, "verdict": v},
@@ -444,18 +459,6 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
                 )
             certs.append(("nbhd_bounded", n, pt, v.index))
     return confirmed("mutual cofinality", witness=tuple(certs))
-
-
-def _neighborhood_hull(a: ActionInstance, t, lvl):
-    """A box holding E_n[pt] = ∪_{l ∈ T} (B_n − M·l), T = L_{pt,B_n}."""
-    hull = None
-    for case in t.cases:
-        bb = rational_bbox(t.matrix, case)
-        if bb is None:
-            continue
-        swept = bx.minkowski_sum(bx.negate_box(bx.image_hull(a.matrix, bb)), lvl)
-        hull = swept if hull is None else box_hull(hull, swept)
-    return hull
 
 
 def verify_theorem_weak(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> TheoremReport:

@@ -24,7 +24,7 @@ from .boxes import (
     GroundSpace,
     UnionSet,
     UnsupportedVariant,
-    box,
+    _canonical,
     full_box,
     is_finite_end,
     row_range,
@@ -110,7 +110,11 @@ def level_box(spec: BornologySpec, m: int) -> Box:
         return full_box(spec.space.dim if spec.space.is_lattice else 1)
     if spec.kind != CHAIN:
         raise UnsupportedVariant("level_box: chain or maximal bornology only")
-    return box(*((lo(m), hi(m)) for lo, hi in spec.shape))
+    lower, upper = [], []
+    for lo, hi in spec.shape:
+        lower.append((POS_INF if lo.inf > 0 else NEG_INF) if lo.inf else lo.coeff * m + lo.offset)
+        upper.append((POS_INF if hi.inf > 0 else NEG_INF) if hi.inf else hi.coeff * m + hi.offset)
+    return _canonical(tuple(lower), tuple(upper))
 
 
 def chain_recession(spec: BornologySpec) -> Box:
@@ -248,7 +252,15 @@ def least_index_cover_lower(end: AffineEnd, v) -> int | None:
 
 def least_index_cover_upper(end: AffineEnd, v) -> int | None:
     """Smallest m ≥ 0 with end(m) ≥ v, or None."""
-    return least_index_cover_lower(AffineEnd(-end.coeff, -end.offset, -end.inf), -v)
+    if end.inf:
+        return 0 if end.inf == 1 else None
+    if v == POS_INF:
+        return None
+    if v == NEG_INF:
+        return 0
+    if end.coeff > 0:
+        return max(0, -((end.offset - v) // end.coeff))
+    return 0 if end.offset >= v else None
 
 
 def first_level(spec: BornologySpec, points: int = 1) -> int | None:

@@ -62,15 +62,17 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     GroupSpec,
+    _case_extent,
     _interval_k1,
     _k1_interval,
     _k1_rows,
+    _recession_rays,
     column_lattice_index,
     covering_residues,
     lattice_box_feasible,
+    rational_bbox,
     require_exact_rule,
     transporter,
-    transporter_bounded,
     uncovered_direction,
 )
 from .verdicts import (
@@ -484,15 +486,18 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
             gi = a.group.elements.index(g)
             moved |= {a.rule.mapping(gi)[p] for p in b1.points}
         return FinitePoints(frozenset(moved))
-    if not transporter_bounded(a, t).bounded:
-        return None
-    from .actions import rational_bbox
-
+    gb = a.group.bornology
     hull = None
     for case in t.cases:
-        bb = rational_bbox(t.matrix, case)
+        # a maximal group bornology bounds every transporter: no ray is sought
+        ray, status, bb = ((None, False, rational_bbox(t.matrix, case)) if gb.kind == MAXIMAL
+                           else _case_extent(t.matrix, case))
+        if ray is not None or status is None:
+            return None
         if bb is not None:
             hull = bb if hull is None else box_hull(hull, bb)
+    if gb.kind != MAXIMAL and hull is not None and not is_bounded(gb, BoxSet(hull)).bounded:
+        return None
     if hull is None:
         return _union_or_hull(b1, b2)[0]
     swept = minkowski_sum(bx.image_hull(a.matrix, hull), set_bounding_box(b1))
@@ -562,27 +567,17 @@ def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
     b = e.bounded_set
     m = a.matrix
     xpt = FinitePoints(frozenset({x}))
-    from .actions import _case_unbounded_ray, rational_bbox
-
     feasible_ls = set()
     truncated = False
     for piece in set_boxes(b):
         c = difference_box(point_box(x), piece)
-        ray, status = _case_unbounded_ray(m, c)
+        ray, status, bb = _case_extent(m, c)
         if ray is not None or status is None:
             # window-truncated sweep over an unbounded transporter
             truncated = True
-            k = len(m[0])
-            for l in bx.box_points(cube(budget.window, k)):
-                if c.contains(mat_vec(m, l)):
-                    feasible_ls.add(l)
-            continue
-        bb = rational_bbox(m, c)
-        if bb is None:
-            continue
-        for l in bx.box_points(bb):
-            if c.contains(mat_vec(m, l)):
-                feasible_ls.add(l)
+            bb = cube(budget.window, len(m[0]))
+        if bb is not None:
+            feasible_ls.update(l for l in bx.box_points(bb) if c.contains(mat_vec(m, l)))
     parts = [xpt]
     exact = not truncated
     pieces = set_boxes(b)
@@ -877,10 +872,8 @@ def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdic
     v = is_bounded(a.space_bornology, s)
     if v.bounded:
         return bounded_at(v.index, note="A={point of the bounded set}")
-    from .actions import _recession_rays, chain_recession as _rec
-
     if a.space_bornology.kind == CHAIN and not _recession_rays(
-        a.matrix, _rec(a.space_bornology)
+        a.matrix, chain_recession(a.space_bornology)
     ):
         return v  # weakly proper: induced bornology equals the space bornology
     return BoundVerdict("inconclusive", note="orbit chain without exact rewrite")
@@ -944,8 +937,6 @@ def _leq_diffrel_into_orbit_line(d1: DiffRel, e2: OrbitPair):
     if not (a.is_translation and a.space.is_lattice
             and a.space.dim == 1 and a.group.rank == 1):
         return None, None
-    from .actions import column_lattice_index
-
     g = column_lattice_index(a.matrix)
     if g is None or g == 0:
         return None, None

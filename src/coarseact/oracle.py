@@ -38,6 +38,8 @@ from .bornology import (
     affine,
     bornology_axiom_check,
     chain_bornology,
+    generate_from_base,
+    is_bounded,
     level_box,
     maximal_bornology,
     finite_base_bornology,
@@ -565,8 +567,6 @@ def cross_check(instances, primitives=PRIMITIVES, window: int = 32,
 
 def _sample_sets(inst: ActionInstance, count: int = 3):
     if not inst.space.is_lattice:
-        from .bornology import generate_from_base
-
         if inst.space_bornology.kind == "maximal":
             return [FinitePoints(frozenset(inst.space.labels))]
         return [FinitePoints(e) for e in generate_from_base(inst.space_bornology.base)][:count]
@@ -749,8 +749,6 @@ def _check_bounded(inst, window, budget) -> CrossCheckReport:
     inside a certified chain level, and an escape ray must stay in the set.
     The half-space x_0 >= 0 probes the escape side; where it is bounded (a
     maximal bornology) its window is not enumerated."""
-    from .bornology import is_bounded
-
     rep = CrossCheckReport("bounded", inst.name, window)
     if not inst.space.is_lattice:
         return rep

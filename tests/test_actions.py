@@ -15,6 +15,7 @@ from coarseact.boxes import (
     BoxSet,
     GroundSpace,
     box,
+    box_contains_box,
     box_hull,
     box_set,
     empty_set,
@@ -37,7 +38,7 @@ from coarseact.bornology import (
     maximal_bornology,
 )
 from coarseact.actions import (
-    _case_unbounded_ray,
+    _case_extent,
     _echelon,
     _interval_k1,
     _recession_rays,
@@ -715,9 +716,13 @@ class TestRank1IntervalRoute:
     @settings(max_examples=400, deadline=None)
     @given(_k1_instances())
     def test_case_ray_matches_recession_box_route(self, inst):
+        # the extent reader's ray and status are the recession-box route's,
+        # and its box is rational_bbox's whenever it reports no ray
         _, t = inst
         for case in t.cases:
-            assert _case_unbounded_ray(t.matrix, case) == _recession_box_ray(t.matrix, case)
+            ray, status, bb = _case_extent(t.matrix, case)
+            assert (ray, status) == _recession_box_ray(t.matrix, case)
+            assert bb == (rational_bbox(t.matrix, case) if ray is None else None)
 
     @settings(max_examples=400, deadline=None)
     @given(_k1_instances())
@@ -742,3 +747,77 @@ class TestRank1IntervalRoute:
         v = transporter_bounded(shift, t)
         assert v.unbounded and v.direction == (-1,)
         assert v == _general_transporter_bounded(shift, t)
+
+    def test_bounded_case_reads_its_interval_once(self, shift, monkeypatch):
+        # one _interval_k1 read per case gives its ray, status and box
+        import coarseact.actions as actions
+
+        calls = []
+        read = actions._interval_k1
+        monkeypatch.setattr(actions, "_interval_k1",
+                            lambda m, c: calls.append(c) or read(m, c))
+        t = transporter(shift, box_set((0, 2)), union_set(box_set((5, 9)), points_set((-4,))))
+        # cases [5, 9] − [0, 2] = [3, 9] and {-4} − [0, 2] = [-6, -4]
+        assert t.cases == (box((3, 9)), box((-6, -4)))
+        assert transporter_bounded(shift, t) == bounded_at(9)
+        assert calls == list(t.cases)
+
+
+# --- the extent reader against plain window enumeration -----------------------
+
+
+def _window_solutions(m, case, radius):
+    """{l : M·l ∈ case} over the integer points of [-radius, radius]^k."""
+    k = len(m[0])
+    out = []
+    for l in itertools.product(range(-radius, radius + 1), repeat=k):
+        v = [sum(a * x for a, x in zip(row, l)) for row in m]
+        if all(lo <= x <= hi for lo, x, hi in zip(case.lower, v, case.upper)):
+            out.append(l)
+    return out
+
+
+def _seeded_case(rng, k):
+    """A rank-k matrix with entries in -2..2 and a non-empty case box on d ≤ 3
+    rows whose ends lie in -4..4 or are infinite, so every vertex of the
+    polyhedron lies within radius 16."""
+    d = rng.randint(1, 3)
+    m = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(d))
+    pairs = []
+    for _ in range(d):
+        lo = NEG_INF if rng.random() < 0.2 else rng.randint(-4, 4)
+        hi = POS_INF if rng.random() < 0.2 else rng.randint(-4, 4)
+        pairs.append((min(lo, hi), max(lo, hi)))
+    return m, box(*pairs)
+
+
+class TestCaseExtentWindow:
+    """_case_extent against enumeration on two windows, 20 and 40: the set
+    keeps growing with the window exactly when a ray is reported; with no
+    ray, the rank-1 box is the enumerated hull and the rank-2 box holds it."""
+
+    @pytest.mark.parametrize("k, count", [(1, 400), (2, 80)])
+    def test_against_window_enumeration(self, k, count):
+        rng = random.Random(k)
+        for _ in range(count):
+            m, case = _seeded_case(rng, k)
+            ray, status, bb = _case_extent(m, case)
+            near, far = _window_solutions(m, case, 20), set(_window_solutions(m, case, 40))
+            assert (ray is not None) == (len(far) > len(near)), (m, case)
+            if ray is not None:
+                # the ray stays in the set from every enumerated point
+                assert status is True and bb is None
+                assert all(tuple(p + 5 * r for p, r in zip(l, ray)) in far for l in near)
+                continue
+            assert status is False
+            if not near:
+                continue
+            hull = box(*((min(l[i] for l in near), max(l[i] for l in near)) for i in range(k)))
+            if k == 1:
+                assert bb == hull, (m, case)
+            else:
+                assert box_contains_box(bb, hull), (m, case)
+
+    def test_empty_case(self):
+        assert _case_extent(((1,),), box((1, 0))) == (None, False, None)
+        assert _case_extent(((1, 0),), box((1, 0))) == (None, False, None)

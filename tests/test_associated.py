@@ -11,6 +11,9 @@ from coarseact.boxes import (
     box_contains_box,
     box_set,
     empty_set,
+    image_hull,
+    minkowski_sum,
+    negate_box,
     points_set,
     set_bounding_box,
     set_membership,
@@ -18,21 +21,23 @@ from coarseact.boxes import (
     union_set,
 )
 from coarseact.bornology import (
+    AFF_POS_INF,
     affine,
     chain_bornology,
     cubes_chain,
     finite_base_bornology,
+    is_bounded,
     level_box,
     maximal_bornology,
 )
 from coarseact.actions import (
+    _case_extent,
     ActionInstance,
     PermutationRule,
     TranslationRule,
     classify,
     finite_group,
     lattice_group,
-    transporter,
 )
 from coarseact.coarse import (
     Compose,
@@ -58,7 +63,7 @@ from coarseact.associated import (
     verify_theorem_transitive,
     verify_theorem_weak,
 )
-from coarseact.verdicts import Budget
+from coarseact.verdicts import Budget, BoundVerdict, confirmed, refuted
 
 from conftest import Z, Z2
 
@@ -334,17 +339,82 @@ class TestRecovery:
 
     def test_neighborhood_hull_holds_the_point_neighborhood(self):
         # level n is [-n, n+3]; E_n[0] = ∪_{l ∈ L_{0,B_n}} (B_n - l) = [-2n-3, 2n+3]
-        from coarseact.associated import _neighborhood_hull
-
         spec = chain_bornology(Z, [(affine(-1, 0), affine(1, 3))])
         inst = ActionInstance("shift", lattice_group(1, cubes_chain(Z)), Z,
                               TranslationRule(((1,),)), spec)
+        certs = induced_recovery_check(inst).witness
         for n in range(3):
             lvl = level_box(spec, n)
-            hull = _neighborhood_hull(inst, transporter(inst, points_set((0,)), BoxSet(lvl)), lvl)
             nbhd, exact = neighborhood(OrbitPair(inst, BoxSet(lvl)), points_set((0,)))
-            assert exact and set_bounding_box(nbhd) == box_set((-2 * n - 3, 2 * n + 3)).box
-            assert box_contains_box(hull, set_bounding_box(nbhd)), n
+            nbb = set_bounding_box(nbhd)
+            assert exact and nbb == box_set((-2 * n - 3, 2 * n + 3)).box
+            # the cell's one read of the case B_n − 0, swept over B_n
+            ray, status, bb = _case_extent(inst.matrix, lvl)
+            assert ray is None and status is False
+            hull = minkowski_sum(negate_box(image_hull(inst.matrix, bb)), lvl)
+            assert box_contains_box(hull, nbb), n
+            # the level the certificate names holds E_n[0], and is the least one
+            idx = next(c[3] for c in certs if c[:3] == ("nbhd_bounded", n, (0,)))
+            assert box_contains_box(level_box(spec, idx), nbb), n
+            assert idx == is_bounded(spec, nbhd).index == 2 * n + 3
+
+
+class TestRecoveryCells:
+    """Verdicts and witnesses of induced_recovery_check pinned on both group
+    bornology branches: a maximal one, where no ray is sought but the hull is
+    still taken, and a chain, where a point transporter's ray refutes."""
+
+    def test_maximal_group_takes_the_hull_past_a_ray(self, trivial_maximal_group):
+        # M = 0: every point transporter is all of ℤ, and E_n[pt] = B_n
+        v = induced_recovery_check(trivial_maximal_group, Budget(max_index=3))
+        pts = [0, -1, 1, -2, 2, -3, 3]
+        assert v == confirmed("mutual cofinality", witness=tuple(
+            c for n in range(4)
+            for c in [("contains_level", n, (-n,))]
+            + [("nbhd_bounded", n, (p,), n) for p in pts[:min(2 * n + 1, 6)]]))
+
+    def test_maximal_group_rank_one_late_chain(self):
+        # levels [-m+3, m-4] are empty until m = 4; samples 0 and -1
+        spec = chain_bornology(Z, [(affine(-1, 3), affine(1, -4))])
+        inst = ActionInstance("late", lattice_group(1, maximal_bornology(Z)), Z,
+                              TranslationRule(((2,),)), spec)
+        assert induced_recovery_check(inst, Budget(max_index=4)) == confirmed(
+            "mutual cofinality",
+            witness=(("contains_level", 4, (-1,)), ("nbhd_bounded", 4, (0,), 4),
+                     ("nbhd_bounded", 4, (-1,), 4)))
+
+    def test_maximal_group_rank_two_strip_has_no_vertex_hull(self):
+        # {l : l0 + l1 ∈ B_n − pt} is a strip with no vertex: no hull is read
+        inst = ActionInstance("strip", lattice_group(2, maximal_bornology(Z2)), Z,
+                              TranslationRule(((1, 1),)), cubes_chain(Z))
+        assert induced_recovery_check(inst, Budget(max_index=4)) == confirmed(
+            "mutual cofinality",
+            witness=tuple(("contains_level", n, (-n,)) for n in range(5)))
+
+    @pytest.mark.parametrize("rank, matrix, direction", [
+        (1, ((0,),), (1,)),
+        (2, ((1, -1),), (-1, -1)),
+    ])
+    def test_chain_group_point_transporter_ray_refutes(self, rank, matrix, direction):
+        space = GroundSpace.lattice(rank)
+        inst = ActionInstance("ray", lattice_group(rank, cubes_chain(space)), Z,
+                              TranslationRule(matrix), cubes_chain(Z))
+        assert induced_recovery_check(inst, Budget(max_index=4)) == refuted(
+            witness={"level": 0, "point": (0,), "verdict": BoundVerdict(
+                "unbounded", direction=direction,
+                note="recession ray of the transporter polyhedron")},
+            detail="a point neighborhood escapes the bornology")
+
+    def test_group_chain_refutes_a_bounded_point_transporter(self):
+        # the group chain [0, inf) fails the covering axiom: the point
+        # transporter [-1, 1] at level 1 is bounded but escapes every level
+        gb = chain_bornology(Z, [(affine(0, 0), AFF_POS_INF)])
+        inst = ActionInstance("half", lattice_group(1, gb), Z,
+                              TranslationRule(((1,),)), cubes_chain(Z))
+        assert induced_recovery_check(inst, Budget(max_index=4)) == refuted(
+            witness={"level": 1, "point": (0,), "verdict": BoundVerdict(
+                "unbounded", note="constraint row 0 escapes every level")},
+            detail="a point neighborhood escapes the bornology")
 
 
 class TestTheoremWeak:

@@ -19,6 +19,8 @@ from coarseact.boxes import (
 )
 from coarseact.bornology import (
     AFF_NEG_INF,
+    AFF_POS_INF,
+    AffineEnd,
     _chain_escape,
     affine,
     bornology_axiom_check,
@@ -289,3 +291,43 @@ class TestInduction:
         from coarseact.actions import orbit_bornologies
 
         assert orbit_bornologies(hyperbola, (0, 0))[1] == hyperbola.group.bornology
+
+
+_VALUES = st.one_of(st.integers(-60, 60), st.sampled_from([NEG_INF, POS_INF]))
+_ENDS = st.one_of(st.builds(affine, st.integers(-3, 3), st.integers(-60, 60)),
+                  st.sampled_from([AFF_NEG_INF, AFF_POS_INF]))
+
+
+class TestChainEndArithmetic:
+    """The least-index and level-box arithmetic read from coeff, offset and
+    inf directly, against a scan of end(m) and against box() of the ends."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_ENDS, _VALUES)
+    def test_least_index_cover_upper_is_the_least_scanned_index(self, end, v):
+        # an end at -inf leaves every level empty, so it covers no value,
+        # not even -inf; any other end is compared on the extended line
+        hits = [m for m in range(201) if end.inf != -1 and end(m) >= v]
+        assert least_index_cover_upper(end, v) == (hits[0] if hits else None)
+        # the mirror through least_index_cover_lower gives the same index
+        mirror = AffineEnd(-end.coeff, -end.offset, -end.inf)
+        assert least_index_cover_upper(end, v) == least_index_cover_lower(mirror, -v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 40))
+    def test_level_box_is_the_box_of_the_ends(self, rng, d, m):
+        # offsets up to 30 make many levels empty
+        spec = random_chain(rng, GroundSpace.lattice(d), max_offset=30)
+        assert level_box(spec, m) == box(*((lo(m), hi(m)) for lo, hi in spec.shape))
+
+    def test_level_box_empty_and_inverted_infinite_ends(self):
+        late = chain_bornology(Z, [(affine(-1, 20), affine(1, -20))])
+        assert [level_box(late, m).empty for m in (0, 19, 20)] == [True, True, False]
+        assert level_box(late, 20) == box((0, 0))
+        # a lower end at +inf or an upper end at -inf empties every level
+        for shape in ([(AFF_POS_INF, affine(1, 0))], [(affine(-1, 0), AFF_NEG_INF)]):
+            spec = chain_bornology(Z, shape)
+            assert level_box(spec, 3) == box(*((lo(3), hi(3)) for lo, hi in shape))
+            assert level_box(spec, 3).empty
+        both = chain_bornology(Z2, [(AFF_NEG_INF, AFF_POS_INF), (affine(-2, 1), affine(1, 4))])
+        assert level_box(both, 2) == box((NEG_INF, POS_INF), (-3, 6))
