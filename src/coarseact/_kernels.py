@@ -4,7 +4,10 @@ Each sweep is a vectorized numpy search.  Box ends travel as float64 arrays
 so that ±inf encodes unbounded interval ends; all finite values are integers
 well inside the exact float range.  A bounded set is a union of boxes: its
 ends are ``(pieces, d)`` arrays, and a single box may pass its ``(d,)`` ends.
-Every sweep tests "inside the set" against all pieces at once.
+Every sweep tests "inside the set" against all pieces at once, one coordinate
+at a time.  The transporter sweep marks b's window points in an integer grid
+and counts those in b2 − M·l from a summed-area table of the marks (Crow,
+SIGGRAPH 1984), with 2^d reads per piece of b2.
 
 The oracle's semantics live here as explicit searches over window points and
 group elements, deliberately independent of the symbolic interval calculus.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_CELLS = 2_000_000  # float cells per vectorized step
+_CELLS = 2_000_000  # rows × points × pieces compared per vectorized step
 
 
 def kernel_backend() -> str:
@@ -22,17 +25,39 @@ def kernel_backend() -> str:
 
 
 def transporter_sweep(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid) -> np.ndarray:
-    """For each group element l: does some window point x lie in b with x+Ml ∈ b2."""
+    """For each group element l: does some window point x lie in b with x+Ml ∈ b2.
+
+    xgrid holds integer points; the count table spans the bounding box of
+    those that lie in b, so pass a box grid, as the oracle does.
+    """
     lgrid, m, xgrid = _as_arrays(lgrid, m, xgrid)
     b_lo, b_hi, b2_lo, b2_hi = _as_ends(b_lo, b_hi, b2_lo, b2_hi)
-    xs = xgrid[_inside(xgrid, b_lo, b_hi)]
-    out = np.zeros(len(lgrid), dtype=bool)
-    shifts = lgrid @ m.T  # (nl, d)
-    chunk = _chunk(len(xs) * len(b2_lo))
-    for start in range(0, len(lgrid), chunk):
-        moved = xs[None, :, :] + shifts[start:start + chunk, None, :]
-        out[start:start + chunk] = _inside(moved, b2_lo, b2_hi).any(axis=1)
-    return out
+    xs = xgrid[_inside(xgrid, b_lo, b_hi)].astype(np.intp)
+    if not len(xs):
+        return np.zeros(len(lgrid), dtype=bool)
+    d = xs.shape[1]
+    low = xs.min(axis=0)
+    xs -= low
+    size = xs.max(axis=0) + 1
+    # table[j] counts the marked points x with x − low < j in every coordinate
+    table = np.zeros(size + 1, dtype=np.intp)
+    table[tuple(xs.T + 1)] = 1
+    for axis in range(d):
+        table = table.cumsum(axis=axis)
+    # per group element and piece of b2: (b2 − M·l) ∩ the marked box as table
+    # indices; with 2^d reads per row, deduplicating the shifts would cost more
+    base = (lgrid @ m.T)[:, None] + low
+    lo = np.minimum(np.maximum(b2_lo - base, 0), size)
+    hi = np.maximum(np.minimum(b2_hi + 1 - base, size), lo)
+    ends = np.stack([hi, lo]).astype(np.intp)
+    # read all 2^d corners at once, then difference them out axis by axis
+    count = table[tuple(
+        ends[..., i].reshape((1,) * i + (2,) + (1,) * (d - 1 - i) + lo.shape[:-1])
+        for i in range(d)
+    )]
+    for _ in range(d):
+        count = count[0] - count[1]
+    return (count > 0).any(axis=1)
 
 
 def orbit_pair_sweep(xs, ys, lgrid, m, b_lo, b_hi) -> np.ndarray:
@@ -45,10 +70,9 @@ def orbit_pair_sweep(xs, ys, lgrid, m, b_lo, b_hi) -> np.ndarray:
     """
     xs, ys, lgrid, m = _as_arrays(xs, ys, lgrid, m)
     b_lo, b_hi = _as_ends(b_lo, b_hi)
-    shifts = _distinct_shifts(lgrid, m)
+    shifts = _distinct_rows(lgrid @ m.T)[0]  # only M·l enters membership
     out = (xs == ys).all(axis=1)
-    ux, which = np.unique(xs, axis=0, return_inverse=True)
-    which = which.reshape(-1)  # numpy 2.0.0 returns it as a column
+    ux, which = _distinct_rows(xs)
     step = _chunk(len(shifts) * len(b_lo))
     admits = np.zeros((len(ux), len(shifts)), dtype=bool)  # x − M·l ∈ b
     for start in range(0, len(ux), step):
@@ -78,12 +102,14 @@ def orbit_compose_sweep(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi) -> 
     """
     xs, zs, lgrid, hgrid, m = _as_arrays(xs, zs, lgrid, hgrid, m)
     b1_lo, b1_hi, b2_lo, b2_hi = _as_ends(b1_lo, b1_hi, b2_lo, b2_hi)
-    shifts_l = _distinct_shifts(lgrid, m)
-    shifts_h = _distinct_shifts(hgrid, m)
+    shifts_l = _distinct_rows(lgrid @ m.T)[0]
+    shifts_h = _distinct_rows(hgrid @ m.T)[0]
     out = np.zeros(len(xs), dtype=bool)
+    left = _inside(xs[:, None] - shifts_l, b1_lo, b1_hi)
+    right = _inside(zs[:, None] - shifts_h, b2_lo, b2_hi)
     for p in range(len(xs)):
-        sl = shifts_l[_inside(xs[p] - shifts_l, b1_lo, b1_hi)][:, None, None, None, :]
-        sh = shifts_h[_inside(zs[p] - shifts_h, b2_lo, b2_hi)][None, :, None, None, :]
+        sl = shifts_l[left[p]][:, None, None, None, :]
+        sh = shifts_h[right[p]][None, :, None, None, :]
         # axes: (l, h, piece of B1, piece of B2, d)
         lo = np.maximum(b1_lo[:, None] + sl, b2_lo[None] + sh)
         hi = np.minimum(b1_hi[:, None] + sl, b2_hi[None] + sh)
@@ -93,13 +119,24 @@ def orbit_compose_sweep(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi) -> 
 
 def _inside(points, lo, hi) -> np.ndarray:
     """Whether each point (last axis d) lies in some box of (pieces, d) ends."""
-    p = points[..., None, :]
-    return ((p >= lo) & (p <= hi)).all(axis=-1).any(axis=-1)
+    p = points[..., 0, None]
+    hit = (p >= lo[:, 0]) & (p <= hi[:, 0])
+    for i in range(1, points.shape[-1]):
+        p = points[..., i, None]
+        hit &= (p >= lo[:, i]) & (p <= hi[:, i])
+    return hit.any(axis=-1)
 
 
-def _distinct_shifts(lgrid, m) -> np.ndarray:
-    """The shifts M·l of the window, each once: only M·l enters membership."""
-    return np.unique(lgrid @ m.T, axis=0)
+def _distinct_rows(rows) -> tuple:
+    """The distinct rows of a 2-d array in ``np.unique(rows, axis=0)`` order,
+    and each row's index among them, from one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return ordered[new], which
 
 
 def _chunk(cells_per_row: int) -> int:

@@ -611,6 +611,7 @@ def _cmd_crosscheck(parsed_list, args) -> int:
     for r in reports:
         status = "pass" if r.passed else f"FAIL({len(r.mismatches)})"
         rows.append((f"{r.instance}.{r.primitive}", status))
+        rows.append((f"{r.instance}.{r.primitive}.advisory", len(r.advisory)))
         bad += 0 if r.passed else 1
         for m in r.mismatches[:2]:
             rows.append((f"{r.instance}.{r.primitive}.mismatch", _stable_repr(m)))

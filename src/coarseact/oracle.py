@@ -82,22 +82,17 @@ class CrossCheckReport:
 # --- transporter oracle -------------------------------------------------------
 
 
-def existence_truncation_bound(a: ActionInstance, b, b2, gw: int) -> int | None:
+def existence_truncation_bound(a: ActionInstance, b, b2, gw: int) -> int:
     """A window radius certifying the ∃x truncation in the transporter oracle.
 
     If some x witnesses l, the nearest witness lies in b ∩ (b2 - M·l), whose
     closest-to-origin corner is bounded by the finite ends plus |M·l|.
-    None when either set has no finite end to anchor on.
     """
-    per = _per_coordinate_bounds(a, b, b2, gw)
-    finite = [r for r in per if r is not None]
-    if not finite:
-        return None
-    return max(finite)
+    return max(_per_coordinate_bounds(a, b, b2, gw))
 
 
 def _per_coordinate_bounds(a: ActionInstance, b, b2, gw: int) -> list:
-    """Certified witness-window radius per space coordinate (None = no anchor)."""
+    """Certified witness-window radius per space coordinate."""
     d = a.space.dim
     out = []
     for r in range(d):
@@ -108,21 +103,9 @@ def _per_coordinate_bounds(a: ActionInstance, b, b2, gw: int) -> list:
                 for v in (piece.lower[r], piece.upper[r]):
                     if is_finite_end(v):
                         ends.append(abs(int(v)) + shift)
-        if not ends:
-            # both sets unconstrained away from their finite ends here; if no
-            # end at all exists the coordinate is vacuous and 0 witnesses it
-            out.append(0 if _coordinate_vacuous(b, b2, r) else None)
-            continue
-        out.append(max(ends) + 1)
+        # with no finite end in either set the coordinate is vacuous: 0 witnesses it
+        out.append(max(ends) + 1 if ends else 0)
     return out
-
-
-def _coordinate_vacuous(b, b2, r) -> bool:
-    for s in (b, b2):
-        for piece in set_boxes(s):
-            if is_finite_end(piece.lower[r]) or is_finite_end(piece.upper[r]):
-                return False
-    return True
 
 
 _SWEEP_CELL_CAP = 20_000_000
@@ -165,11 +148,9 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
     k = a.group.rank
     while True:
         per = _per_coordinate_bounds(a, b, b2, gw)
-        radii = [min(xw, r) if r is not None else xw for r in per]
-        if any(r is None and xw < 2 * gw for r in per):
-            notes.append("no finite end to certify the witness window: advisory only")
-        if any(r is not None and r > xw for r in per):
-            notes.append(f"witness window {xw} below the certified bound {max(filter(None, per))}")
+        radii = [min(xw, r) for r in per]
+        if any(r > xw for r in per):
+            notes.append(f"witness window {xw} below the certified bound {max(per)}")
         cells = (2 * gw + 1) ** k
         for r in radii:
             cells *= 2 * r + 1
@@ -184,13 +165,16 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
             for r in radii:
                 cells *= 2 * r + 1
         notes.append("witness grid truncated below the certificate: advisory only")
-    lgrid = _grid([gw] * k)
+    lgrid = _grid([-gw] * k, [gw] * k)
     d = a.space.dim
+    b_lo, b_hi = _ends(b, d)
+    # window points outside b's hull are never witnesses: enumerate only the hull
+    xgrid = _grid(np.maximum(b_lo.min(axis=0), [-r for r in radii]),
+                  np.minimum(b_hi.max(axis=0), radii))
     hit = kern.transporter_sweep(
-        lgrid, np.array(a.matrix, dtype=float), *_ends(b, d), *_ends(b2, d), _grid(radii)
+        lgrid, np.array(a.matrix, dtype=float), b_lo, b_hi, *_ends(b2, d), xgrid
     )
-    out = [tuple(int(c) for c in lgrid[i]) for i in range(len(lgrid)) if hit[i]]
-    return sorted(out), notes, gw
+    return sorted(map(tuple, lgrid[hit].astype(np.int64).tolist())), notes, gw
 
 
 # --- entourage membership oracle -----------------------------------------------
@@ -231,7 +215,7 @@ def oracle_orbit_members_batch(e: OrbitPair, pairs, gw: int) -> list:
     hits = kern.orbit_pair_sweep(
         np.array([p[0] for p in pairs], dtype=float).reshape(-1, d),
         np.array([p[1] for p in pairs], dtype=float).reshape(-1, d),
-        _grid([gw] * a.group.rank),
+        _grid([-gw] * a.group.rank, [gw] * a.group.rank),
         np.array(a.matrix, dtype=float),
         *_ends(e.bounded_set, d),
     )
@@ -246,9 +230,9 @@ def _permuted_orbit_member(e: OrbitPair, x, y) -> bool:
     )
 
 
-def _grid(radii) -> np.ndarray:
-    """Integer points of the box ∏ [-r, r], one float row each, in lexicographic order."""
-    axes = np.meshgrid(*(np.arange(-r, r + 1) for r in radii), indexing="ij")
+def _grid(lower, upper) -> np.ndarray:
+    """Integer points of the box ∏ [lower, upper], one float row each, in lexicographic order."""
+    axes = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in zip(lower, upper)), indexing="ij")
     return np.stack([axis.ravel() for axis in axes], axis=1).astype(float)
 
 
@@ -300,23 +284,7 @@ def naive_closure(space: GroundSpace, base) -> tuple:
             m |= bit(labels.index(xx), labels.index(yy))
         return m
 
-    def transpose(m):
-        out = 0
-        for i in range(n):
-            for j in range(n):
-                if m & bit(i, j):
-                    out |= bit(j, i)
-        return out
-
-    def compose(m1, m2):
-        out = 0
-        for i in range(n):
-            row = 0
-            for j in range(n):
-                if m1 & bit(i, j):
-                    row |= (m2 >> (j * n)) & ((1 << n) - 1)
-            out |= row << (i * n)
-        return out
+    transpose, compose = _relation_ops(n)
 
     diag = 0
     for i in range(n):
@@ -356,6 +324,32 @@ def naive_closure(space: GroundSpace, base) -> tuple:
         )
         antichain.append(rel)
     return family, tuple(sorted(antichain, key=lambda r: (len(r), sorted(map(str, r)))))
+
+
+def _relation_ops(n: int) -> tuple:
+    """Transpose and composition of n×n relation bitmasks (bit i·n + j is (i, j)).
+
+    ``spread[r] << i`` is row i holding the columns r, transposed.  Column j
+    of m1, ``m1 >> j & ones``, marks bit 0 of each row i with (i, j) ∈ m1, so
+    multiplying it by row j of m2 copies that row into exactly those rows.
+    """
+    low = (1 << n) - 1
+    spread = [sum(1 << (j * n) for j in range(n) if r >> j & 1) for r in range(1 << n)]
+    ones = spread[low]
+
+    def transpose(m):
+        out = 0
+        for i in range(n):
+            out |= spread[m >> (i * n) & low] << i
+        return out
+
+    def compose(m1, m2):
+        out = 0
+        for j in range(n):
+            out |= (m2 >> (j * n) & low) * (m1 >> j & ones)
+        return out
+
+    return transpose, compose
 
 
 def _verify_family_closed(family, transpose, compose, diag):
@@ -603,7 +597,7 @@ def _check_transporter(inst, window, budget) -> CrossCheckReport:
         if inst.is_translation:
             bound = existence_truncation_bound(inst, b, b2, gw)
             oracle_set, notes, eff_gw = oracle_transporter(
-                inst, b, b2, gw, max(window, bound or 0)
+                inst, b, b2, gw, max(window, bound)
             )
             rep.advisory.extend(notes)
             sym = [l for l in bx.box_points(cube(eff_gw, inst.group.rank)) if t.member(l)]
@@ -731,7 +725,7 @@ def _oracle_compose_orbit(inst, e1, e2, pairs, gw) -> list:
             for x, z in pairs
         ]
     d = inst.space.dim
-    lgrid = _grid([gw] * inst.group.rank)
+    lgrid = _grid([-gw] * inst.group.rank, [gw] * inst.group.rank)
     through_boxes = kern.orbit_compose_sweep(
         np.array([p[0] for p in pairs], dtype=float).reshape(-1, d),
         np.array([p[1] for p in pairs], dtype=float).reshape(-1, d),
@@ -768,10 +762,11 @@ def _check_bounded(inst, window, budget) -> CrossCheckReport:
         if s is half_space:
             continue
         lvl = level_box(inst.space_bornology, v.index)
-        for p in set_points_within(s, min(window, 10)):
-            if not lvl.contains(p):
-                rep.mismatches.append({"set": s, "index": v.index, "point": p})
-                break
+        points = set_points_within(s, min(window, 10))
+        pts = np.array(points, dtype=float).reshape(-1, inst.space.dim)
+        outside = lvl.empty | ((pts < lvl.lower) | (pts > lvl.upper)).any(axis=1)
+        if outside.any():
+            rep.mismatches.append({"set": s, "index": v.index, "point": points[outside.argmax()]})
     return rep
 
 

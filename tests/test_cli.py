@@ -159,6 +159,17 @@ class TestCommands:
         assert code == EXIT_OK
         assert "shift.transporter=pass" in out
 
+    def test_crosscheck_counts_advisory_notes(self, capsys, tmp_path):
+        # truncated symbolic neighborhoods are advisory: counted, exit code unchanged
+        _, text, _ = run(["random", "--seed", "1", "--profile", "lattice-k1"], capsys)
+        f = tmp_path / "r1.instance"
+        f.write_text(text)
+        code, out, _ = run(["crosscheck", str(f), "--window", "12", "--format", "machine"],
+                           capsys)
+        assert code == EXIT_OK
+        assert "\nr1.neighborhood=pass\nr1.neighborhood.advisory=3\n" in out
+        assert "\nr1.transporter.advisory=0\n" in out
+
     def test_random_round_trips(self, capsys):
         code, out, _ = run(["random", "--seed", "4", "--profile", "lattice-k1"], capsys)
         assert code == EXIT_OK

@@ -1,6 +1,7 @@
 import numpy as np
 
 from coarseact._kernels import (
+    _distinct_rows,
     kernel_backend,
     orbit_compose_sweep,
     orbit_pair_sweep,
@@ -136,3 +137,59 @@ def test_union_sweeps_match_loops_over_group_elements():
         assert got.tolist() == [pair_member(x, y, boxes[0]) for x, y in pairs]
         got = orbit_compose_sweep(xs, ys, lgrid, lgrid, np.array(m, float), *ends[0], *ends[1])
         assert got.tolist() == [compose_member(x, z) for x, z in pairs]
+
+
+def test_transporter_sweep_matches_loop_over_group_elements():
+    # reference: the definition, looping over l and the window points in plain Python
+    import random
+
+    inf = float("inf")
+
+    def inside(p, ends):
+        return any(all(lo[i] <= p[i] <= hi[i] for i in range(len(p))) for lo, hi in zip(*ends))
+
+    def reference(lgrid, m, b, b2, xgrid):
+        return [any(inside(x, b) and inside(x + m @ l, b2) for x in xgrid) for l in lgrid]
+
+    def union(*pieces):
+        return (np.array([lo for lo, _ in pieces], float),
+                np.array([hi for _, hi in pieces], float))
+
+    cases = [
+        # rank-deficient M (k = 2, d = 1): the 49 elements share 13 shifts
+        (grid(3, 2), [[1, -1]], union(([0], [2]), ([5], [5])),
+         union(([-inf], [-3]), ([4], [inf])), grid(6, 1)),
+        # b has no window point
+        (grid(4, 1), [[1]], union(([20], [22])), union(([-inf], [inf])), grid(6, 1)),
+        # a grid that is not centred, and b reaching past it on both sides
+        (grid(5, 1), [[2], [-1]], union(([-inf, 1], [inf, 2])),
+         union(([3, -inf], [4, 0]), ([-1, 5], [-1, 5])), grid(3, 2) + [7, -2]),
+    ]
+    rng = random.Random(11)
+    for _ in range(12):
+        d, k = rng.randint(1, 3), rng.randint(1, 2)
+
+        def piece():
+            lo = [rng.choice([-inf, rng.randint(-5, 3)]) for _ in range(d)]
+            hi = [rng.choice([inf, rng.randint(-3, 5)]) for _ in range(d)]
+            return lo, hi
+
+        m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(d)]
+        xgrid = grid(rng.randint(1, 4), d) + [rng.randint(-3, 3) for _ in range(d)]
+        cases.append((grid(3, k), m, union(*(piece() for _ in range(rng.randint(1, 3)))),
+                      union(*(piece() for _ in range(rng.randint(1, 3)))), xgrid))
+    for lgrid, m, b, b2, xgrid in cases:
+        m = np.array(m, float)
+        got = transporter_sweep(lgrid, m, *b, *b2, xgrid)
+        assert got.tolist() == reference(lgrid, m, b, b2, xgrid)
+
+
+def test_distinct_rows_match_numpy_unique():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        rows = rng.integers(-3, 4, size=(500, d)) + rng.choice([-10**6, 0, 10**6], size=(500, d))
+        rows = rows.astype(float)
+        want, want_which = np.unique(rows, axis=0, return_inverse=True)
+        got, which = _distinct_rows(rows)
+        assert got.tolist() == want.tolist()
+        assert which.tolist() == want_which.reshape(-1).tolist()

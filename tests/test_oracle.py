@@ -32,6 +32,7 @@ from coarseact.coarse import (
 )
 from coarseact.oracle import (
     _oracle_compose_orbit,
+    _relation_ops,
     cross_check,
     existence_truncation_bound,
     naive_closure,
@@ -261,6 +262,36 @@ class TestNaiveClosure:
         assert len(family) == 16
 
 
+    @staticmethod
+    def bit_loops(n):
+        """Transpose and composition of n×n bitmasks by their definitions."""
+        def bit(i, j):
+            return 1 << (i * n + j)
+
+        def transpose(m):
+            return sum(bit(j, i) for i in range(n) for j in range(n) if m & bit(i, j))
+
+        def compose(m1, m2):
+            return sum(bit(i, k) for i in range(n) for k in range(n)
+                       if any(m1 & bit(i, j) and m2 & bit(j, k) for j in range(n)))
+
+        return transpose, compose
+
+    def test_row_tables_match_bit_loops(self):
+        rng = random.Random(4)
+        for n in (1, 2, 3, 4):
+            transpose, compose = _relation_ops(n)
+            want_t, want_c = self.bit_loops(n)
+            if n <= 3:
+                masks = list(range(1 << (n * n)))
+                pairs = [(m1, m2) for m1 in masks for m2 in rng.sample(masks, min(len(masks), 24))]
+            else:
+                masks = [rng.getrandbits(n * n) for _ in range(2000)]
+                pairs = [(rng.getrandbits(n * n), rng.getrandbits(n * n)) for _ in range(4000)]
+            assert [transpose(m) for m in masks] == [want_t(m) for m in masks], n
+            assert [compose(*p) for p in pairs] == [want_c(*p) for p in pairs], n
+
+
 class TestRandomInstances:
     def test_deterministic(self):
         assert random_instance(0, "lattice-k1") == random_instance(0, "lattice-k1")
@@ -387,8 +418,8 @@ class TestOracleIndependence:
     CALCULUS = ("coarse", "actions", "bornology", "associated")
     HELPERS = ("_oracle_members", "_oracle_compose_orbit", "_permuted_orbit_member",
                "_affine_oracle_transporter", "existence_truncation_bound",
-               "_per_coordinate_bounds", "_coordinate_vacuous", "_grid", "_ends",
-               "naive_closure", "_verify_family_closed")
+               "_per_coordinate_bounds", "_grid", "_ends",
+               "naive_closure", "_relation_ops", "_verify_family_closed")
 
     def test_oracle_path_names_no_calculus_function(self):
         import ast
