@@ -676,38 +676,51 @@ def transporter(a: ActionInstance, b, b2):
 
 def transporter_bounded(a: ActionInstance, t) -> "object":
     """Boundedness of a transporter in the group bornology, with certificate."""
+    return transporter_extent(a, t)[0]
+
+
+def transporter_extent(a: ActionInstance, t) -> tuple:
+    """(verdict, hull) of transporter t: transporter_bounded's verdict and the
+    box hull of its cases' non-empty integer boxes, None when t is empty,
+    unbounded, undecided or explicit.  The one loop over a lattice
+    transporter's cases; under a maximal group bornology, which bounds every
+    transporter, it seeks no ray and takes each case's rational bounding box."""
     gb = a.group.bornology
-    if gb.kind == MAXIMAL:
-        return bounded_at(0, note="maximal group bornology")
+    maximal = gb.kind == MAXIMAL
     if isinstance(t, ExplicitTransporter):
-        if not t.elements:
-            return bounded_at(0, note="empty transporter")
-        return is_bounded(gb, FinitePoints(t.elements))
+        if maximal or not t.elements:
+            return bounded_at(0, note="maximal group bornology" if maximal
+                              else "empty transporter"), None
+        return is_bounded(gb, FinitePoints(t.elements)), None
     hull = None
     for case in t.cases:
-        ray, status, bb = _case_extent(t.matrix, case)
-        if status is None:
-            return inconclusive("feasibility enumeration cap hit")
-        if ray is not None:
-            return _ray_unbounded(ray)
-        if bb is not None:
+        if maximal:
+            bb = rational_bbox(t.matrix, case)
+        else:
+            ray, status, bb = _case_extent(t.matrix, case)
+            if status is None:
+                return inconclusive("feasibility enumeration cap hit"), None
+            if ray is not None:
+                return unbounded(direction=ray, base_point=None,
+                                 note="recession ray of the transporter polyhedron"), None
+        if bb is not None and not bb.empty:
             hull = bb if hull is None else box_hull(hull, bb)
+    if maximal:
+        return bounded_at(0, note="maximal group bornology"), hull
     if hull is None:
-        return bounded_at(0, note="empty transporter")
-    return is_bounded(gb, BoxSet(hull))
-
-
-def _ray_unbounded(ray):
-    """The verdict on a transporter whose case polyhedron has this ray."""
-    return unbounded(direction=ray, base_point=None,
-                     note="recession ray of the transporter polyhedron")
+        return bounded_at(0, note="empty transporter"), None
+    v = is_bounded(gb, BoxSet(hull))
+    return v, hull if v.bounded else None
 
 
 def _case_extent(m, case: Box):
     """(ray, status, bbox) of {l : M·l ∈ case}, the case read once: an integer
     ray of a feasible case with status True, or no ray, rational_bbox(M, case)
     and status False (None when the feasibility enumeration cap was hit).
-    For k = 1 all three come from one integer interval, (1,) ray first."""
+    For k = 1 all three come from one integer interval, (1,) ray first.  At
+    k = 2 the bbox rounds the rational polyhedron's ends inwards, so it can be
+    an empty box, or a box with no integer point of the case; only
+    transporter_extent and coarse._orbit_point_neighborhood read it."""
     if case.empty:
         return None, False, None
     if m and len(m[0]) == 1:

@@ -32,7 +32,6 @@ from .boxes import (
 )
 from .bornology import (
     CHAIN,
-    MAXIMAL,
     BornologySpec,
     is_bounded,
     level_box,
@@ -41,14 +40,13 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     Classification,
-    _case_extent,
-    _ray_unbounded,
+    LatticeTransporter,
     chains_mutually_cofinal,
     classify,
     coset_sample_points,
     orbit_bornologies,
-    rational_bbox,
     transporter,
+    transporter_extent,
     _level_set,
 )
 from .coarse import (
@@ -70,6 +68,7 @@ from .verdicts import (
     Budget,
     CONFIRMED,
     DEFAULT_BUDGET,
+    INCONCLUSIVE,
     REFUTED,
     TheoremReport,
     Verdict,
@@ -423,8 +422,7 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
     certs = []
     samples = (classification.sample_points if classification
                else coset_sample_points(a))[:6]
-    sb, gb = a.space_bornology, a.group.bornology
-    maximal = gb.kind == MAXIMAL
+    sb = a.space_bornology
     for n in range(budget.max_index + 1):
         lvl = level_box(sb, n)
         if lvl.empty:
@@ -432,32 +430,23 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
         x = _point_inside(lvl)
         certs.append(("contains_level", n, x))
         for pt in samples:
-            # the point transporter L_{pt,B_n} is {l : M·l ∈ B_n − pt}; a
-            # maximal group bornology bounds it, so no ray is sought there
-            case = bx.translate_box(lvl, tuple(-p for p in pt))
-            ray, status, bb = ((None, False, rational_bbox(a.matrix, case)) if maximal
-                               else _case_extent(a.matrix, case))
-            tv = _ray_unbounded(ray) if ray is not None else None
-            if status is False and bb is not None and not maximal:
-                tv = is_bounded(gb, BoxSet(bb))
-            if tv is not None and tv.unbounded:
-                return refuted(
-                    witness={"level": n, "point": pt, "verdict": tv},
-                    detail="a point neighborhood escapes the bornology",
-                )
-            if bb is None:
-                continue
+            # the point transporter L_{pt,B_n} is {l : M·l ∈ B_n − pt}, and
             # E_n[pt] = ∪_{l ∈ bb} (B_n − M·l): each row of B_n less its range over bb
-            ranges = [row_range(row, bb) for row in a.matrix]
-            swept = Box(tuple(lo - r[1] for lo, r in zip(lvl.lower, ranges)),
-                        tuple(hi - r[0] for hi, r in zip(lvl.upper, ranges)))
-            v = is_bounded(sb, BoxSet(swept))
+            case = bx.translate_box(lvl, tuple(-p for p in pt))
+            v, bb = transporter_extent(a, LatticeTransporter(a.matrix, (case,)))
+            if bb is not None:
+                ranges = [row_range(row, bb) for row in a.matrix]
+                v = is_bounded(sb, BoxSet(Box(
+                    tuple(lo - r[1] for lo, r in zip(lvl.lower, ranges)),
+                    tuple(hi - r[0] for hi, r in zip(lvl.upper, ranges)))))
+            cell = {"level": n, "point": pt, "verdict": v}
+            if v.unbounded:
+                return refuted(witness=cell, detail="a point neighborhood escapes the bornology")
             if not v.bounded:
-                return refuted(
-                    witness={"level": n, "point": pt, "verdict": v},
-                    detail="a point neighborhood escapes the bornology",
-                )
-            certs.append(("nbhd_bounded", n, pt, v.index))
+                return Verdict(INCONCLUSIVE, witness=cell,
+                               detail="a point neighborhood is undecided")
+            if bb is not None:
+                certs.append(("nbhd_bounded", n, pt, v.index))
     return confirmed("mutual cofinality", witness=tuple(certs))
 
 

@@ -70,9 +70,9 @@ from .actions import (
     column_lattice_index,
     covering_residues,
     lattice_box_feasible,
-    rational_bbox,
     require_exact_rule,
     transporter,
+    transporter_extent,
     uncovered_direction,
 )
 from .verdicts import (
@@ -486,17 +486,8 @@ def orbit_compose_bound(e1: OrbitPair, e2: OrbitPair):
             gi = a.group.elements.index(g)
             moved |= {a.rule.mapping(gi)[p] for p in b1.points}
         return FinitePoints(frozenset(moved))
-    gb = a.group.bornology
-    hull = None
-    for case in t.cases:
-        # a maximal group bornology bounds every transporter: no ray is sought
-        ray, status, bb = ((None, False, rational_bbox(t.matrix, case)) if gb.kind == MAXIMAL
-                           else _case_extent(t.matrix, case))
-        if ray is not None or status is None:
-            return None
-        if bb is not None:
-            hull = bb if hull is None else box_hull(hull, bb)
-    if gb.kind != MAXIMAL and hull is not None and not is_bounded(gb, BoxSet(hull)).bounded:
+    v, hull = transporter_extent(a, t)
+    if not v.bounded:
         return None
     if hull is None:
         return _union_or_hull(b1, b2)[0]

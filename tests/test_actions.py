@@ -64,6 +64,7 @@ from coarseact.actions import (
     rational_bbox,
     transporter,
     transporter_bounded,
+    transporter_extent,
     uncovered_direction,
 )
 from coarseact.verdicts import bounded_at, unbounded
@@ -692,7 +693,7 @@ def _recession_box_ray(m, case):
 
 def _general_transporter_bounded(a, t):
     """The recession-box route: a recession ray per case, else is_bounded on
-    the hull of the cases' rational bounding boxes."""
+    the hull of the cases' non-empty rational bounding boxes."""
     if a.group.bornology.kind == MAXIMAL:
         return bounded_at(0, note="maximal group bornology")
     hull = None
@@ -702,7 +703,7 @@ def _general_transporter_bounded(a, t):
             return unbounded(direction=ray, base_point=None,
                              note="recession ray of the transporter polyhedron")
         bb = rational_bbox(t.matrix, case)
-        if bb is not None:
+        if bb is not None and not bb.empty:
             hull = bb if hull is None else box_hull(hull, bb)
     if hull is None:
         return bounded_at(0, note="empty transporter")
@@ -783,12 +784,16 @@ def _seeded_case(rng, k):
     polyhedron lies within radius 16."""
     d = rng.randint(1, 3)
     m = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(d))
+    return m, _seeded_box(rng, d)
+
+
+def _seeded_box(rng, d):
     pairs = []
     for _ in range(d):
         lo = NEG_INF if rng.random() < 0.2 else rng.randint(-4, 4)
         hi = POS_INF if rng.random() < 0.2 else rng.randint(-4, 4)
         pairs.append((min(lo, hi), max(lo, hi)))
-    return m, box(*pairs)
+    return box(*pairs)
 
 
 class TestCaseExtentWindow:
@@ -821,3 +826,37 @@ class TestCaseExtentWindow:
     def test_empty_case(self):
         assert _case_extent(((1,),), box((1, 0))) == (None, False, None)
         assert _case_extent(((1, 0),), box((1, 0))) == (None, False, None)
+
+    @pytest.mark.parametrize("k, count", [(1, 200), (2, 100)])
+    @pytest.mark.parametrize("cases", [1, 3])
+    def test_transporter_extent_against_window_enumeration(self, k, count, cases):
+        # the reader's verdict is the recession-box route's; with no ray its
+        # hull is None or a non-empty box holding every window-40 solution
+        rng = random.Random(10 * k + cases)
+        for _ in range(count):
+            m, first = _seeded_case(rng, k)
+            t = LatticeTransporter(m, (first,) + tuple(
+                _seeded_box(rng, len(m)) for _ in range(cases - 1)))
+            a = _translation_instance(m)
+            v, hull = transporter_extent(a, t)
+            assert v == _general_transporter_bounded(a, t), (m, t.cases)
+            if v.unbounded:
+                assert hull is None
+                continue
+            far = {l for case in t.cases for l in _window_solutions(m, case, 40)}
+            if hull is None:
+                assert not far, (m, t.cases)
+                continue
+            assert not hull.empty, (m, t.cases)
+            assert all(hull.contains(l) for l in far), (m, t.cases)
+
+    def test_case_without_integer_point_is_an_empty_transporter(self):
+        # −3·l₂ = 4 has no integer solution: the rank-2 bbox of the case is an
+        # empty box, and the reader reports an empty transporter, not a hull
+        m = ((-1, -1), (0, -3))
+        case = box((1, 3), (4, 4))
+        assert rational_bbox(m, case).empty
+        t = LatticeTransporter(m, (case,))
+        a = _translation_instance(m)
+        assert transporter_extent(a, t) == (bounded_at(0, note="empty transporter"), None)
+        assert transporter_bounded(a, t) == bounded_at(0, note="empty transporter")

@@ -31,13 +31,14 @@ from coarseact.bornology import (
     maximal_bornology,
 )
 from coarseact.actions import (
-    _case_extent,
     ActionInstance,
+    LatticeTransporter,
     PermutationRule,
     TranslationRule,
     classify,
     finite_group,
     lattice_group,
+    transporter_extent,
 )
 from coarseact.coarse import (
     Compose,
@@ -49,6 +50,7 @@ from coarseact.coarse import (
     group_right_structure,
     metric_ball_structure,
     neighborhood,
+    orbit_compose_bound,
     structure_leq,
     structures_equivalent,
 )
@@ -63,6 +65,7 @@ from coarseact.associated import (
     verify_theorem_transitive,
     verify_theorem_weak,
 )
+from coarseact.oracle import random_instance
 from coarseact.verdicts import Budget, BoundVerdict, confirmed, refuted
 
 from conftest import Z, Z2
@@ -349,8 +352,8 @@ class TestRecovery:
             nbb = set_bounding_box(nbhd)
             assert exact and nbb == box_set((-2 * n - 3, 2 * n + 3)).box
             # the cell's one read of the case B_n − 0, swept over B_n
-            ray, status, bb = _case_extent(inst.matrix, lvl)
-            assert ray is None and status is False
+            v, bb = transporter_extent(inst, LatticeTransporter(inst.matrix, (lvl,)))
+            assert v.bounded
             hull = minkowski_sum(negate_box(image_hull(inst.matrix, bb)), lvl)
             assert box_contains_box(hull, nbb), n
             # the level the certificate names holds E_n[0], and is the least one
@@ -415,6 +418,40 @@ class TestRecoveryCells:
             witness={"level": 1, "point": (0,), "verdict": BoundVerdict(
                 "unbounded", note="constraint row 0 escapes every level")},
             detail="a point neighborhood escapes the bornology")
+
+
+    def test_point_transporter_without_integer_point_adds_no_cell(self):
+        # seed 16 draws cells whose point transporter has no integer point:
+        # their rank-2 bounding box is empty and E_n[pt] = {pt}, so the cell
+        # is skipped instead of swept
+        r = verify_theorem_main(random_instance(16, "lattice-k2"))
+        assert r.confirmed
+        certs = r.condition("weakly_plus_witness_structure").witness["recovery"].witness
+        assert ("nbhd_bounded", 0, (-1, -1, 0), 0) not in certs
+        assert certs[:4] == (("contains_level", 0, (0, 0, 0)), ("nbhd_bounded", 0, (0, 0, 0), 0),
+                             ("nbhd_bounded", 0, (-1, 0, -1), 1),
+                             ("nbhd_bounded", 0, (-1, 0, 0), 1))
+
+    def test_feasibility_cap_hit_is_inconclusive(self, monkeypatch):
+        # an undecided point transporter names its cell; it never confirms
+        import coarseact.actions as actions
+
+        monkeypatch.setattr(actions, "lattice_box_feasible", lambda m, c, cap=0: None)
+        inst = random_instance(1, "lattice-k2")
+        v = induced_recovery_check(inst)
+        assert v.status == "inconclusive"
+        assert v.witness == {"level": 0, "point": (0, 0, 0), "verdict": BoundVerdict(
+            "inconclusive", note="feasibility enumeration cap hit")}
+        levels = [OrbitPair(inst, BoxSet(level_box(inst.space_bornology, n))) for n in (1, 2)]
+        assert orbit_compose_bound(*levels) is None
+        # {l : 2·l₀ = 1} has the ray (0, 1) but no integer point: bounded only
+        # once feasibility is decided
+        strip = ActionInstance("strip", lattice_group(2, cubes_chain(Z2)), Z,
+                               TranslationRule(((2, 0),)), cubes_chain(Z))
+        pair = (OrbitPair(strip, points_set((0,))), OrbitPair(strip, points_set((1,))))
+        assert orbit_compose_bound(*pair) is None
+        monkeypatch.undo()
+        assert orbit_compose_bound(*pair) == union_set(points_set((0,)), points_set((1,)))
 
 
 class TestTheoremWeak:

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,37 @@ class TestInputContract:
                 contextlib.redirect_stderr(io.StringIO()):
             code = run_command([*argv, str(path)])
         assert code in (0, 1, 2, 3)
+
+
+    def test_theorem_main_on_random_rank_two_instance(self, capsys, tmp_path):
+        # seed 16 draws point transporters whose rank-2 bounding box is empty
+        _, text, _ = run(["random", "--seed", "16", "--profile", "lattice-k2"], capsys)
+        f = tmp_path / "r16.instance"
+        f.write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "coarseact.cli", "theorem", "main", str(f)],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert "Traceback" not in proc.stderr
+
+    def test_random_instances_keep_exit_contract(self, tmp_path):
+        # every exact command on random instances of each profile ends in an
+        # exit code; seeds 16, 63, 166 and 428 draw rank-2 cells with no
+        # integer point
+        start = time.perf_counter()
+        for profile in ("finite", "lattice-k1", "lattice-k2"):
+            for seed in (*range(1, 9), 16, 63, 166, 428):
+                path = tmp_path / f"{profile}-{seed}.instance"
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert run_command(["random", "--seed", str(seed),
+                                        "--profile", profile]) == EXIT_OK
+                path.write_text(out.getvalue())
+                for argv in (["axioms"], ["classify"], ["theorem", "weak"],
+                             ["theorem", "main"]):
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = run_command([*argv, str(path)])
+                    assert code in (0, 1, 2, 3), (profile, seed, argv)
+        assert time.perf_counter() - start < 5
 
 
 def _hyperbola_text() -> str:
