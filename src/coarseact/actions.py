@@ -644,6 +644,22 @@ class LatticeTransporter:
         v = mat_vec(self.matrix, l)
         return any(case.contains(v) for case in self.cases)
 
+    def points_within(self, radius: int) -> list:
+        """The members in cube(radius, k), sorted: per head (l₀ at k = 2, none at
+        k = 1), one _interval_k1 read of the last column per case − M·head."""
+        if len(self.matrix[0]) > 2:
+            raise UnsupportedVariant("interval listing implemented for k <= 2")
+        last = tuple((row[-1],) for row in self.matrix)
+        hits = set()
+        for head in itertools.product(range(-radius, radius + 1), repeat=len(self.matrix[0]) - 1):
+            shift = tuple(-v for v in mat_vec(self.matrix, head))  # zip stops at len(head)
+            for case in self.cases:
+                iv = None if case.empty else _interval_k1(last, bx.translate_box(case, shift))
+                if iv is not None:
+                    hits.update(head + (l,) for l in range(max(iv[0], -radius),
+                                                           min(iv[1], radius) + 1))
+        return sorted(hits)
+
 
 @dataclass(frozen=True)
 class ExplicitTransporter:

@@ -518,7 +518,9 @@ def verify_theorem_main(a: ActionInstance, candidates=(),
                 witness={"recovery": recovery, "equi": equi},
             )
         else:
-            cond3 = refuted(witness={"recovery": recovery, "equi": equi})
+            # refuted by a refuting check, else undecided by an undecided one
+            cond3 = Verdict(merge_status((recovery, equi)),
+                            witness={"recovery": recovery, "equi": equi})
     else:
         cond3 = refuted(
             witness={"stage": "base", "weakly": cls.weakly_b_proper, "base": base_v},
@@ -559,6 +561,8 @@ def verify_theorem_main(a: ActionInstance, candidates=(),
         if consistent
         else f"conditions disagree: {flags} (implementation bug)"
     )
+    if cond3.status == INCONCLUSIVE and cond1.confirmed:  # 1 and 2 agree, 3 is undecided
+        status, detail = INCONCLUSIVE, "witness structure condition inconclusive"
     return TheoremReport("b_proper_characterization", status,
                          conditions=conditions, budget=budget, detail=detail)
 

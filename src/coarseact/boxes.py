@@ -236,40 +236,15 @@ def box_difference_slabs(b: Box, carve: Box) -> list[Box]:
         return []
     if carve.empty or box_intersect(b, carve).empty:
         return [b]
-    slabs = []
-    remaining = b
-    for i in range(b.dim):
-        lo_c, hi_c = carve.lower[i], carve.upper[i]
-        lo_r, hi_r = remaining.lower[i], remaining.upper[i]
-        if lo_r < lo_c:
-            below = box(
-                *(
-                    (lo_r if j == i else remaining.lower[j],
-                     lo_c - 1 if j == i else remaining.upper[j])
-                    for j in range(b.dim)
-                )
-            )
-            if not below.empty:
-                slabs.append(below)
-        if hi_r > hi_c:
-            above = box(
-                *(
-                    (hi_c + 1 if j == i else remaining.lower[j],
-                     hi_r if j == i else remaining.upper[j])
-                    for j in range(b.dim)
-                )
-            )
-            if not above.empty:
-                slabs.append(above)
-        remaining = box(
-            *(
-                (max(lo_c, remaining.lower[j]) if j == i else remaining.lower[j],
-                 min(hi_c, remaining.upper[j]) if j == i else remaining.upper[j])
-                for j in range(b.dim)
-            )
-        )
-        if remaining.empty:
-            break
+    slabs, lower, upper = [], list(b.lower), list(b.upper)
+    for i, (lo_c, hi_c) in enumerate(zip(carve.lower, carve.upper)):
+        # the remainder's parts below and above carve in coordinate i, then
+        # the remainder narrowed to carve there
+        for lo, hi in ((lower[i], lo_c - 1), (hi_c + 1, upper[i])):
+            slab = box(*((lo, hi) if j == i else e for j, e in enumerate(zip(lower, upper))))
+            if not slab.empty:
+                slabs.append(slab)
+        lower[i], upper[i] = max(lower[i], lo_c), min(upper[i], hi_c)
     return slabs
 
 
@@ -449,6 +424,8 @@ def set_boxes(s) -> list[Box]:
 
 def set_points_within(s, radius: int) -> list:
     """Integer points of s in the centered window, sorted."""
+    if isinstance(s, BoxSet):  # box_points is lexicographic and repeats no point
+        return list(box_points(clip_box(s.box, radius)))
     seen = set()
     for piece in set_pieces(s):
         if isinstance(piece, FinitePoints):

@@ -9,8 +9,10 @@ affine index expressions a*m+b.  Unknown keys are parse errors.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
+import time
 from dataclasses import dataclass, field
 
 from .boxes import FinitePoints, GeometryError, GroundSpace, UnsupportedVariant
@@ -601,17 +603,19 @@ def closure_dot(closure: FiniteClosure) -> str:
 
 
 def _cmd_crosscheck(parsed_list, args) -> int:
-    from .oracle import cross_check
+    from .oracle import PRIMITIVES, cross_check
 
     budget = Budget(window=args.window, max_index=args.max_index)
-    reports = cross_check([p.action for p in parsed_list],
-                          window=min(args.window, 32), budget=budget)
     rows = []
     bad = 0
-    for r in reports:
+    for inst, prim in itertools.product((p.action for p in parsed_list), PRIMITIVES):
+        start = time.perf_counter()
+        (r,) = cross_check([inst], (prim,), window=min(args.window, 32), budget=budget)
+        seconds = time.perf_counter() - start
         status = "pass" if r.passed else f"FAIL({len(r.mismatches)})"
         rows.append((f"{r.instance}.{r.primitive}", status))
         rows.append((f"{r.instance}.{r.primitive}.advisory", len(r.advisory)))
+        rows.append((f"{r.instance}.{r.primitive}.seconds", f"{seconds:.6f}"))
         bad += 0 if r.passed else 1
         for m in r.mismatches[:2]:
             rows.append((f"{r.instance}.{r.primitive}.mismatch", _stable_repr(m)))

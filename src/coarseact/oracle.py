@@ -190,36 +190,35 @@ def oracle_entourage_member(e, pair, gw: int) -> bool:
             set_membership(e.bounded_set, x) and set_membership(e.bounded_set, y)
         )
     if isinstance(e, OrbitPair):
-        return oracle_orbit_members_batch(e, [pair], gw)[0]
+        return oracle_orbit_members_batch(e, [x], [y], gw)[0]
     raise GeometryError(f"oracle cannot enumerate {e!r}")
 
 
 def _oracle_members(e, pairs, gw: int) -> list:
     """Membership of many pairs: orbit pairs in one batch, others pair by pair."""
     if isinstance(e, OrbitPair):
-        return oracle_orbit_members_batch(e, pairs, gw)
+        return oracle_orbit_members_batch(e, [p[0] for p in pairs], [p[1] for p in pairs], gw)
     return [oracle_entourage_member(e, p, gw) for p in pairs]
 
 
-def oracle_orbit_members_batch(e: OrbitPair, pairs, gw: int) -> list:
-    """Orbit-pair membership of many pairs at once.
+def oracle_orbit_members_batch(e: OrbitPair, xs, ys, gw: int) -> list:
+    """Orbit-pair membership of the pairs (xs[i], ys[i]) at once.
 
     Lattice rules: one kernel sweep over the group window, against every box
     of the bounded set (sound only within the window; callers size gw from
-    the transporter bound).  Permutation rules: every group element in turn.
-    """
+    the transporter bound); xs and ys may be (pairs, d) arrays.  Permutation
+    rules: every group element in turn."""
     a = e.action
     if not a.is_translation:
-        return [_permuted_orbit_member(e, x, y) for x, y in pairs]
+        return [_permuted_orbit_member(e, x, y) for x, y in zip(xs, ys)]
     d = a.space.dim
-    hits = kern.orbit_pair_sweep(
-        np.array([p[0] for p in pairs], dtype=float).reshape(-1, d),
-        np.array([p[1] for p in pairs], dtype=float).reshape(-1, d),
+    return kern.orbit_pair_sweep(
+        np.asarray(xs, dtype=float).reshape(-1, d),
+        np.asarray(ys, dtype=float).reshape(-1, d),
         _grid([-gw] * a.group.rank, [gw] * a.group.rank),
         np.array(a.matrix, dtype=float),
         *_ends(e.bounded_set, d),
-    )
-    return [bool(v) for v in hits]
+    ).tolist()
 
 
 def _permuted_orbit_member(e: OrbitPair, x, y) -> bool:
@@ -246,8 +245,16 @@ def _ends(s, d: int) -> tuple:
 
 
 def oracle_neighborhood(e, a_set, gw: int, window: int) -> set:
-    """E[A] within the window: every window point paired with some point of A."""
+    """E[A] within the window: every window point paired with some point of A.
+    A lattice orbit pair sweeps A's points against the window grid in one batch."""
     space = e.space
+    if space.is_lattice and isinstance(e, OrbitPair):
+        srcs = np.array(set_points_within(a_set, window), dtype=float).reshape(-1, space.dim)
+        ys = _grid([-window] * space.dim, [window] * space.dim)
+        hits = oracle_orbit_members_batch(e, np.repeat(srcs, len(ys), axis=0),
+                                          np.tile(ys, (len(srcs), 1)), gw)
+        hit = np.reshape(hits, (len(srcs), len(ys))).any(axis=0)
+        return set(map(tuple, ys[hit].astype(np.int64).tolist()))
     if space.is_lattice:
         srcs = set_points_within(a_set, window)
         ys = list(bx.box_points(cube(window, space.dim)))
@@ -600,7 +607,7 @@ def _check_transporter(inst, window, budget) -> CrossCheckReport:
                 inst, b, b2, gw, max(window, bound)
             )
             rep.advisory.extend(notes)
-            sym = [l for l in bx.box_points(cube(eff_gw, inst.group.rank)) if t.member(l)]
+            sym = t.points_within(eff_gw)
             truncated = any("advisory" in n or "below" in n for n in notes)
             only_oracle = sorted(set(oracle_set) - set(sym))
             only_sym = sorted(set(sym) - set(oracle_set))
@@ -643,8 +650,10 @@ def _pair_sample(space: GroundSpace, name, window: int, count: int = 80):
 def _check_entourage(inst, window, budget) -> CrossCheckReport:
     rep = CrossCheckReport("entourage", inst.name, window)
     gw = _needed_gw(inst, window)
-    for e in _entourage_levels(inst, budget):
-        pairs = _pair_sample(e.space, inst.name, min(window, 12))
+    levels = _entourage_levels(inst, budget)
+    samples = {sp: _pair_sample(sp, inst.name, min(window, 12)) for sp in {e.space for e in levels}}
+    for e in levels:
+        pairs = samples[e.space]  # one seeded draw per ground space
         syms = entourage_members(e, pairs, budget)
         for pair, sym, orc in zip(pairs, syms, _oracle_members(e, pairs, gw)):
             if sym is None:
@@ -725,16 +734,16 @@ def _oracle_compose_orbit(inst, e1, e2, pairs, gw) -> list:
             for x, z in pairs
         ]
     d = inst.space.dim
+    xs = np.array([p[0] for p in pairs], dtype=float).reshape(-1, d)
+    zs = np.array([p[1] for p in pairs], dtype=float).reshape(-1, d)
     lgrid = _grid([-gw] * inst.group.rank, [gw] * inst.group.rank)
     through_boxes = kern.orbit_compose_sweep(
-        np.array([p[0] for p in pairs], dtype=float).reshape(-1, d),
-        np.array([p[1] for p in pairs], dtype=float).reshape(-1, d),
-        lgrid, lgrid, np.array(inst.matrix, dtype=float),
+        xs, zs, lgrid, lgrid, np.array(inst.matrix, dtype=float),
         *_ends(e1.bounded_set, d), *_ends(e2.bounded_set, d),
     )
     # the diagonal clauses: y = x needs (x, z) ∈ E2, and y = z needs (x, z) ∈ E1
-    via_x = oracle_orbit_members_batch(e2, pairs, gw)
-    via_z = oracle_orbit_members_batch(e1, pairs, gw)
+    via_x = oracle_orbit_members_batch(e2, xs, zs, gw)
+    via_z = oracle_orbit_members_batch(e1, xs, zs, gw)
     return [bool(t or a or b) for t, a, b in zip(through_boxes, via_x, via_z)]
 
 
@@ -762,11 +771,14 @@ def _check_bounded(inst, window, budget) -> CrossCheckReport:
         if s is half_space:
             continue
         lvl = level_box(inst.space_bornology, v.index)
-        points = set_points_within(s, min(window, 10))
-        pts = np.array(points, dtype=float).reshape(-1, inst.space.dim)
+        # one grid per piece clipped to the window; a mismatch names the least point
+        d, r = inst.space.dim, min(window, 10)
+        pts = np.concatenate([np.empty((0, d))] + [
+            _grid(np.maximum(lo, -r), np.minimum(hi, r)) for lo, hi in zip(*_ends(s, d))])
         outside = lvl.empty | ((pts < lvl.lower) | (pts > lvl.upper)).any(axis=1)
         if outside.any():
-            rep.mismatches.append({"set": s, "index": v.index, "point": points[outside.argmax()]})
+            rep.mismatches.append({"set": s, "index": v.index, "point": min(
+                map(tuple, pts[outside].astype(np.int64).tolist()))})
     return rep
 
 

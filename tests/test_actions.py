@@ -14,6 +14,7 @@ from coarseact.boxes import (
     Box,
     BoxSet,
     GroundSpace,
+    UnsupportedVariant,
     box,
     box_contains_box,
     box_hull,
@@ -860,3 +861,39 @@ class TestCaseExtentWindow:
         a = _translation_instance(m)
         assert transporter_extent(a, t) == (bounded_at(0, note="empty transporter"), None)
         assert transporter_bounded(a, t) == bounded_at(0, note="empty transporter")
+
+
+class TestPointsWithin:
+    """LatticeTransporter.points_within, the interval listing, against the
+    member listing on seeded unions of boxes with ±inf ends and point sets."""
+
+    @staticmethod
+    def _seeded_set(rng, d):
+        pieces = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                pieces.append(points_set(*(tuple(rng.randint(-6, 6) for _ in range(d))
+                                           for _ in range(rng.randint(1, 2)))))
+            else:
+                pieces.append(BoxSet(_seeded_box(rng, d)))
+        return union_set(*pieces)
+
+    @pytest.mark.parametrize("profile, radii", [("lattice-k1", (0, 8, 20)),
+                                                ("lattice-k2", (0, 3, 8))])
+    def test_matches_member_listing(self, profile, radii):
+        from coarseact.boxes import box_points, cube
+        from coarseact.oracle import random_instance
+
+        for seed in range(1, 41):
+            inst = random_instance(seed, profile)
+            rng = random.Random(f"points-within|{profile}|{seed}")
+            b, b2 = (self._seeded_set(rng, inst.space.dim) for _ in "12")
+            t = transporter(inst, b, b2)
+            for r in radii:
+                expected = [l for l in box_points(cube(r, inst.group.rank)) if t.member(l)]
+                assert t.points_within(r) == expected, (seed, b, b2, r)
+
+    def test_empty_transporter_and_rank_three(self):
+        assert LatticeTransporter(((1, 2),), ()).points_within(5) == []
+        with pytest.raises(UnsupportedVariant):
+            LatticeTransporter(((1, 0, 2),), (box((0, 1)),)).points_within(2)

@@ -453,6 +453,22 @@ class TestRecoveryCells:
         monkeypatch.undo()
         assert orbit_compose_bound(*pair) == union_set(points_set((0,)), points_set((1,)))
 
+    def test_inconclusive_recovery_leaves_theorem_main_inconclusive(self, monkeypatch):
+        # an undecided cell is no refutation: conditions 1 and 2 hold, so the
+        # third and the report stay inconclusive instead of "disagreeing"
+        import coarseact.associated as associated
+
+        monkeypatch.setattr(associated, "transporter_extent",
+                            lambda a, t: (BoundVerdict("inconclusive", note="patched"), None))
+        r = verify_theorem_main(random_instance(16, "lattice-k2"))
+        cond3 = r.condition("weakly_plus_witness_structure")
+        assert r.status == cond3.status == "inconclusive"
+        assert cond3.witness["recovery"].status == "inconclusive"
+        assert r.condition("b_proper").confirmed
+        assert r.condition("weakly_plus_base").confirmed
+        monkeypatch.undo()
+        assert verify_theorem_main(random_instance(16, "lattice-k2")).confirmed
+
 
 class TestTheoremWeak:
     def test_hyperbola_both_sides_true(self, hyperbola):

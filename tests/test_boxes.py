@@ -9,6 +9,7 @@ from coarseact.boxes import (
     POS_INF,
     DimensionMismatch,
     EmptyBoxError,
+    UnionSet,
     box,
     box_difference_slabs,
     box_intersect,
@@ -18,6 +19,7 @@ from coarseact.boxes import (
     points_set,
     set_contains_set,
     set_membership,
+    set_points_within,
     set_translate,
     union_set,
 )
@@ -132,6 +134,25 @@ class TestTranslate:
         back = set_translate(set_translate(s, (v,)), (-v,))
         for p in range(-20, 21):
             assert set_membership(back, (p,)) == set_membership(s, (p,))
+
+
+class TestPointsWithin:
+    @pytest.mark.parametrize("s", [
+        box_set((1, 0)),
+        box_set((NEG_INF, POS_INF)),
+        box_set((NEG_INF, 2), (-1, POS_INF)),
+        box_set((3, 30), (-30, -2)),
+        box_set((0, 0), (5, 5)),
+    ])
+    @pytest.mark.parametrize("radius", [0, 1, 4])
+    def test_single_box_equals_union_path(self, s, radius):
+        # a single box is listed straight from box_points; a union of the box
+        # with itself goes through the deduplicating path
+        got = set_points_within(s, radius)
+        assert got == set_points_within(UnionSet((s, s)), radius)
+        assert got == sorted(p for p in itertools.product(range(-radius, radius + 1),
+                                                          repeat=s.box.dim)
+                             if set_membership(s, p))
 
 
 class TestIntervalUnionContainment:

@@ -160,6 +160,24 @@ class TestCommands:
         assert code == EXIT_OK
         assert "shift.transporter=pass" in out
 
+    def test_crosscheck_times_each_report(self, capsys):
+        # a seconds row follows each advisory row; output compares without it
+        argv = ["crosscheck", fixture("shift.instance"), "--window", "12",
+                "--format", "machine"]
+        outs = []
+        for _ in range(2):
+            code, out, _ = run(argv, capsys)
+            assert code == EXIT_OK
+            lines = out.splitlines()
+            timed = [i for i, line in enumerate(lines) if ".seconds=" in line]
+            assert len(timed) == 6
+            for i in timed:
+                assert lines[i - 1].endswith(".advisory=0")
+                assert lines[i].startswith(lines[i - 1].split(".advisory=")[0] + ".seconds=")
+                assert float(lines[i].split("=")[1]) >= 0
+            outs.append([line for line in lines if ".seconds=" not in line])
+        assert outs[0] == outs[1]
+
     def test_crosscheck_counts_advisory_notes(self, capsys, tmp_path):
         # truncated symbolic neighborhoods are advisory: counted, exit code unchanged
         _, text, _ = run(["random", "--seed", "1", "--profile", "lattice-k1"], capsys)

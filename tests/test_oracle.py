@@ -96,11 +96,29 @@ class TestUnionBoundedSets:
         pair = ((0,), (5,))
         assert entourage_membership(e, pair) is True
         assert oracle_entourage_member(e, pair, 20) is True
-        assert oracle_orbit_members_batch(e, [pair], 20) == [True]
+        assert oracle_orbit_members_batch(e, [pair[0]], [pair[1]], 20) == [True]
 
     def test_neighborhood_crosses_pieces(self, shift):
         e = OrbitPair(shift, points_set((0,), (5,)))
         assert oracle_neighborhood(e, points_set((0,)), 20, 8) == {(-5,), (0,), (5,)}
+
+    @pytest.mark.parametrize("case", ["shift", "hyperbola", "union A"])
+    def test_neighborhood_grid_matches_pair_listing(self, case, shift, hyperbola):
+        # the one-batch window grid against every (x, y) asked pair by pair
+        from coarseact.boxes import box_points, cube, set_points_within
+
+        if case == "hyperbola":
+            e = OrbitPair(hyperbola, box_set((NEG_INF, 0), (NEG_INF, 0)))
+            a_set = points_set((0, 0))
+        else:
+            e = OrbitPair(shift, points_set((0,), (5,)))
+            a_set = points_set((0,)) if case == "shift" else \
+                union_set(points_set((-6,)), box_set((1, 2)), points_set((30,)))
+        d, w = e.space.dim, 8
+        listed = {y for y in box_points(cube(w, d))
+                  if any(oracle_entourage_member(e, (x, y), 20)
+                         for x in set_points_within(a_set, w))}
+        assert listed and oracle_neighborhood(e, a_set, 20, w) == listed
 
     def test_compose_matches_engine(self, shift):
         e1 = OrbitPair(shift, points_set((0,), (5,)))
@@ -165,7 +183,7 @@ class TestUnionDifferential:
             for b in (b1, b2):
                 e = OrbitPair(a, b)
                 assert entourage_members(e, pairs) == \
-                    oracle_orbit_members_batch(e, pairs, self.GW), (seed, b)
+                    oracle_orbit_members_batch(e, *zip(*pairs), self.GW), (seed, b)
 
     def test_compositions_match_oracle(self):
         for seed in self.SEEDS:
@@ -347,6 +365,25 @@ class TestCrossCheck:
         monkeypatch.setattr(actions_mod, "difference_box", faulty)
         reports = cross_check([shift], primitives=("transporter",), window=16)
         assert any(not r.passed for r in reports)
+
+    def test_fault_injection_interval_listing(self, shift, monkeypatch):
+        # the symbolic transporter is listed by interval reads: an upper end
+        # one too far must show at both ranks (seed 5 has M = ((-2, -1),);
+        # seed 4 has M = 0, whose intervals have no finite end to widen)
+        import coarseact.actions as actions_mod
+
+        real = actions_mod._interval_k1
+
+        def faulty(m, c):
+            iv = real(m, c)
+            if iv is None or iv[1] == POS_INF:
+                return iv
+            return iv[0], iv[1] + 1
+
+        monkeypatch.setattr(actions_mod, "_interval_k1", faulty)
+        for inst in (shift, random_instance(5, "lattice-k2")):
+            reports = cross_check([inst], primitives=("transporter",), window=16)
+            assert any(not r.passed for r in reports), inst.name
 
     def test_fault_injection_box_intersect(self, monkeypatch):
         # rank-2 orbit-pair membership still meets x ⊖ p and y ⊖ q as boxes
