@@ -7,7 +7,8 @@ ends are ``(pieces, d)`` arrays, and a single box may pass its ``(d,)`` ends.
 Every sweep tests "inside the set" against all pieces at once, one coordinate
 at a time.  The transporter sweep marks b's window points in an integer grid
 and counts those in b2 − M·l from a summed-area table of the marks (Crow,
-SIGGRAPH 1984), with 2^d reads per piece of b2.
+SIGGRAPH 1984), with 2^d reads per piece of b2.  The orbit-pair sweeps drop
+the coordinates that no piece bounds, then dedupe the shifts M·l on the rest.
 
 The oracle's semantics live here as explicit searches over window points and
 group elements, deliberately independent of the symbolic interval calculus.
@@ -70,8 +71,11 @@ def orbit_pair_sweep(xs, ys, lgrid, m, b_lo, b_hi) -> np.ndarray:
     """
     xs, ys, lgrid, m = _as_arrays(xs, ys, lgrid, m)
     b_lo, b_hi = _as_ends(b_lo, b_hi)
-    shifts = _distinct_rows(lgrid @ m.T)[0]  # only M·l enters membership
     out = (xs == ys).all(axis=1)
+    # only M·l on the coordinates that some piece bounds enters membership
+    kept = _bounded_columns(b_lo, b_hi)
+    xs, ys, b_lo, b_hi = (v[:, kept] for v in (xs, ys, b_lo, b_hi))
+    shifts = _distinct_rows(lgrid @ m[kept].T)[0]
     ux, which = _distinct_rows(xs)
     step = _chunk(len(shifts) * len(b_lo))
     admits = np.zeros((len(ux), len(shifts)), dtype=bool)  # x − M·l ∈ b
@@ -102,8 +106,12 @@ def orbit_compose_sweep(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi) -> 
     """
     xs, zs, lgrid, hgrid, m = _as_arrays(xs, zs, lgrid, hgrid, m)
     b1_lo, b1_hi, b2_lo, b2_hi = _as_ends(b1_lo, b1_hi, b2_lo, b2_hi)
-    shifts_l = _distinct_rows(lgrid @ m.T)[0]
-    shifts_h = _distinct_rows(hgrid @ m.T)[0]
+    # a coordinate that neither factor bounds leaves every middle point free
+    kept = _bounded_columns(b1_lo, b1_hi, b2_lo, b2_hi)
+    xs, zs, b1_lo, b1_hi, b2_lo, b2_hi = (
+        v[:, kept] for v in (xs, zs, b1_lo, b1_hi, b2_lo, b2_hi))
+    shifts_l = _distinct_rows(lgrid @ m[kept].T)[0]
+    shifts_h = _distinct_rows(hgrid @ m[kept].T)[0]
     out = np.zeros(len(xs), dtype=bool)
     left = _inside(xs[:, None] - shifts_l, b1_lo, b1_hi)
     right = _inside(zs[:, None] - shifts_h, b2_lo, b2_hi)
@@ -125,6 +133,15 @@ def _inside(points, lo, hi) -> np.ndarray:
         p = points[..., i, None]
         hit &= (p >= lo[:, i]) & (p <= hi[:, i])
     return hit.any(axis=-1)
+
+
+def _bounded_columns(*ends) -> np.ndarray:
+    """Mask of the coordinates where some piece has a finite end.  A free
+    coordinate changes no answer, so the first one stands in when none is
+    bounded, and every point keeps a column."""
+    kept = np.isfinite(np.concatenate(ends)).any(axis=0)
+    kept[0] |= not kept.any()
+    return kept
 
 
 def _distinct_rows(rows) -> tuple:

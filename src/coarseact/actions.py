@@ -359,27 +359,18 @@ def _recession_rays(m: tuple, rec: Box) -> list:
     k = len(m[0]) if m else 0
     if k == 0:
         return []
-
-    def feasible(r):
-        if all(x == 0 for x in r):
-            return False
-        v = mat_vec(m, r)
-        return all(lo <= x <= hi for lo, x, hi in zip(rec.lower, v, rec.upper))
-
-    if k == 1:
-        return [r for r in ((1,), (-1,)) if feasible(r)]
     if k > 2:
         raise UnsupportedVariant("recession analysis implemented for k <= 2")
+    # rec's finite ends are 0: a finite lower end asks row·r >= 0, a finite
+    # upper end row·r <= 0, so r is a ray when h·r >= 0 for each signed row h
+    halves = [tuple(s * a for a in row) for row, lo, hi in zip(m, rec.lower, rec.upper)
+              if any(row) for s, free in ((1, lo == NEG_INF), (-1, hi == POS_INF)) if not free]
+    if k == 1:
+        return [r for r in ((1,), (-1,)) if all(h[0] * r[0] >= 0 for h in halves)]
     cands = {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    for row, lo, hi in zip(m, rec.lower, rec.upper):
-        if lo == NEG_INF and hi == POS_INF:
-            continue
-        a = _primitive(row)
-        if a is None:
-            continue
+    for a in map(_primitive, halves):
         cands.update({a, (-a[0], -a[1]), (-a[1], a[0]), (a[1], -a[0])})
-    rays = sorted(r for r in cands if feasible(r))
-    return rays
+    return sorted(r for r in cands if all(a * r[0] + b * r[1] >= 0 for a, b in halves))
 
 
 def _primitive(v):

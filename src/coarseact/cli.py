@@ -616,6 +616,8 @@ def _cmd_crosscheck(parsed_list, args) -> int:
         rows.append((f"{r.instance}.{r.primitive}", status))
         rows.append((f"{r.instance}.{r.primitive}.advisory", len(r.advisory)))
         rows.append((f"{r.instance}.{r.primitive}.seconds", f"{seconds:.6f}"))
+        rows += [(f"{r.instance}.{r.primitive}.{side}_seconds", f"{r.seconds[side]:.6f}")
+                 for side in ("symbolic", "oracle")]
         bad += 0 if r.passed else 1
         for m in r.mismatches[:2]:
             rows.append((f"{r.instance}.{r.primitive}.mismatch", _stable_repr(m)))

@@ -11,6 +11,7 @@ an antichain of maximal relations by fixpoint.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -63,6 +64,7 @@ from .actions import (
     ActionInstance,
     GroupSpec,
     _case_extent,
+    _echelon,
     _interval_k1,
     _k1_interval,
     _k1_rows,
@@ -140,23 +142,25 @@ def entourage_members(e, pairs, budget: Budget = DEFAULT_BUDGET) -> list:
     """Membership of each pair in e: exact where decidable, None where only
     budget evidence exists.  The work that depends on e alone runs once.
 
-    pairs is a sequence of (x, y) or an (n, 2, d) integer array.  A rank-1
-    translation orbit pair, or a composition of two that no rewrite makes a
-    DiffRel, answers the whole batch by interval arithmetic over integer
-    arrays: int64 with ±2**61 for infinite ends while every coordinate and
-    finite end is below 2**40 in magnitude, Python ints past that.
+    pairs is a sequence of (x, y) or an (n, 2, d) integer array.  A translation
+    orbit pair, or a composition of two that no rewrite makes a DiffRel, whose
+    shifts have rank ≤ 1 on the rows its sets bound (_shift_generator) answers
+    the whole batch by interval arithmetic over integer arrays: int64 with
+    ±2**61 for infinite ends while every coordinate and finite end is below
+    2**40 in magnitude, Python ints past that.
     """
     factors = (e.e1, e.e2) if isinstance(e, Compose) else (e,)
     a = getattr(factors[0], "action", None)
-    if not (all(isinstance(f, OrbitPair) and f.action is a for f in factors)
-            and a.is_translation and a.group.rank == 1):
-        factors = ()
-    elif len(factors) == 2:
+    gen = None
+    if all(isinstance(f, OrbitPair) and f.action is a for f in factors) and a.is_translation:
+        sets = [f.bounded_set for f in factors]
+        gen = a.matrix if a.group.rank == 1 else _shift_generator(a.matrix, *sets)
+    if gen is not None and len(factors) == 2:
         rw = _rewrite_compose(e, *map(entourage_rewrite, factors))
         if rw.exact and not isinstance(rw.descriptor, Compose):
-            e, factors = rw.descriptor, ()
-    if factors:
-        return _k1_members(factors, pairs) if len(pairs) else []
+            e, gen = rw.descriptor, None
+    if gen is not None:
+        return _k1_members(gen, factors, pairs) if len(pairs) else []
     member = _member_test(e, budget)
     if hasattr(pairs, "tolist"):
         pairs = [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
@@ -193,8 +197,10 @@ def _orbit_pair_test(e: OrbitPair):
         moved = [{mapping[p] for p in b.points} for mapping in mappings]
         return lambda x, y: x == y or any(x in s and y in s for s in moved)
     pieces = set_boxes(b)
-    if a.group.rank == 1:
-        offsets = _k1_offsets(a.matrix, pieces)
+    # one column reads the same intervals as its reduction: a free row has no finite end
+    gen = a.matrix if a.group.rank == 1 else _shift_generator(a.matrix, b)
+    if gen is not None:
+        offsets = _k1_offsets(gen, pieces)
 
         def member_k1(x, y):
             # (x,y) ∈ E(L,B) iff x = y or some I_p(x) meets some I_q(y)
@@ -224,15 +230,31 @@ def _orbit_pair_test(e: OrbitPair):
     return member
 
 
+def _shift_generator(m: tuple, *sets):
+    """A one-column matrix v with {M·l} = {t·v} on the rows of M where some
+    piece of the sets has a finite end, and zero on the other (free) rows,
+    when that shift lattice has rank ≤ 1; None at rank 2.  Orbit-pair
+    membership, composition and neighbourhoods meet the sets on those rows
+    only, so v answers them in place of M."""
+    kept = {i for s in sets for p in set_boxes(s)
+            for i, (lo, hi) in enumerate(zip(p.lower, p.upper))
+            if is_finite_end(lo) or is_finite_end(hi)}
+    basis = _echelon(tuple(row if i in kept else (0,) * len(row) for i, row in enumerate(m)))
+    if len(basis) > 1:
+        return None
+    return tuple((c,) for c in (basis[0][1] if basis else (0,) * len(m)))
+
+
 def _k1_offsets(m: tuple, pieces):
     """For k = 1, x ↦ the non-empty intervals I_p(x) = {l : x - M·l ∈ p}."""
     rows = [_k1_rows(m, p.lower, p.upper) for p in pieces]
     return lambda x: [iv for r in rows if (iv := _k1_interval(r, x)) is not None]
 
 
-def _k1_members(factors, pairs) -> list:
-    """entourage_members of E(L,B) or E(L,B1)∘E(L,B2) for a rank-1 translation
-    action, by interval arithmetic over every pair at once."""
+def _k1_members(m: tuple, factors, pairs) -> list:
+    """entourage_members of E(L,B) or E(L,B1)∘E(L,B2) for a translation action
+    whose shifts are t·v for the one column v of m, by interval arithmetic over
+    every pair at once."""
     import numpy as np
 
     pts = _int_array(pairs)
@@ -244,7 +266,6 @@ def _k1_members(factors, pairs) -> list:
         # or end, so 16 times that stands for infinity
         pts = pts.astype(object)
         inf = 2 ** (max(map(abs, ends + [pts.min(), pts.max()])).bit_length() + 4)
-    m = factors[0].action.matrix
     # coordinate-major (d, n) copies: numpy reduces and indexes along n fastest
     x, y = np.ascontiguousarray(pts.transpose(1, 2, 0))
     rows = [[_k1_rows(m, p.lower, p.upper) for p in ps] for ps in pieces]
@@ -551,14 +572,16 @@ def _orbit_neighborhood(e: OrbitPair, a_set, budget: Budget):
 def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
     """E(L,B)[x] = ∪_{l : M l ∈ x⊖B} (B + M l) ∪ {x}, realized piecewise.
 
-    The feasible l come from every constraint piece; each feasible l then
-    translates the whole of B.
+    A rank ≤ 1 shift generator stands in for M, and rank 0 is a connected-pairs
+    neighbourhood; each distinct shift translates the whole of B once.
     """
-    a = e.action
-    b = e.bounded_set
-    m = a.matrix
+    b, m = e.bounded_set, e.action.matrix
     xpt = FinitePoints(frozenset({x}))
-    feasible_ls = set()
+    gen = _shift_generator(m, b)
+    if gen is not None and not any(c for (c,) in gen):
+        return neighborhood(ConnectedPairs(e.space, b), xpt, budget)
+    m = gen or m
+    shifts = set()
     truncated = False
     for piece in set_boxes(b):
         c = difference_box(point_box(x), piece)
@@ -568,27 +591,13 @@ def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
             truncated = True
             bb = cube(budget.window, len(m[0]))
         if bb is not None:
-            feasible_ls.update(l for l in bx.box_points(bb) if c.contains(mat_vec(m, l)))
-    parts = [xpt]
-    exact = not truncated
-    pieces = set_boxes(b)
-    if len(feasible_ls) * len(pieces) > NBHD_ENUM_CAP:
-        hull = None
-        for l in sorted(feasible_ls):
-            for piece in pieces:
-                t = bx.translate_box(piece, mat_vec(m, l))
-                hull = t if hull is None else box_hull(hull, t)
-        if hull is not None:
-            parts.append(BoxSet(hull))
-        exact = False
-    else:
-        boxes = []
-        for l in sorted(feasible_ls):
-            for piece in pieces:
-                boxes.append(bx.translate_box(piece, mat_vec(m, l)))
-        parts.extend(BoxSet(t) for t in dict.fromkeys(boxes))
-    out, ok = _union_or_hull(*parts)
-    return out, exact and ok
+            shifts.update(filter(c.contains, (mat_vec(m, l) for l in bx.box_points(bb))))
+    moved = [bx.translate_box(piece, v) for v in sorted(shifts) for piece in set_boxes(b)]
+    hulled = len(moved) > NBHD_ENUM_CAP
+    if hulled:
+        moved = [functools.reduce(box_hull, moved)]
+    out, ok = _union_or_hull(xpt, *(BoxSet(t) for t in dict.fromkeys(moved)))
+    return out, ok and not (truncated or hulled)
 
 
 # --- coarse structures -------------------------------------------------------

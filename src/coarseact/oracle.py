@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +74,19 @@ class CrossCheckReport:
     window: int
     mismatches: list = field(default_factory=list)
     advisory: list = field(default_factory=list)
+    seconds: dict = field(default_factory=lambda: {"symbolic": 0.0, "oracle": 0.0})
 
     @property
     def passed(self) -> bool:
         return not self.mismatches
+
+    def timed(self, side: str, fn, *args):
+        """fn(*args), its wall time added to seconds[side]: "symbolic" or "oracle"."""
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.seconds[side] += time.perf_counter() - start
 
 
 # --- transporter oracle -------------------------------------------------------
@@ -600,14 +610,14 @@ def _check_transporter(inst, window, budget) -> CrossCheckReport:
     for b, b2 in itertools.product(sets, repeat=2):
         if set_is_empty(b) or set_is_empty(b2):
             continue
-        t = transporter(inst, b, b2)
+        t = rep.timed("symbolic", transporter, inst, b, b2)
         if inst.is_translation:
-            bound = existence_truncation_bound(inst, b, b2, gw)
-            oracle_set, notes, eff_gw = oracle_transporter(
-                inst, b, b2, gw, max(window, bound)
+            bound = rep.timed("oracle", existence_truncation_bound, inst, b, b2, gw)
+            oracle_set, notes, eff_gw = rep.timed(
+                "oracle", oracle_transporter, inst, b, b2, gw, max(window, bound)
             )
             rep.advisory.extend(notes)
-            sym = t.points_within(eff_gw)
+            sym = rep.timed("symbolic", t.points_within, eff_gw)
             truncated = any("advisory" in n or "below" in n for n in notes)
             only_oracle = sorted(set(oracle_set) - set(sym))
             only_sym = sorted(set(sym) - set(oracle_set))
@@ -618,7 +628,7 @@ def _check_transporter(inst, window, budget) -> CrossCheckReport:
                      "only_symbolic": only_sym[:3]}
                 )
         else:
-            oracle_set, _, _ = oracle_transporter(inst, b, b2, gw, window)
+            oracle_set, _, _ = rep.timed("oracle", oracle_transporter, inst, b, b2, gw, window)
             sym = sorted((g for g in inst.group.elements if t.member(g)), key=str)
             if sym != sorted(oracle_set, key=str):
                 rep.mismatches.append({"b": b, "b2": b2})
@@ -654,8 +664,8 @@ def _check_entourage(inst, window, budget) -> CrossCheckReport:
     samples = {sp: _pair_sample(sp, inst.name, min(window, 12)) for sp in {e.space for e in levels}}
     for e in levels:
         pairs = samples[e.space]  # one seeded draw per ground space
-        syms = entourage_members(e, pairs, budget)
-        for pair, sym, orc in zip(pairs, syms, _oracle_members(e, pairs, gw)):
+        syms = rep.timed("symbolic", entourage_members, e, pairs, budget)
+        for pair, sym, orc in zip(pairs, syms, rep.timed("oracle", _oracle_members, e, pairs, gw)):
             if sym is None:
                 rep.advisory.append({"pair": pair, "note": "symbolic inconclusive"})
                 continue
@@ -690,11 +700,11 @@ def _check_neighborhood(inst, window, budget) -> CrossCheckReport:
     for e in _entourage_levels(inst, budget)[:3]:
         for x in points:
             a_set = FinitePoints(frozenset({x}))
-            sym_set, exact = neighborhood(e, a_set, budget.shrunk(w))
+            sym_set, exact = rep.timed("symbolic", neighborhood, e, a_set, budget.shrunk(w))
             if not exact:
                 rep.advisory.append({"x": x, "note": "symbolic neighborhood truncated"})
                 continue
-            oracle_set = oracle_neighborhood(e, a_set, gw, w)
+            oracle_set = rep.timed("oracle", oracle_neighborhood, e, a_set, gw, w)
             sym_pts = set(set_points_within(sym_set, w)) if inst.space.is_lattice else {
                 p for p in inst.space.labels if set_membership(sym_set, p)
             }
@@ -714,8 +724,9 @@ def _check_compose(inst, window, budget) -> CrossCheckReport:
     e1 = OrbitPair(inst, sets[0])
     e2 = OrbitPair(inst, sets[-1])
     pairs = _pair_sample(inst.space, inst.name, min(window, 8), count=40)
-    syms = entourage_members(Compose(e1, e2), pairs, budget)
-    for pair, sym, orc in zip(pairs, syms, _oracle_compose_orbit(inst, e1, e2, pairs, gw)):
+    syms = rep.timed("symbolic", entourage_members, Compose(e1, e2), pairs, budget)
+    orcs = rep.timed("oracle", _oracle_compose_orbit, inst, e1, e2, pairs, gw)
+    for pair, sym, orc in zip(pairs, syms, orcs):
         if sym is None:
             rep.advisory.append({"pair": pair})
             continue
@@ -758,7 +769,7 @@ def _check_bounded(inst, window, budget) -> CrossCheckReport:
     full = (bx.NEG_INF, bx.POS_INF)
     half_space = BoxSet(bx.box((0, bx.POS_INF), *[full] * (inst.space.dim - 1)))
     for s in _sample_sets(inst) + [half_space]:
-        v = is_bounded(inst.space_bornology, s)
+        v = rep.timed("symbolic", is_bounded, inst.space_bornology, s)
         if not v.bounded:
             if v.direction is None or v.base_point is None:
                 rep.mismatches.append({"set": s, "escape": None})
@@ -792,8 +803,8 @@ def _check_closure(inst, window, budget) -> CrossCheckReport:
     base = []
     for _ in range(rng.randint(1, 3)):
         base.append(frozenset(rng.sample(pairs, rng.randint(1, min(4, len(pairs))))))
-    closure = close_finite_base(inst.space, base)
-    _, naive_antichain = naive_closure(inst.space, base)
+    closure = rep.timed("symbolic", close_finite_base, inst.space, base)
+    _, naive_antichain = rep.timed("oracle", naive_closure, inst.space, base)
     if tuple(closure.maximal) != naive_antichain:
         rep.mismatches.append(
             {"symbolic": closure.maximal, "naive": naive_antichain}

@@ -211,10 +211,11 @@ def test_criterion_6_oracle_agreement(flagships):
     mismatched = [r for r in reports if not r.passed]
     elapsed = time.monotonic() - start
     assert not mismatched, mismatched[:3]
-    # fault injection: four seeded single-end faults each produce a mismatch
+    # fault injection: five seeded faults each produce a mismatch
     import coarseact.actions as actions_mod
     import coarseact.coarse as coarse_mod
     from coarseact.coarse import _k1_bounds as real_bounds
+    from coarseact.coarse import _shift_generator as real_generator
     from coarseact.boxes import Box
     from coarseact.boxes import box_intersect as real_intersect
     from coarseact.boxes import difference_box as real_diff
@@ -246,15 +247,22 @@ def test_criterion_6_oracle_agreement(flagships):
             return out
         return Box(out.lower, out.upper[:-1] + (out.upper[-1] + 2,))
 
+    def fault_generator(m, *sets):
+        # a reduced shift lattice of index 2: every other shift t·v is lost
+        gen = real_generator(m, *sets)
+        return gen and tuple((2 * c,) for (c,) in gen)
+
     shift = flagships[0]
     hyperbola = flagships[1]
     injections = [
         (actions_mod, "difference_box", fault_transporter_end, shift, ("transporter",)),
         (coarse_mod, "_k1_bounds", fault_interval_end, hyperbola, ("entourage",)),
-        (coarse_mod, "box_intersect", fault_intersect_end, random_instance(4, "lattice-k2"),
+        (coarse_mod, "box_intersect", fault_intersect_end, random_instance(11, "lattice-k2"),
          ("entourage",)),
         (coarse_mod, "difference_box", fault_membership_end, shift,
          ("entourage", "neighborhood")),
+        (coarse_mod, "_shift_generator", fault_generator, random_instance(1, "lattice-k2"),
+         ("entourage", "compose")),
     ]
     for mod, attr, fault, inst, prims in injections:
         original = getattr(mod, attr)
@@ -266,7 +274,7 @@ def test_criterion_6_oracle_agreement(flagships):
         faults.append(any(not r.passed for r in broken))
     assert all(faults), faults
     report(6, True, f"105 instances agree at W=32 in {elapsed:.1f}s; "
-                    f"4/4 faults detected")
+                    f"5/5 faults detected")
 
 
 def test_criterion_7_finite_algebra():

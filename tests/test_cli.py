@@ -161,7 +161,8 @@ class TestCommands:
         assert "shift.transporter=pass" in out
 
     def test_crosscheck_times_each_report(self, capsys):
-        # a seconds row follows each advisory row; output compares without it
+        # seconds, symbolic_seconds and oracle_seconds rows follow each
+        # advisory row; output compares without them
         argv = ["crosscheck", fixture("shift.instance"), "--window", "12",
                 "--format", "machine"]
         outs = []
@@ -173,21 +174,26 @@ class TestCommands:
             assert len(timed) == 6
             for i in timed:
                 assert lines[i - 1].endswith(".advisory=0")
-                assert lines[i].startswith(lines[i - 1].split(".advisory=")[0] + ".seconds=")
-                assert float(lines[i].split("=")[1]) >= 0
-            outs.append([line for line in lines if ".seconds=" not in line])
+                key = lines[i - 1].split(".advisory=")[0]
+                parts = [line.split("=") for line in lines[i:i + 3]]
+                assert [k for k, _ in parts] == [f"{key}.seconds", f"{key}.symbolic_seconds",
+                                                 f"{key}.oracle_seconds"]
+                total, symbolic, oracle = (float(v) for _, v in parts)
+                assert min(symbolic, oracle) >= 0 and symbolic + oracle <= total + 1e-5
+            outs.append([line for line in lines if "seconds=" not in line])
         assert outs[0] == outs[1]
 
     def test_crosscheck_counts_advisory_notes(self, capsys, tmp_path):
         # truncated symbolic neighborhoods are advisory: counted, exit code unchanged
-        _, text, _ = run(["random", "--seed", "1", "--profile", "lattice-k1"], capsys)
-        f = tmp_path / "r1.instance"
+        # (seed 2: an unbounded point transporter with a nonzero shift generator)
+        _, text, _ = run(["random", "--seed", "2", "--profile", "lattice-k1"], capsys)
+        f = tmp_path / "r2.instance"
         f.write_text(text)
         code, out, _ = run(["crosscheck", str(f), "--window", "12", "--format", "machine"],
                            capsys)
         assert code == EXIT_OK
-        assert "\nr1.neighborhood=pass\nr1.neighborhood.advisory=3\n" in out
-        assert "\nr1.transporter.advisory=0\n" in out
+        assert "\nr2.neighborhood=pass\nr2.neighborhood.advisory=3\n" in out
+        assert "\nr2.transporter.advisory=0\n" in out
 
     def test_random_round_trips(self, capsys):
         code, out, _ = run(["random", "--seed", "4", "--profile", "lattice-k1"], capsys)

@@ -373,6 +373,106 @@ class TestRankOneMembership:
         assert len(calls) == 2
 
 
+@st.composite
+def _reduced_case(draw, factors=1):
+    """k = 1 or 2 on Z^d, d <= 3, and `factors` sets that are unions of one or
+    two boxes.  Rows marked free are infinite in every piece and carry any
+    row of M; the other rows of M are multiples of one row, so the shifts
+    have rank <= 1 where the sets are bounded.  A kept row may still be free
+    in one piece or one set; ends are ±inf or lie near far offsets (ends past
+    2**40 take the Python-int path).  Pairs lie near one set's offset."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    free = [draw(st.integers(0, 3)) == 0 for _ in range(d)]
+    step = draw(st.sampled_from((1, 3, 5)))  # sparse shifts leave pairs outside
+    w = [step * draw(st.integers(-2, 2)) for _ in range(k)]
+    scales = [None if f else draw(st.integers(-2, 2)) for f in free]
+    m = tuple(tuple(draw(st.integers(-3, 3)) if t is None else t * c for c in w) for t in scales)
+    sets, offsets = [], []
+    for _ in range(factors):
+        pieces = []
+        for _ in range(draw(st.integers(1, 2))):
+            sides = []
+            for f in free:
+                lo = draw(st.integers(-3, 3))
+                hi = lo + draw(st.integers(0, 3))
+                if f or draw(st.integers(0, 3)) == 0:
+                    lo, hi = NEG_INF, POS_INF
+                sides.append((draw(st.sampled_from((lo, lo, lo, NEG_INF))),
+                              draw(st.sampled_from((hi, hi, hi, POS_INF)))))
+            pieces.append(box_set(*sides))
+        offsets.append(_far(draw, d))
+        sets.append(set_translate(union_set(*pieces), offsets[-1]))
+    point = st.tuples(*[st.integers(-9, 9)] * d)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=8))
+    return m, sets, _moved_pairs(pairs, draw(st.sampled_from(offsets)))
+
+
+def _unreduced():
+    """The per-pair answers with M itself: no shift generator is found."""
+    from unittest import mock
+
+    import coarseact.coarse as coarse_mod
+
+    return mock.patch.object(coarse_mod, "_shift_generator", lambda m, *sets: None)
+
+
+class TestReducedShiftLattice:
+    """Orbit-pair questions read on the rows the sets bound, with a rank <= 1
+    generator of the shifts there, against the answers that use M itself."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_reduced_case())
+    @example((((0, 1), (0, 2), (2, 0)), [box_set((NEG_INF, POS_INF), (NEG_INF, POS_INF), (-1, 1))],
+              [((0, 0, 0), (5, -7, 2)), ((0, 0, 0), (5, -7, 3)), ((1, 1, 1), (1, 1, 1))]))
+    @example((((1, 1),), [box_set((NEG_INF, POS_INF))], [((0,), (3,))]))
+    def test_membership_matches_unreduced(self, case):
+        m, (b,), pairs = case
+        e = OrbitPair(_translation(m), b)
+        got = entourage_members(e, pairs)
+        scalar = [entourage_membership(e, p) for p in pairs]
+        with _unreduced():
+            want = [entourage_membership(e, p) for p in pairs]
+        assert got == scalar == want
+        assert all(type(r) is bool for r in got)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_reduced_case(factors=2))
+    @example((((1, 0), (0, 0)), [box_set((NEG_INF, POS_INF), (0, 1)),
+                                 box_set((0, 2), (NEG_INF, POS_INF))],
+              [((0, 0), (1, 5)), ((0, 0), (7, 5)), ((0, 3), (1, 0))]))
+    def test_composition_matches_unreduced(self, case):
+        # the unreduced answer is a middle-point search, None where incomplete
+        m, (b1, b2), pairs = case
+        a = _translation(m)
+        e = Compose(OrbitPair(a, b1), OrbitPair(a, b2))
+        got = entourage_members(e, pairs)
+        with _unreduced():
+            want = entourage_members(e, pairs)
+        assert all(type(r) is bool for r in got)
+        assert [g for g, w in zip(got, want) if w is not None] == [w for w in want if w is not None]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_reduced_case())
+    @example((((0, 0),), [box_set((NEG_INF, 3))], [((0,), (0,))]))
+    @example((((0, 1), (0, 2), (2, 0)), [box_set((NEG_INF, POS_INF), (NEG_INF, POS_INF), (-1, 1))],
+              [((0, 0, 1), (0, 0, 0))]))
+    def test_point_neighborhood_matches_unreduced(self, case):
+        # y ∈ E[x] iff (x, y) ∈ E, asked with M around x; a window-truncated
+        # neighbourhood holds only members, and it is exact where the
+        # neighbourhood built with M is
+        m, (b,), pairs = case
+        e, x = OrbitPair(_translation(m), b), pairs[0][0]
+        budget = Budget().shrunk(6)
+        got, exact = neighborhood(e, points_set(x), budget)
+        near = [tuple(map(sum, zip(x, s))) for s in itertools.product(range(-2, 3), repeat=len(m))]
+        have = {y for y in near if set_membership(got, y)}
+        with _unreduced():
+            want = {y for y in near if entourage_membership(e, (x, y))}
+            want_exact = neighborhood(e, points_set(x), budget)[1]
+        assert have == want if exact else have <= want
+        assert exact or not want_exact
+
+
 class TestRewrite:
     def test_compose_metric_balls(self):
         got = entourage_rewrite(Compose(DiffRel(Z, box_set((-2, 2))),

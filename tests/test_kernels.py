@@ -1,4 +1,8 @@
+import itertools
+
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coarseact._kernels import (
     _distinct_rows,
@@ -193,3 +197,72 @@ def test_distinct_rows_match_numpy_unique():
         got, which = _distinct_rows(rows)
         assert got.tolist() == want.tolist()
         assert which.tolist() == want_which.reshape(-1).tolist()
+
+
+@st.composite
+def _sweep_case(draw):
+    """M with entries in ±2 (k <= 2, d <= 3), two unions of boxes whose ends
+    are ±inf often enough that a coordinate is free in one piece, in every
+    piece of one set, or in both sets, and window pairs."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    m = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(d)]
+    free = [draw(st.booleans()) for _ in range(d)]
+    sets = []
+    for _ in range(2):
+        pieces = []
+        free_here = [f or draw(st.integers(0, 3)) == 0 for f in free]
+        for _ in range(draw(st.integers(1, 2))):
+            lo = [draw(st.integers(-3, 3)) for _ in range(d)]
+            hi = [c + draw(st.integers(0, 2)) for c in lo]
+            for i in range(d):
+                if free_here[i] or draw(st.integers(0, 4)) == 0:
+                    lo[i], hi[i] = -np.inf, np.inf
+            pieces.append((lo, hi))
+        sets.append(pieces)
+    point = st.tuples(*[st.integers(-6, 6)] * d)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
+    return m, sets, pairs
+
+
+def _inside(p, pieces):
+    return any(all(lo[i] <= p[i] <= hi[i] for i in range(len(p))) for lo, hi in pieces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sweep_case())
+@example(([[1, 0], [0, 1]], [[([-np.inf] * 2, [np.inf] * 2)]] * 2, [((0, 0), (5, -3))]))
+@example(([[1], [1]], [[([0, -np.inf], [1, np.inf])], [([-np.inf, 0], [np.inf, 1])]],
+          [((0, 4), (9, 1)), ((0, 4), (9, 7))]))
+def test_projected_sweeps_match_loops_over_group_elements(case):
+    # the sweeps drop the coordinates no piece bounds; the reference keeps
+    # them all and loops over every group element of the window
+    m, (b1, b2), pairs = case
+    d, k = len(m), len(m[0])
+    lgrid = grid(2, k)
+    shifts = [tuple(int(v) for v in np.array(m) @ l) for l in lgrid]
+    ends = [(np.array([lo for lo, _ in b], float).reshape(-1, d),
+             np.array([hi for _, hi in b], float).reshape(-1, d)) for b in (b1, b2)]
+
+    def moved(p, s):
+        return [p[i] - s[i] for i in range(d)]
+
+    def pair_member(x, y):
+        return x == y or any(_inside(moved(x, s), b1) and _inside(moved(y, s), b1)
+                             for s in shifts)
+
+    def meet(s, t):
+        # some piece of B1 + s meets some piece of B2 + t
+        return any(all(max(lo1[i] + s[i], lo2[i] + t[i]) <= min(hi1[i] + s[i], hi2[i] + t[i])
+                       for i in range(d)) for lo1, hi1 in b1 for lo2, hi2 in b2)
+
+    def compose_member(x, z):
+        return any(_inside(moved(x, s), b1) and _inside(moved(z, t), b2) and meet(s, t)
+                   for s, t in itertools.product(shifts, repeat=2))
+
+    xs = np.array([x for x, _ in pairs], float)
+    ys = np.array([y for _, y in pairs], float)
+    mf = np.array(m, float)
+    assert orbit_pair_sweep(xs, ys, lgrid, mf, *ends[0]).tolist() == [
+        pair_member(x, y) for x, y in pairs]
+    assert orbit_compose_sweep(xs, ys, lgrid, lgrid, mf, *ends[0], *ends[1]).tolist() == [
+        compose_member(x, z) for x, z in pairs]

@@ -387,6 +387,7 @@ class TestCrossCheck:
 
     def test_fault_injection_box_intersect(self, monkeypatch):
         # rank-2 orbit-pair membership still meets x ⊖ p and y ⊖ q as boxes
+        # (seed 11 keeps rank 2 on the rows its sets bound; seed 4 has M = 0)
         import coarseact.coarse as coarse_mod
         from coarseact.boxes import box_intersect as real, Box
 
@@ -397,9 +398,32 @@ class TestCrossCheck:
             return Box(tuple(l - 1 for l in out.lower), out.upper)
 
         monkeypatch.setattr(coarse_mod, "box_intersect", faulty)
-        reports = cross_check([random_instance(4, "lattice-k2")], primitives=("entourage",),
+        reports = cross_check([random_instance(11, "lattice-k2")], primitives=("entourage",),
                               window=16)
         assert any(not r.passed for r in reports)
+
+    def test_reduced_orbit_pairs_ask_no_rank_two_feasibility(self, monkeypatch):
+        # seed 1 (M of rank 2, sets bounded in the third row only, where the
+        # shifts are 2·l₀) and seed 4 (M = 0) answer every orbit-pair question
+        # by the interval kernel.  Seed 1's compose check is left out: its
+        # second set bounds all three rows, where the shifts have rank 2.
+        import coarseact.actions as actions_mod
+        import coarseact.coarse as coarse_mod
+
+        calls = []
+        real = actions_mod.lattice_box_feasible
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(actions_mod, "lattice_box_feasible", counted)
+        monkeypatch.setattr(coarse_mod, "lattice_box_feasible", counted)
+        checks = [(1, ("entourage", "neighborhood")), (4, ("entourage", "compose", "neighborhood"))]
+        for seed, prims in checks:
+            reports = cross_check([random_instance(seed, "lattice-k2")], primitives=prims)
+            assert all(r.passed and not r.advisory for r in reports), seed
+        assert calls == []
 
     def test_fault_injection_interval_lower_end(self, hyperbola, monkeypatch):
         # rank-1 orbit-pair membership meets the intervals I_p(x) and I_q(y),
