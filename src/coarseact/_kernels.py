@@ -7,7 +7,8 @@ ends are ``(pieces, d)`` arrays, and a single box may pass its ``(d,)`` ends.
 Every sweep tests "inside the set" against all pieces at once, one coordinate
 at a time.  The transporter sweep marks b's window points in an integer grid
 and counts those in b2 − M·l from a summed-area table of the marks (Crow,
-SIGGRAPH 1984), with 2^d reads per piece of b2.  The orbit-pair sweeps drop
+SIGGRAPH 1984), with 2^d reads per piece of b2; queries on one b share the
+table, each clipped to its own box.  The orbit-pair sweeps drop
 the coordinates that no piece bounds, then dedupe the shifts M·l on the rest.
 
 The oracle's semantics live here as explicit searches over window points and
@@ -25,40 +26,49 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def transporter_sweep(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid) -> np.ndarray:
+def transporter_sweep(lgrid, m, b_lo, b_hi, b2_lo, b2_hi, xgrid,
+                      query=None, clip_lo=-np.inf, clip_hi=np.inf) -> np.ndarray:
     """For each group element l: does some window point x lie in b with x+Ml ∈ b2.
 
     xgrid holds integer points; the count table spans the bounding box of
-    those that lie in b, so pass a box grid, as the oracle does.
+    those that lie in b, so pass a box grid, as the oracle does.  Queries on
+    one b share the table: piece p of b2 answers query ``query[p]``, which
+    counts only the x in its clip box, and each query gets one row of hits.
+    The defaults are one query with no clip; its row alone is returned.
     """
     lgrid, m, xgrid = _as_arrays(lgrid, m, xgrid)
     b_lo, b_hi, b2_lo, b2_hi = _as_ends(b_lo, b_hi, b2_lo, b2_hi)
+    clip_lo, clip_hi = _as_ends(clip_lo, clip_hi)
+    d = xgrid.shape[1]
+    single = query is None
+    query = np.zeros(len(b2_lo), dtype=np.intp) if single else np.asarray(query, dtype=np.intp)
+    out = np.zeros((len(clip_lo), len(lgrid)), dtype=bool)
     xs = xgrid[_inside(xgrid, b_lo, b_hi)].astype(np.intp)
-    if not len(xs):
-        return np.zeros(len(lgrid), dtype=bool)
-    d = xs.shape[1]
-    low = xs.min(axis=0)
-    xs -= low
-    size = xs.max(axis=0) + 1
-    # table[j] counts the marked points x with x − low < j in every coordinate
-    table = np.zeros(size + 1, dtype=np.intp)
-    table[tuple(xs.T + 1)] = 1
-    for axis in range(d):
-        table = table.cumsum(axis=axis)
-    # per group element and piece of b2: (b2 − M·l) ∩ the marked box as table
-    # indices; with 2^d reads per row, deduplicating the shifts would cost more
-    base = (lgrid @ m.T)[:, None] + low
-    lo = np.minimum(np.maximum(b2_lo - base, 0), size)
-    hi = np.maximum(np.minimum(b2_hi + 1 - base, size), lo)
-    ends = np.stack([hi, lo]).astype(np.intp)
-    # read all 2^d corners at once, then difference them out axis by axis
-    count = table[tuple(
-        ends[..., i].reshape((1,) * i + (2,) + (1,) * (d - 1 - i) + lo.shape[:-1])
-        for i in range(d)
-    )]
-    for _ in range(d):
-        count = count[0] - count[1]
-    return (count > 0).any(axis=1)
+    if len(xs):
+        low = xs.min(axis=0)
+        xs -= low
+        size = xs.max(axis=0) + 1
+        # table[j] counts the marked points x with x − low < j in every coordinate
+        table = np.zeros(size + 1, dtype=np.intp)
+        table[tuple(xs.T + 1)] = 1
+        for axis in range(d):
+            table = table.cumsum(axis=axis)
+        # per group element and piece of b2: (b2 − M·l) ∩ its query's clip box
+        # ∩ the marked box as table indices; with 2^d reads per row,
+        # deduplicating the shifts would cost more
+        shifts = (lgrid @ m.T)[:, None]
+        lo = np.clip(np.maximum(b2_lo - shifts, clip_lo[query]) - low, 0, size)
+        hi = np.clip(np.minimum(b2_hi - shifts, clip_hi[query]) + 1 - low, lo, size)
+        ends = np.stack([hi, lo]).astype(np.intp)
+        # read all 2^d corners at once, then difference them out axis by axis
+        count = table[tuple(
+            ends[..., i].reshape((1,) * i + (2,) + (1,) * (d - 1 - i) + lo.shape[:-1])
+            for i in range(d)
+        )]
+        for _ in range(d):
+            count = count[0] - count[1]
+        np.logical_or.at(out, query, (count > 0).T)
+    return out[0] if single else out
 
 
 def orbit_pair_sweep(xs, ys, lgrid, m, b_lo, b_hi) -> np.ndarray:

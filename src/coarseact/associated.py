@@ -54,10 +54,10 @@ from .coarse import (
     Compose,
     OrbitPair,
     _int_array,
+    _member_test,
     associated_orbit_structure,
     coarsely_transitive_check,
     entourage_members,
-    entourage_membership,
     equi_controlled_check,
     induced_bornology_chain,
     neighborhood,
@@ -341,11 +341,13 @@ def _refutation_family(a: ActionInstance, cls: Classification, budget: Budget):
         return None
     c = _finite_corner(a.space_bornology, base_level)
     w = _growth_vector(a.space_bornology)
+    in0 = _member_test(OrbitPair(a, b0), DEFAULT_BUDGET)
     family = []
     for m in range(budget.max_index + 1):
+        in_m = _member_test(OrbitPair(a, BoxSet(level_box(a.space_bornology, m))), DEFAULT_BUDGET)
         found = None
         for t in range(2 * m + 1, 2 * m + 40):
-            cand = _family_candidate(a, b0, m, c, w, ray, t)
+            cand = _family_candidate(a, in0, in_m, m, c, w, ray, t)
             if cand is not None:
                 found = cand
                 break
@@ -355,18 +357,14 @@ def _refutation_family(a: ActionInstance, cls: Classification, budget: Budget):
     return family
 
 
-def _family_candidate(a, b0, m, c, w, ray, t):
+def _family_candidate(a, in0, in_m, m, c, w, ray, t):
+    """The triple for t when (x, y), (y, z) ∈ E(L,B_0) and (x, z) ∉ E(L,B_m),
+    with in0 and in_m the member tests of those two entourages."""
     shift = mat_vec(a.matrix, tuple(t * r for r in ray))
     x = tuple(ci + s for ci, s in zip(c, shift))
     y = tuple(xi - t * wi for xi, wi in zip(x, w))
     z = c
-    e0 = OrbitPair(a, b0)
-    em = OrbitPair(a, BoxSet(level_box(a.space_bornology, m)))
-    if entourage_membership(e0, (x, y)) is not True:
-        return None
-    if entourage_membership(e0, (y, z)) is not True:
-        return None
-    if entourage_membership(em, (x, z)) is not False:
+    if in0(x, y) is not True or in0(y, z) is not True or in_m(x, z) is not False:
         return None
     return {"m": m, "x": x, "y": y, "z": z, "t": t}
 

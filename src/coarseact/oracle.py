@@ -11,6 +11,7 @@ instance model, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -103,16 +104,12 @@ def existence_truncation_bound(a: ActionInstance, b, b2, gw: int) -> int:
 
 def _per_coordinate_bounds(a: ActionInstance, b, b2, gw: int) -> list:
     """Certified witness-window radius per space coordinate."""
-    d = a.space.dim
+    pieces = set_boxes(b), set_boxes(b2)
     out = []
-    for r in range(d):
-        ends = []
-        row_norm = sum(abs(c) for c in a.matrix[r])
-        for s, shift in ((b, 0), (b2, gw * row_norm)):
-            for piece in set_boxes(s):
-                for v in (piece.lower[r], piece.upper[r]):
-                    if is_finite_end(v):
-                        ends.append(abs(int(v)) + shift)
+    for r, row in enumerate(a.matrix):
+        shifts = (0, gw * sum(map(abs, row)))
+        ends = [abs(int(v)) + shift for ps, shift in zip(pieces, shifts) for p in ps
+                for v in (p.lower[r], p.upper[r]) if is_finite_end(v)]
         # with no finite end in either set the coordinate is vacuous: 0 witnesses it
         out.append(max(ends) + 1 if ends else 0)
     return out
@@ -125,15 +122,9 @@ def _affine_oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
     """Window enumeration for x ↦ A·x + M·l rules; always advisory-flagged."""
     xw = min(xw, 16 if a.space.dim <= 2 else 6)
     notes = ["affine rule: window-oracle evidence only"]
-    hits = []
-    for l in bx.box_points(cube(gw, a.group.rank)):
-        found = False
-        for x in bx.box_points(cube(xw, a.space.dim)):
-            if set_membership(b, x) and set_membership(b2, a.rule.apply_index(l, x)):
-                found = True
-                break
-        if found:
-            hits.append(l)
+    hits = [l for l in bx.box_points(cube(gw, a.group.rank)) if any(
+        set_membership(b, x) and set_membership(b2, a.rule.apply_index(l, x))
+        for x in bx.box_points(cube(xw, a.space.dim)))]
     return sorted(hits), notes, gw
 
 
@@ -143,27 +134,55 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
     The witness grid uses per-coordinate certified radii clipped to xw; when
     the enumeration budget forces a smaller grid than the certificate asks
     for, an advisory note is attached (positive hits stay sound).
-    Returns (sorted elements, advisory notes).
+    Returns (sorted elements, advisory notes, effective group window).
     """
-    notes = []
     if a.is_window_only:
         return _affine_oracle_transporter(a, b, b2, gw, xw)
     if not a.is_translation:
-        hits = []
-        for i, g in enumerate(a.group.elements):
-            mapping = a.rule.mapping(i)
-            if {mapping[p] for p in b.points} & set(b2.points):
-                hits.append(g)
-        return sorted(hits, key=str), notes, 0
+        hits = [g for i, g in enumerate(a.group.elements)
+                if set(map(a.rule.mapping(i).get, b.points)) & b2.points]
+        return sorted(hits, key=str), [], 0
+    return oracle_transporters(a, b, [b2], gw, xw)[0]
+
+
+def oracle_transporters(a: ActionInstance, b, b2s, gw: int, xw: float) -> list:
+    """oracle_transporter of a translation action for (b, b2), each b2 of b2s.
+    Each pair keeps its own radii, notes and group window; the pairs that
+    share a group window read one summed-area table over b's points in their
+    largest radii box, each clipped to its own."""
+    d, k = a.space.dim, a.group.rank
+    plans = [_sweep_plan(a, b, b2, gw, xw) for b2 in b2s]
+    b_lo, b_hi = _ends(b, d)
+    out = [None] * len(b2s)
+    for eff_gw in dict.fromkeys(p[2] for p in plans):
+        idx = [i for i, p in enumerate(plans) if p[2] == eff_gw]
+        radii = np.array([plans[i][0] for i in idx], dtype=float)
+        reach = radii.max(axis=0)
+        lgrid = _grid([-eff_gw] * k, [eff_gw] * k)
+        # window points outside b's hull are never witnesses: enumerate only the hull
+        xgrid = _grid(np.maximum(b_lo.min(axis=0), -reach), np.minimum(b_hi.max(axis=0), reach))
+        ends = [_ends(b2s[i], d) for i in idx]
+        hits = kern.transporter_sweep(
+            lgrid, np.array(a.matrix, dtype=float), b_lo, b_hi,
+            *(np.concatenate(e) for e in zip(*ends)), xgrid,
+            np.repeat(np.arange(len(idx)), [len(lo) for lo, _ in ends]), -radii, radii,
+        )
+        for i, hit in zip(idx, hits):
+            out[i] = (sorted(map(tuple, lgrid[hit].astype(np.int64).tolist())), plans[i][1], eff_gw)
+    return out
+
+
+def _sweep_plan(a: ActionInstance, b, b2, gw: int, xw: float) -> tuple:
+    """(witness radii, advisory notes, group window) of one transporter pair:
+    the certified radii capped at xw, shrunk to the enumeration budget."""
+    notes = []
     k = a.group.rank
     while True:
         per = _per_coordinate_bounds(a, b, b2, gw)
         radii = [min(xw, r) for r in per]
         if any(r > xw for r in per):
             notes.append(f"witness window {xw} below the certified bound {max(per)}")
-        cells = (2 * gw + 1) ** k
-        for r in radii:
-            cells *= 2 * r + 1
+        cells = (2 * gw + 1) ** k * math.prod(2 * r + 1 for r in radii)
         if cells <= _SWEEP_CELL_CAP or gw <= 4:
             break
         gw = max(4, gw // 2)
@@ -171,20 +190,9 @@ def oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
     if cells > _SWEEP_CELL_CAP:
         while cells > _SWEEP_CELL_CAP and any(r > 2 for r in radii):
             radii = [max(2, r - max(1, r // 4)) for r in radii]
-            cells = (2 * gw + 1) ** k
-            for r in radii:
-                cells *= 2 * r + 1
+            cells = (2 * gw + 1) ** k * math.prod(2 * r + 1 for r in radii)
         notes.append("witness grid truncated below the certificate: advisory only")
-    lgrid = _grid([-gw] * k, [gw] * k)
-    d = a.space.dim
-    b_lo, b_hi = _ends(b, d)
-    # window points outside b's hull are never witnesses: enumerate only the hull
-    xgrid = _grid(np.maximum(b_lo.min(axis=0), [-r for r in radii]),
-                  np.minimum(b_hi.max(axis=0), radii))
-    hit = kern.transporter_sweep(
-        lgrid, np.array(a.matrix, dtype=float), b_lo, b_hi, *_ends(b2, d), xgrid
-    )
-    return sorted(map(tuple, lgrid[hit].astype(np.int64).tolist())), notes, gw
+    return radii, notes, gw
 
 
 # --- entourage membership oracle -----------------------------------------------
@@ -255,24 +263,31 @@ def _ends(s, d: int) -> tuple:
 
 
 def oracle_neighborhood(e, a_set, gw: int, window: int) -> set:
-    """E[A] within the window: every window point paired with some point of A.
-    A lattice orbit pair sweeps A's points against the window grid in one batch."""
+    """E[A] within the window: every window point paired with some point of A."""
     space = e.space
-    if space.is_lattice and isinstance(e, OrbitPair):
-        srcs = np.array(set_points_within(a_set, window), dtype=float).reshape(-1, space.dim)
-        ys = _grid([-window] * space.dim, [window] * space.dim)
-        hits = oracle_orbit_members_batch(e, np.repeat(srcs, len(ys), axis=0),
-                                          np.tile(ys, (len(srcs), 1)), gw)
-        hit = np.reshape(hits, (len(srcs), len(ys))).any(axis=0)
-        return set(map(tuple, ys[hit].astype(np.int64).tolist()))
     if space.is_lattice:
-        srcs = set_points_within(a_set, window)
-        ys = list(bx.box_points(cube(window, space.dim)))
-    else:
-        ys = list(space.labels)
-        srcs = [p for p in ys if set_membership(a_set, p)]
+        ys, hit = oracle_neighborhood_mask(e, a_set, gw, window)
+        return set(map(tuple, ys[hit].astype(np.int64).tolist()))
+    ys = list(space.labels)
+    srcs = [p for p in ys if set_membership(a_set, p)]
     pairs = [(x, y) for x in srcs for y in ys]
     return {y for (_, y), hit in zip(pairs, _oracle_members(e, pairs, gw)) if hit}
+
+
+def oracle_neighborhood_mask(e, a_set, gw: int, window: int) -> tuple:
+    """A lattice's window grid, lexicographic, and which of its points lie in
+    E[A].  An orbit pair sweeps A's points against the grid in one batch."""
+    d = e.space.dim
+    ys = _grid([-window] * d, [window] * d)
+    srcs = set_points_within(a_set, window)
+    if isinstance(e, OrbitPair):
+        srcs = np.array(srcs, dtype=float).reshape(-1, d)
+        hits = oracle_orbit_members_batch(e, np.repeat(srcs, len(ys), axis=0),
+                                          np.tile(ys, (len(srcs), 1)), gw)
+    else:
+        targets = list(map(tuple, ys.astype(np.int64).tolist()))
+        hits = _oracle_members(e, [(x, y) for x in srcs for y in targets], gw)
+    return ys, np.reshape(hits, (len(srcs), len(ys))).any(axis=0)
 
 
 # --- naive finite closure -------------------------------------------------------
@@ -334,12 +349,8 @@ def naive_closure(space: GroundSpace, base) -> tuple:
             sub = (sub - 1) & m
     _verify_family_closed(family, transpose, compose, diag)
     maximal = [m for m in generated if not any(m != o and (m | o) == o for o in generated)]
-    antichain = []
-    for m in maximal:
-        rel = frozenset(
-            (labels[i], labels[j]) for i in range(n) for j in range(n) if m & bit(i, j)
-        )
-        antichain.append(rel)
+    antichain = [frozenset((labels[i], labels[j]) for i in range(n) for j in range(n)
+                           if m & bit(i, j)) for m in maximal]
     return family, tuple(sorted(antichain, key=lambda r: (len(r), sorted(map(str, r)))))
 
 
@@ -606,32 +617,29 @@ def _check_transporter(inst, window, budget) -> CrossCheckReport:
     rep = CrossCheckReport("transporter", inst.name, window)
     gw = _gw_for(inst, window)
     n_sets = 2 if (inst.space.is_lattice and inst.space.dim >= 3) else 3
-    sets = _sample_sets(inst, n_sets)[: n_sets + 1]
-    for b, b2 in itertools.product(sets, repeat=2):
-        if set_is_empty(b) or set_is_empty(b2):
-            continue
-        t = rep.timed("symbolic", transporter, inst, b, b2)
-        if inst.is_translation:
-            bound = rep.timed("oracle", existence_truncation_bound, inst, b, b2, gw)
-            oracle_set, notes, eff_gw = rep.timed(
-                "oracle", oracle_transporter, inst, b, b2, gw, max(window, bound)
-            )
-            rep.advisory.extend(notes)
-            sym = rep.timed("symbolic", t.points_within, eff_gw)
-            truncated = any("advisory" in n or "below" in n for n in notes)
-            only_oracle = sorted(set(oracle_set) - set(sym))
-            only_sym = sorted(set(sym) - set(oracle_set))
-            if only_oracle or (only_sym and not truncated):
-                rep.mismatches.append(
-                    {"b": b, "b2": b2,
-                     "only_oracle": only_oracle[:3],
-                     "only_symbolic": only_sym[:3]}
-                )
-        else:
+    sets = [s for s in _sample_sets(inst, n_sets)[: n_sets + 1] if not set_is_empty(s)]
+    pairs = list(itertools.product(sets, repeat=2))
+    ts = [rep.timed("symbolic", transporter, inst, b, b2) for b, b2 in pairs]
+    if not inst.is_translation:
+        for (b, b2), t in zip(pairs, ts):
             oracle_set, _, _ = rep.timed("oracle", oracle_transporter, inst, b, b2, gw, window)
             sym = sorted((g for g in inst.group.elements if t.member(g)), key=str)
             if sym != sorted(oracle_set, key=str):
                 rep.mismatches.append({"b": b, "b2": b2})
+        return rep
+    # one batch per distinct b; the certified radii stand uncapped
+    batches = {b: rep.timed("oracle", oracle_transporters, inst, b, sets, gw, math.inf)
+               for b in dict.fromkeys(sets)}
+    found = [f for b in sets for f in batches[b]]
+    for (b, b2), t, (oracle_set, notes, eff_gw) in zip(pairs, ts, found):
+        rep.advisory.extend(notes)
+        sym = rep.timed("symbolic", t.points_within, eff_gw)
+        truncated = any("advisory" in n or "below" in n for n in notes)
+        only_oracle = sorted(set(oracle_set) - set(sym))
+        only_sym = sorted(set(sym) - set(oracle_set))
+        if only_oracle or (only_sym and not truncated):
+            rep.mismatches.append({"b": b, "b2": b2, "only_oracle": only_oracle[:3],
+                                   "only_symbolic": only_sym[:3]})
     return rep
 
 
@@ -693,10 +701,7 @@ def _check_neighborhood(inst, window, budget) -> CrossCheckReport:
     rep = CrossCheckReport("neighborhood", inst.name, window)
     gw = _needed_gw(inst, window)
     w = min(window, 16 if (inst.space.is_lattice and inst.space.dim <= 2) else 6)
-    if inst.space.is_lattice:
-        points = [(0,) * inst.space.dim]
-    else:
-        points = list(inst.space.labels[:2])
+    points = [(0,) * inst.space.dim] if inst.space.is_lattice else list(inst.space.labels[:2])
     for e in _entourage_levels(inst, budget)[:3]:
         for x in points:
             a_set = FinitePoints(frozenset({x}))
@@ -704,17 +709,33 @@ def _check_neighborhood(inst, window, budget) -> CrossCheckReport:
             if not exact:
                 rep.advisory.append({"x": x, "note": "symbolic neighborhood truncated"})
                 continue
-            oracle_set = rep.timed("oracle", oracle_neighborhood, e, a_set, gw, w)
-            sym_pts = set(set_points_within(sym_set, w)) if inst.space.is_lattice else {
-                p for p in inst.space.labels if set_membership(sym_set, p)
-            }
-            if sym_pts != oracle_set:
-                rep.mismatches.append(
-                    {"x": x, "entourage": type(e).__name__,
-                     "only_symbolic": sorted(sym_pts - oracle_set)[:3],
-                     "only_oracle": sorted(oracle_set - sym_pts)[:3]}
-                )
+            if inst.space.is_lattice:
+                # masks over the window grid; their lexicographic order names the least points
+                ys, orc = rep.timed("oracle", oracle_neighborhood_mask, e, a_set, gw, w)
+                sym = _window_mask(sym_set, w, inst.space.dim)
+                only_sym, only_orc = (list(map(tuple, ys[m][:3].astype(np.int64).tolist()))
+                                      for m in (sym & ~orc, orc & ~sym))
+            else:
+                oracle_set = rep.timed("oracle", oracle_neighborhood, e, a_set, gw, w)
+                sym_pts = {p for p in inst.space.labels if set_membership(sym_set, p)}
+                only_sym = sorted(sym_pts - oracle_set)[:3]
+                only_orc = sorted(oracle_set - sym_pts)[:3]
+            if only_sym or only_orc:
+                rep.mismatches.append({"x": x, "entourage": type(e).__name__,
+                                       "only_symbolic": only_sym, "only_oracle": only_orc})
     return rep
+
+
+def _window_mask(s, window: int, d: int) -> np.ndarray:
+    """Which points of the window grid, in _grid's order, lie in s: each box
+    of s, clipped to the window, marked as one slice of a d-dimensional grid."""
+    mask = np.zeros((2 * window + 1,) * d, dtype=bool)
+    for p in set_boxes(s):
+        lo = [max(v, -window) for v in p.lower]
+        hi = [min(v, window) for v in p.upper]
+        if all(l <= h for l, h in zip(lo, hi)):
+            mask[tuple(slice(int(l) + window, int(h) + window + 1) for l, h in zip(lo, hi))] = True
+    return mask.reshape(-1)
 
 
 def _check_compose(inst, window, budget) -> CrossCheckReport:

@@ -273,6 +273,29 @@ def test_criterion_6_oracle_agreement(flagships):
             setattr(mod, attr, original)
         faults.append(any(not r.passed for r in broken))
     assert all(faults), faults
+    # a neighbourhood one point too wide: the window masks name the points
+    # that the set comparison named, least first
+    import coarseact.oracle as oracle_mod
+    from coarseact.boxes import BoxSet, set_boxes, union_set
+
+    real_neighborhood = oracle_mod.neighborhood
+
+    def fault_neighborhood_end(e, a_set, budget):
+        s, exact = real_neighborhood(e, a_set, budget)
+        first, *rest = set_boxes(s)
+        widened = Box(first.lower, (first.upper[0] + 1,) + first.upper[1:])
+        return union_set(*(BoxSet(b) for b in [widened, *rest])), exact
+
+    oracle_mod.neighborhood = fault_neighborhood_end
+    try:
+        broken = cross_check([shift, hyperbola], primitives=("neighborhood",), window=16)
+    finally:
+        oracle_mod.neighborhood = real_neighborhood
+    assert [r.mismatches for r in broken] == [
+        [{"x": (0,), "entourage": "OrbitPair", "only_symbolic": [(v,)], "only_oracle": []}
+         for v in (1, 3, 5)],
+        [{"x": (0, 0), "entourage": "OrbitPair", "only_symbolic": [(1, 0)], "only_oracle": []}],
+    ]
     report(6, True, f"105 instances agree at W=32 in {elapsed:.1f}s; "
                     f"5/5 faults detected")
 

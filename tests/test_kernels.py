@@ -266,3 +266,64 @@ def test_projected_sweeps_match_loops_over_group_elements(case):
         pair_member(x, y) for x, y in pairs]
     assert orbit_compose_sweep(xs, ys, lgrid, lgrid, mf, *ends[0], *ends[1]).tolist() == [
         compose_member(x, z) for x, z in pairs]
+
+
+def test_transporter_sweep_keeps_the_fixed_benchmark_answer():
+    # seven arguments with (d,) ends, as the fixed benchmark case passes them
+    lgrid = grid(24, 1)
+    lo, hi = np.array([-4.0, -4.0]), np.array([4.0, 4.0])
+    hit = transporter_sweep(lgrid, np.array([[1.0], [-1.0]]), lo, hi, lo - 3, hi + 5, grid(24, 2))
+    assert hit.shape == (49,) and hit.dtype == bool
+    assert lgrid[hit].ravel().tolist() == list(range(-11, 12))
+
+
+@st.composite
+def _batch_case(draw):
+    """M in ±2 (k <= 2, d <= 3), a union b and per query a union b2, all
+    with ±inf ends at times, a box grid, and per query a clip box."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    m = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(d)]
+    end = st.one_of(st.integers(-4, 4), st.sampled_from([-np.inf, np.inf]))
+
+    def union():
+        pieces = []
+        for _ in range(draw(st.integers(1, 2))):
+            lo = [draw(end) for _ in range(d)]
+            pieces.append((lo, [max(c, draw(end)) for c in lo]))
+        return pieces
+
+    b = union()
+    b2s = [union() for _ in range(draw(st.integers(1, 3)))]
+    clips = [[draw(st.integers(0, 3)) for _ in range(d)] for _ in b2s]
+    centre = [draw(st.integers(-2, 2)) for _ in range(d)]
+    return m, b, b2s, clips, grid(3 if d < 3 else 2, d) + centre
+
+
+def _union_ends(pieces):
+    return (np.array([lo for lo, _ in pieces], float), np.array([hi for _, hi in pieces], float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_case())
+# b has no window point
+@example(([[1]], [([9], [12])], [[([-np.inf], [np.inf])]], [[3]], grid(3, 1)))
+# two queries on one b that differ only in their clip boxes
+@example(([[1], [0]], [([-np.inf, -1], [np.inf, 1])], [[([2, 0], [2, 0])]] * 2,
+          [[0, 1], [3, 1]], grid(3, 2)))
+def test_batched_transporter_rows_match_single_calls_and_loops(case):
+    m, b, b2s, clips, xgrid = case
+    mf, lgrid = np.array(m, float), grid(2, len(m[0]))
+    radii = np.array(clips, float)
+    query = np.repeat(np.arange(len(b2s)), [len(p) for p in b2s])
+    rows = transporter_sweep(lgrid, mf, *_union_ends(b),
+                             *_union_ends([p for b2 in b2s for p in b2]), xgrid,
+                             query, -radii, radii)
+    assert rows.shape == (len(b2s), len(lgrid))
+    for b2, r, row in zip(b2s, radii, rows):
+        # one call per pair, on the grid cut to its clip box
+        cut = xgrid[(np.abs(xgrid) <= r).all(axis=1)]
+        assert row.tolist() == transporter_sweep(lgrid, mf, *_union_ends(b),
+                                                 *_union_ends(b2), cut).tolist()
+        pts = [x for x in cut.tolist() if _inside(x, b)]
+        assert row.tolist() == [any(_inside([x[i] + s[i] for i in range(len(x))], b2)
+                                    for x in pts) for s in (lgrid @ mf.T).tolist()]

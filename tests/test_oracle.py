@@ -76,6 +76,26 @@ class TestOracleTransporter:
         assert notes  # window below the certified bound
 
 
+    def test_batch_keeps_each_pair_answer(self, shift):
+        # pairs on one b, one of them past the enumeration budget: its group
+        # window shrinks, so the batch sweeps two group windows
+        import math
+
+        from coarseact.oracle import oracle_transporters
+
+        inst = random_instance(1, "lattice-k2")
+        d = inst.space.dim
+        b = box_set(*[(-2, 1)] * d)
+        b2s = [box_set(*[(0, 3)] * d), box_set(*[(-200, 200)] * d),
+               union_set(box_set(*[(NEG_INF, -1)] * d), points_set((5,) * d))]
+        for xw in (2, 30, math.inf):
+            got = oracle_transporters(inst, b, b2s, 8, xw)
+            assert got == [oracle_transporter(inst, b, b2, 8, xw) for b2 in b2s]
+        assert len({g for _, _, g in got}) == 2
+        lone = oracle_transporters(shift, box_set((0, 1)), [box_set((5, 6))], 20, 30)
+        assert lone == [([(4,), (5,), (6,)], [], 20)]
+
+
 class TestOracleMembership:
     def test_orbit_pair_explicit_search(self, hyperbola):
         e = OrbitPair(hyperbola, box_set((NEG_INF, 0), (NEG_INF, 0)))
@@ -119,6 +139,21 @@ class TestUnionBoundedSets:
                   if any(oracle_entourage_member(e, (x, y), 20)
                          for x in set_points_within(a_set, w))}
         assert listed and oracle_neighborhood(e, a_set, 20, w) == listed
+
+    def test_window_mask_matches_point_listing(self, shift):
+        # the symbolic side of the neighbourhood check, marked by box slices
+        from coarseact.boxes import box_points, cube, set_points_within
+        from coarseact.oracle import _window_mask
+
+        sets = [(1, box_set((NEG_INF, 3))), (1, points_set((-9,), (0,), (4,))),
+                (1, box_set((20, 30))),
+                (2, union_set(box_set((-1, 1), (2, POS_INF)), points_set((4, -4), (9, 0)))),
+                (3, box_set((NEG_INF, POS_INF), (-7, -5), (0, 2)))]
+        w = 5
+        for d, s in sets:
+            grid = list(box_points(cube(w, d)))
+            listed = set(set_points_within(s, w))
+            assert _window_mask(s, w, d).tolist() == [p in listed for p in grid]
 
     def test_compose_matches_engine(self, shift):
         e1 = OrbitPair(shift, points_set((0,), (5,)))
@@ -456,6 +491,45 @@ class TestCrossCheck:
                               window=16)
         assert any(not r.passed for r in reports)
 
+    def test_transporter_check_sweeps_once_per_set(self, monkeypatch):
+        # every pair on one b (and one group window) reads one summed-area table
+        import math
+
+        import coarseact._kernels as kern
+        from coarseact.boxes import set_is_empty
+        from coarseact.oracle import _gw_for, _sample_sets
+
+        inst = random_instance(1, "lattice-k2")
+        gw = _gw_for(inst, 32)
+        n_sets = 2 if inst.space.dim >= 3 else 3
+        sets = [s for s in _sample_sets(inst, n_sets)[: n_sets + 1] if not set_is_empty(s)]
+        windows = {(b, oracle_transporter(inst, b, b2, gw, math.inf)[2])
+                   for b in sets for b2 in sets}
+        calls = []
+        real = kern.transporter_sweep
+
+        def counted(*args):
+            calls.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(kern, "transporter_sweep", counted)
+        (rep,) = cross_check([inst], ("transporter",))
+        assert rep.passed
+        assert 0 < len(calls) <= len(windows) < len(sets) ** 2
+
+    def test_neighborhood_mismatches_name_least_points(self, hyperbola, monkeypatch):
+        # a fixed symbolic answer for every level: the first three points
+        # each side misses, in lexicographic order, as the set comparison gave
+        import coarseact.oracle as oracle_mod
+
+        wrong = union_set(box_set((-1, 1), (NEG_INF, -14)), points_set((3, 3)))
+        monkeypatch.setattr(oracle_mod, "neighborhood", lambda e, a_set, budget: (wrong, True))
+        (rep,) = cross_check([hyperbola], primitives=("neighborhood",), window=16)
+        column = [(1, -16), (1, -15), (1, -14)]
+        assert [m["only_symbolic"] for m in rep.mismatches] == [column, [(3, 3)], [(3, 3)]]
+        assert all(m["only_oracle"] == [(-16, -16), (-16, -15), (-16, -14)]
+                   for m in rep.mismatches)
+
     def test_fault_injection_escape_direction(self, shift, monkeypatch):
         # an escape ray turned around leaves the half-space probe
         import coarseact.bornology as bornology_mod
@@ -479,7 +553,7 @@ class TestOracleIndependence:
     CALCULUS = ("coarse", "actions", "bornology", "associated")
     HELPERS = ("_oracle_members", "_oracle_compose_orbit", "_permuted_orbit_member",
                "_affine_oracle_transporter", "existence_truncation_bound",
-               "_per_coordinate_bounds", "_grid", "_ends",
+               "_per_coordinate_bounds", "_sweep_plan", "_window_mask", "_grid", "_ends",
                "naive_closure", "_relation_ops", "_verify_family_closed")
 
     def test_oracle_path_names_no_calculus_function(self):
