@@ -32,14 +32,11 @@ from .boxes import (
 )
 from .bornology import (
     CHAIN,
-    FINITE_BASE,
     MAXIMAL,
     BornologySpec,
     bornology_axiom_check,
     chain_recession,
-    finite_base_bornology,
     first_level,
-    generate_from_base,
     is_bounded,
     is_full_at_some_level,
     level_box,
@@ -863,8 +860,6 @@ def coset_sample_points(a: ActionInstance, cap: int = 32) -> tuple:
 
 def _space_levels(a: ActionInstance, budget: Budget):
     sb = a.space_bornology
-    if sb.kind == FINITE_BASE:
-        return [FinitePoints(e) for e in generate_from_base(sb.base)]
     if sb.kind == MAXIMAL and not a.space.is_lattice:
         return [FinitePoints(frozenset(a.space.labels))]
     return [BoxSet(level_box(sb, n)) for n in range(budget.max_index + 1)]
@@ -965,14 +960,11 @@ def _classify_translation(a: ActionInstance, budget: Budget) -> Classification:
 
 
 def _level_set(a: ActionInstance, n: int):
-    """Level n of the space bornology; on a finite space, the n-th generated
-    set (capped at the last) or the whole space under the maximal bornology."""
-    if a.space.is_lattice:
+    """Level n of the space bornology; the whole space on a finite space,
+    whose one bornology is the maximal one."""
+    if a.space.is_lattice or a.space_bornology.kind != MAXIMAL:
         return BoxSet(level_box(a.space_bornology, n))
-    if a.space_bornology.kind == MAXIMAL:
-        return FinitePoints(frozenset(a.space.labels))
-    elems = generate_from_base(a.space_bornology.base)
-    return FinitePoints(elems[min(n, len(elems) - 1)])
+    return FinitePoints(frozenset(a.space.labels))
 
 
 def _classify_finite(a: ActionInstance, budget: Budget) -> Classification:
@@ -1030,29 +1022,13 @@ def orbit_bornologies(a: ActionInstance, x):
         if gb.kind not in (MAXIMAL, CHAIN) or gb.matrix is not None:
             raise UnsupportedVariant("orbit projection needs a plain chain upstream")
         return orbit_pullback(a.matrix, tuple(x), a.space_bornology), gb
+    # on a finite space the one bornology passing the axioms is the maximal
+    # one, and so are its pullback and pushforward to an orbit
+    if a.space_bornology.kind != MAXIMAL or a.group.bornology.kind != MAXIMAL:
+        raise GeometryError("the finite base fails the bornology axioms")
     orbit = sorted({a.rule.mapping(i)[x] for i in range(len(a.group.elements))}, key=str)
-    sb = a.space_bornology
     ospace = GroundSpace.finite(tuple(orbit))
-    if sb.kind == MAXIMAL:
-        pull = maximal_bornology(ospace)
-    else:
-        pull = finite_base_bornology(
-            ospace,
-            tuple(FinitePoints(frozenset(e.points & set(orbit))) for e in sb.base),
-        )
-    gb = a.group.bornology
-    if gb.kind == MAXIMAL:
-        push = maximal_bornology(ospace)
-    else:
-        push = finite_base_bornology(
-            ospace,
-            tuple(
-                FinitePoints(frozenset(a.rule.mapping(a.group.elements.index(g))[x]
-                                       for g in e.points))
-                for e in gb.base
-            ),
-        )
-    return pull, push
+    return maximal_bornology(ospace), maximal_bornology(ospace)
 
 
 def chains_mutually_cofinal(pull: BornologySpec, push: BornologySpec,
@@ -1063,13 +1039,6 @@ def chains_mutually_cofinal(pull: BornologySpec, push: BornologySpec,
     recession boxes); pull ⊆ push via transporter-style cone analysis of the
     preimage levels.
     """
-    if pull.kind == FINITE_BASE or push.kind == FINITE_BASE:
-        f1 = _finite_antichain(pull)
-        f2 = _finite_antichain(push)
-        if f1 == f2:
-            return confirmed("equal maximal antichains")
-        return refuted(witness={"only_pull": sorted(f1 - f2, key=str),
-                                "only_push": sorted(f2 - f1, key=str)})
     if pull.kind == MAXIMAL and push.kind == MAXIMAL:
         return confirmed("both maximal")
 
@@ -1116,14 +1085,6 @@ def chains_mutually_cofinal(pull: BornologySpec, push: BornologySpec,
         if not v.bounded:
             return refuted(witness={"pull_level": j, "verdict": v})
     return confirmed("preimage levels bounded in the pushforward chain")
-
-
-def _finite_antichain(spec: BornologySpec) -> set:
-    if spec.kind == FINITE_BASE:
-        return set(generate_from_base(spec.base))
-    if spec.kind == MAXIMAL and not spec.space.is_lattice:
-        return {frozenset(spec.space.labels)}
-    raise UnsupportedVariant("finite antichain comparison needs finite bornologies")
 
 
 # --- coarse transitivity support ---------------------------------------------

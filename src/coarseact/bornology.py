@@ -4,9 +4,10 @@ Infinite ground spaces carry bornologies as monotone exhaustion chains of boxes
 whose interval ends are affine in the chain index m (so monotonicity/covering
 are sign checks and least-index queries close-form).  A chain may carry an
 integer matrix M, in which case level m denotes the lattice preimage
-{n : M·n ∈ shape(m)}; plain chains are the M = identity case.  Finite ground
-spaces use explicit finite bases.  Boundedness queries return certified
-three-valued verdicts.
+{n : M·n ∈ shape(m)}; plain chains are the M = identity case.  On a finite
+ground space the axioms leave one bornology, the power set, so a finite base
+that passes them reads as the maximal bornology.  Boundedness queries return
+certified three-valued verdicts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .boxes import (
     FinitePoints,
     GeometryError,
     GroundSpace,
-    UnionSet,
     UnsupportedVariant,
     _canonical,
     full_box,
@@ -77,7 +77,7 @@ class BornologySpec:
 
     kind: str
     space: GroundSpace
-    base: tuple = ()        # finite_base: tuple of FinitePoints
+    base: tuple = ()        # finite space: the FinitePoints base it was read from
     shape: tuple = ()       # chain: per-constraint-coordinate (lower, upper) AffineEnds
     matrix: tuple | None = None  # chain: rows of M; level m = {n : M n ∈ shape(m)}
 
@@ -87,7 +87,15 @@ def maximal_bornology(space: GroundSpace) -> BornologySpec:
 
 
 def finite_base_bornology(space: GroundSpace, base) -> BornologySpec:
-    return BornologySpec(FINITE_BASE, space, base=tuple(base))
+    """The bornology a finite base generates.  A base that passes the axioms
+    holds the union of all its members in one member, the whole set, so it
+    generates the power set: the spec is maximal and keeps the base for its
+    axiom report and its file form.  A failing base keeps kind finite_base,
+    which no boundedness query answers."""
+    spec = BornologySpec(FINITE_BASE, space, base=tuple(base))
+    if _finite_base_check(spec).passed:
+        return BornologySpec(MAXIMAL, space, base=spec.base)
+    return spec
 
 
 def chain_bornology(space: GroundSpace, shape, matrix=None) -> BornologySpec:
@@ -139,14 +147,14 @@ def is_full_at_some_level(spec: BornologySpec) -> bool:
 
 def bornology_axiom_check(spec: BornologySpec) -> CheckReport:
     """Covering / union / downward conditions, per representation."""
+    if spec.kind == FINITE_BASE or spec.base:
+        return _finite_base_check(spec)
     if spec.kind == MAXIMAL:
         return CheckReport(
             "bornology(maximal)",
             (CheckItem("covering", True), CheckItem("union_closed", True),
              CheckItem("downward_closed", True)),
         )
-    if spec.kind == FINITE_BASE:
-        return _finite_base_check(spec)
     return _chain_check(spec)
 
 
@@ -198,17 +206,6 @@ def _uncovered_witness(spec, i, low):
 
 
 # --- generated bornology on finite spaces ----------------------------------
-
-
-def generate_from_base(base) -> tuple:
-    """Downward closure of a finite base, as the antichain of maximal elements."""
-    sets = [frozenset(elem.points) for elem in base]
-    maximal = [s for s in sets if not any(s < t for t in sets)]
-    out = []
-    for s in maximal:
-        if s not in out:
-            out.append(s)
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(map(str, s)))))
 
 
 def finite_bornology_closure(space: GroundSpace, base) -> set:
@@ -329,10 +326,10 @@ def is_bounded(spec: BornologySpec, s, budget=None) -> BoundVerdict:
     """
     if spec.kind == MAXIMAL:
         return bounded_at(0, note="maximal bornology")
+    if spec.kind == FINITE_BASE:
+        raise GeometryError("the finite base fails the bornology axioms")
     if set_is_empty(s):
         return bounded_at(0, note="empty set")
-    if spec.kind == FINITE_BASE:
-        return _finite_base_bounded(spec, s)
     ranges = constraint_ranges(spec, s)
     worst = 0
     for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape, ranges)):
@@ -342,25 +339,6 @@ def is_bounded(spec: BornologySpec, s, budget=None) -> BoundVerdict:
             return _chain_escape(spec, s, r, lo if k_lo is None else hi)
         worst = max(worst, k_lo, k_hi)
     return bounded_at(worst)
-
-
-def _finite_base_bounded(spec: BornologySpec, s) -> BoundVerdict:
-    if isinstance(s, UnionSet):
-        pts = set()
-        for piece in s.members:
-            if not isinstance(piece, FinitePoints):
-                raise UnsupportedVariant("finite-base boundedness needs point sets")
-            pts |= piece.points
-        s = FinitePoints(frozenset(pts))
-    if not isinstance(s, FinitePoints):
-        raise UnsupportedVariant("finite-base boundedness needs FinitePoints")
-    maximal = generate_from_base(spec.base)
-    for idx, elem in enumerate(maximal):
-        if s.points <= elem:
-            return bounded_at(idx, note="contained in maximal base element")
-    stray = sorted(s.points - set().union(*maximal) if maximal else s.points, key=str)
-    witness = stray[:1] or sorted(s.points, key=str)[:1]
-    return unbounded(witness=witness, note="no base element contains the set")
 
 
 def _chain_escape(spec, s, row, bad_value) -> BoundVerdict:

@@ -459,17 +459,17 @@ def _fmt_end(e: AffineEnd) -> str:
 
 def _fmt_bornology(section: str, spec: BornologySpec) -> list:
     out = [f"[{section}]"]
-    if spec.kind == "maximal":
-        out.append("kind = maximal")
-    elif spec.kind == "chain":
+    if spec.kind == "chain":
         out.append("kind = chain")
         for i, (lo, hi) in enumerate(spec.shape):
             out.append(f"lower{i} = {_fmt_end(lo)}")
             out.append(f"upper{i} = {_fmt_end(hi)}")
-    else:
+    elif spec.base:
         out.append("kind = base")
         for i, elem in enumerate(spec.base):
             out.append(f"base{i} = {_fmt_tuple(tuple(sorted(elem.points)))}")
+    else:
+        out.append("kind = maximal")
     out.append("")
     return out
 

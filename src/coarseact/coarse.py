@@ -5,8 +5,9 @@ The engine builds four normal forms: the translation-invariant DiffRel(s) =
 and compositions of two orbit pairs.  Sup-metric balls and lattice group-right
 levels are built as DiffRels, and orbit pairs of surjective translation
 actions rewrite to DiffRel exactly; that is what makes the structure-comparison
-identities decidable.  Finite ground spaces close explicit relation bases into
-an antichain of maximal relations by fixpoint.
+identities decidable.  A coarse structure on a finite ground space is the set
+of subsets of one equivalence relation, closed from a relation base by
+union–find.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .bornology import (
     chain_recession,
     cubes_chain,
     first_level,
-    generate_from_base,
     is_bounded,
     level_box,
     maximal_bornology,
@@ -605,10 +605,10 @@ def _orbit_point_neighborhood(e: OrbitPair, x, budget: Budget):
 
 @dataclass(frozen=True)
 class FiniteClosure:
-    """Coarse structure on a finite space: antichain of maximal relations."""
+    """Coarse structure on a finite space: the subsets of its largest relation."""
 
     space: GroundSpace
-    maximal: tuple  # sorted tuple of frozensets of pairs
+    maximal: tuple  # (largest relation,) as a frozenset of pairs
 
     def contains_relation(self, rel) -> bool:
         rel = frozenset(rel)
@@ -644,43 +644,28 @@ def metric_ball_structure(space: GroundSpace) -> ChainStructure:
 
 
 def close_finite_base(space: GroundSpace, base) -> FiniteClosure:
-    """Smallest coarse structure containing the base, as a maximal antichain.
+    """Smallest coarse structure containing the base.
 
-    Fixpoint over transpose/union/composition on the antichain; subsets are
-    implicit.  Ground sets are capped at 12 elements.
+    A coarse structure on a finite set is closed under finite unions, so it
+    is the set of subsets of one relation; that relation holds the diagonal
+    and is closed under transpose and composition, so it is the equivalence
+    closure of the base, found by union–find over the labels.  Ground sets
+    are capped at 12 elements.
     """
     if space.is_lattice or len(space.labels) > 12:
         raise GeometryError("finite closure needs a finite ground set of size <= 12")
-    diag = frozenset((x, x) for x in space.labels)
-    current = _antichain([diag] + [frozenset(r) for r in base])
-    while True:
-        cands = set(current)
-        for r in current:
-            cands.add(frozenset((y, x) for x, y in r))
-        for r1, r2 in itertools.product(current, repeat=2):
-            cands.add(r1 | r2)
-            cands.add(_compose_rel(r1, r2))
-        new = _antichain(cands)
-        if new == current:
-            break
-        current = new
-    return FiniteClosure(space, tuple(sorted(current, key=_rel_key)))
+    parent = {x: x for x in space.labels}
 
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-def _compose_rel(r1, r2):
-    by_first = {}
-    for y, z in r2:
-        by_first.setdefault(y, []).append(z)
-    return frozenset((x, z) for x, y in r1 for z in by_first.get(y, ()))
-
-
-def _antichain(rels):
-    rels = set(rels)
-    return [r for r in rels if not any(r < s for s in rels)]
-
-
-def _rel_key(rel):
-    return (len(rel), sorted((str(x), str(y)) for x, y in rel))
+    for rel in base:
+        for x, y in rel:
+            parent[find(x)] = find(y)
+    return FiniteClosure(space, (frozenset(
+        (x, y) for x in space.labels for y in space.labels if find(x) == find(y)),))
 
 
 def associated_connected_structure(b: BornologySpec):
@@ -693,46 +678,23 @@ def associated_connected_structure(b: BornologySpec):
 
 
 def group_right_structure(g: GroupSpec):
-    """E^R: level k is the relation l^{-1}h ∈ D_k."""
+    """E^R: level k is the relation l^{-1}h ∈ D_k.  A finite group's one
+    level is the whole group, so its relation holds every pair."""
     if g.is_lattice:
         return ChainStructure(GroundSpace.lattice(g.rank), "group_right", group=g)
-    space = GroundSpace.finite(g.elements)
-    rels = []
-    levels = (
-        [FinitePoints(frozenset(g.elements))]
-        if g.bornology.kind == MAXIMAL
-        else [FinitePoints(s) for s in generate_from_base(g.bornology.base)]
-    )
-    for d_set in levels:
-        rel = set()
-        for i, j in itertools.product(range(len(g.elements)), repeat=2):
-            li = g.mul[g.inverse_index(i)][j]
-            if g.elements[li] in d_set.points:
-                rel.add((g.elements[i], g.elements[j]))
-        rels.append(frozenset(rel))
-    return close_finite_base(space, rels)
+    return close_finite_base(GroundSpace.finite(g.elements),
+                             [itertools.product(g.elements, repeat=2)])
 
 
 def associated_orbit_structure(a: ActionInstance):
-    """E(L, B_X) as a chain of orbit-pair levels (finite: explicit closure)."""
+    """E(L, B_X) as a chain of orbit-pair levels (finite: explicit closure of
+    the one level, the orbit pairs of the whole label set)."""
     if a.space.is_lattice:
         return ChainStructure(a.space, "orbit_pair", action=a)
-    if a.space_bornology.kind == MAXIMAL:
-        elems = [frozenset(a.space.labels)]
-    else:
-        elems = list(generate_from_base(a.space_bornology.base))
-    rels = []
-    for elem in elems:
-        e = OrbitPair(a, FinitePoints(frozenset(elem)))
-        rels.append(
-            frozenset(
-                (x, y)
-                for x in a.space.labels
-                for y in a.space.labels
-                if entourage_membership(e, (x, y)) is True
-            )
-        )
-    return close_finite_base(a.space, rels)
+    e = OrbitPair(a, FinitePoints(frozenset(a.space.labels)))
+    pairs = list(itertools.product(a.space.labels, repeat=2))
+    return close_finite_base(a.space, [
+        [p for p, m in zip(pairs, entourage_members(e, pairs)) if m is True]])
 
 
 # --- induced bornology and coarse boundedness --------------------------------
@@ -1150,11 +1112,10 @@ def structure_leq(cs1, cs2, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     if isinstance(cs1, FiniteClosure) and isinstance(cs2, FiniteClosure):
         if cs1.space != cs2.space:
             raise GeometryError("structure_leq: ground space mismatch")
-        for rel in cs1.maximal:
-            if not cs2.contains_relation(rel):
-                extra = next(iter(rel - frozenset().union(*cs2.maximal)), None)
-                return refuted(witness={"relation": sorted(rel, key=str)[:4],
-                                        "pair": extra})
+        (rel,), (top,) = cs1.maximal, cs2.maximal
+        if not rel <= top:
+            return refuted(witness={"relation": sorted(rel, key=str)[:4],
+                                    "pair": next(iter(rel - top))})
         return confirmed("antichain containment")
     if isinstance(cs1, FiniteClosure) or isinstance(cs2, FiniteClosure):
         raise GeometryError("structure_leq: mixed finite/lattice structures")
@@ -1290,14 +1251,11 @@ def _sweep_l(a: ActionInstance, t: int):
 
 
 def _equi_finite(a: ActionInstance, cs: FiniteClosure) -> Verdict:
-    for rel in cs.maximal:
-        swept = set(rel)
-        for i in range(len(a.group.elements)):
-            mapping = a.rule.mapping(i)
-            swept |= {(mapping[x], mapping[y]) for x, y in rel}
-        if not cs.contains_relation(frozenset(swept)):
-            extra = next(iter(frozenset(swept) - frozenset().union(*cs.maximal)))
-            return refuted(witness={"pair": extra})
+    (rel,) = cs.maximal
+    mappings = [a.rule.mapping(i) for i in range(len(a.group.elements))]
+    escaped = {(g[x], g[y]) for g in mappings for x, y in rel} - rel
+    if escaped:
+        return refuted(witness={"pair": next(iter(escaped))})
     return confirmed("swept relations stay in the closure")
 
 

@@ -40,7 +40,6 @@ from .bornology import (
     affine,
     bornology_axiom_check,
     chain_bornology,
-    generate_from_base,
     is_bounded,
     level_box,
     maximal_bornology,
@@ -589,9 +588,7 @@ def cross_check(instances, primitives=PRIMITIVES, window: int = 32,
 
 def _sample_sets(inst: ActionInstance, count: int = 3):
     if not inst.space.is_lattice:
-        if inst.space_bornology.kind == "maximal":
-            return [FinitePoints(frozenset(inst.space.labels))]
-        return [FinitePoints(e) for e in generate_from_base(inst.space_bornology.base)][:count]
+        return [FinitePoints(frozenset(inst.space.labels))]
     out = []
     for n in range(count):
         lvl = level_box(inst.space_bornology, n)

@@ -9,6 +9,7 @@ from coarseact.boxes import (
     NEG_INF,
     POS_INF,
     BoxSet,
+    GeometryError,
     GroundSpace,
     UnionSet,
     box,
@@ -30,7 +31,6 @@ from coarseact.bornology import (
     finite_base_bornology,
     finite_bornology_closure,
     first_level,
-    generate_from_base,
     is_bounded,
     least_index_cover_lower,
     least_index_cover_upper,
@@ -51,11 +51,6 @@ def all_subsets(labels):
     for r in range(len(labels) + 1):
         out.update(frozenset(c) for c in itertools.combinations(labels, r))
     return out
-
-
-def generated_family(base):
-    """All subsets of some maximal base element."""
-    return set().union(*(all_subsets(tuple(m)) for m in generate_from_base(base)))
 
 
 class TestAxiomCheck:
@@ -83,26 +78,12 @@ class TestAxiomCheck:
 
 class TestGenerateFromBase:
     def test_full_set_downward_closure(self):
+        # a base holding the whole set reads as the maximal bornology
         space = GroundSpace.finite(("a", "b"))
-        fam = generated_family((points_set("a", "b"),))
-        assert fam == all_subsets(("a", "b"))
-
-    def test_two_element_base(self):
-        # enumerate all subsets and test containment in a base element
-        base = (points_set("a"), points_set("b", "c"))
-        fam = generated_family(base)
-        expected = {
-            s
-            for s in all_subsets(("a", "b", "c"))
-            if s <= {"a"} or s <= {"b", "c"}
-        }
-        assert fam == expected
-        assert frozenset({"a", "b"}) not in fam
-
-    def test_antichain_is_maximal_elements(self):
-        base = (points_set("a"), points_set("a", "b"), points_set("c"))
-        anti = generate_from_base(base)
-        assert set(anti) == {frozenset({"a", "b"}), frozenset({"c"})}
+        spec = finite_base_bornology(space, (points_set("a", "b"),))
+        assert spec.kind == "maximal"
+        for s in all_subsets(("a", "b")):
+            assert is_bounded(spec, points_set(*s)) == bounded_at(0, note="maximal bornology")
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_covering_base_closure_is_power_set(self, n):
@@ -114,28 +95,35 @@ class TestGenerateFromBase:
         assert fam == all_subsets(labels)
 
     def test_generated_families_satisfy_axioms(self):
+        # a base that is not pair-dominated fails the axiom check and keeps
+        # its kind; closing it under union and subset still fills the power set
         labels = ("a", "b", "c", "d")
+        space = GroundSpace.finite(labels)
         base = (points_set("a", "b"), points_set("c"), points_set("d"))
-        fam = generated_family(base)
-        # downward closed and union-closed within each base element
-        for s in fam:
-            for x in s:
-                assert s - {x} in fam
+        spec = finite_base_bornology(space, base)
+        assert spec.kind == "finite_base"
+        assert bornology_axiom_check(spec).item("pair_dominated").witness == (["a", "b"], ["c"])
+        assert finite_bornology_closure(space, base) == all_subsets(labels)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_valid_base_generates_a_bornology(self, n):
-        # nested-chain bases satisfy the base conditions; their generated
-        # family must pass all three axioms, checked exhaustively
+        # nested-chain bases satisfy the base conditions, so they read as the
+        # maximal bornology; the family they generate must pass all three
+        # axioms, checked exhaustively
         import random as _random
 
         rng = _random.Random(n)
         labels = tuple(range(n))
+        space = GroundSpace.finite(labels)
         for _ in range(5):
             order = list(labels)
             rng.shuffle(order)
             cuts = sorted({rng.randint(1, n) for _ in range(2)} | {n})
             base = tuple(points_set(*order[:c]) for c in cuts)
-            fam = generated_family(base)
+            spec = finite_base_bornology(space, base)
+            assert bornology_axiom_check(spec).passed
+            assert spec.kind == "maximal" and spec.base == base
+            fam = finite_bornology_closure(space, base)
             assert set().union(*fam) == set(labels)  # covering
             for s1 in fam:
                 for s2 in fam:
@@ -185,6 +173,13 @@ class TestIsBounded:
         # 10**17 + 1 down to 10**17, a level without the point
         v = is_bounded(cubes_chain(Z), points_set((-(10**17 + 1),)))
         assert v.bounded and v.index == 10**17 + 1
+
+    def test_failing_finite_base_is_not_answered(self):
+        # a base failing the covering axiom is never read as the power set
+        space = GroundSpace.finite(("a", "b", "c"))
+        spec = finite_base_bornology(space, (points_set("a"), points_set("b")))
+        with pytest.raises(GeometryError, match="fails the bornology axioms"):
+            is_bounded(spec, points_set("a"))
 
     def test_finite_base_containment(self):
         space = GroundSpace.finite(("a", "b", "c"))

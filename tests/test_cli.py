@@ -302,8 +302,8 @@ class TestInputContract:
 
     def test_random_instances_keep_exit_contract(self, tmp_path):
         # every exact command on random instances of each profile ends in an
-        # exit code; seeds 16, 63, 166 and 428 draw rank-2 cells with no
-        # integer point
+        # exit code, and closure answers on finite spaces only; seeds 16, 63,
+        # 166 and 428 draw rank-2 cells with no integer point
         start = time.perf_counter()
         for profile in ("finite", "lattice-k1", "lattice-k2"):
             for seed in (*range(1, 9), 16, 63, 166, 428):
@@ -313,11 +313,13 @@ class TestInputContract:
                                         "--profile", profile]) == EXIT_OK
                 path.write_text(out.getvalue())
                 for argv in (["axioms"], ["classify"], ["theorem", "weak"],
-                             ["theorem", "main"]):
+                             ["theorem", "main"], ["closure"]):
                     with contextlib.redirect_stdout(io.StringIO()), \
                             contextlib.redirect_stderr(io.StringIO()):
                         code = run_command([*argv, str(path)])
                     assert code in (0, 1, 2, 3), (profile, seed, argv)
+                    if argv == ["closure"]:
+                        assert code == (EXIT_OK if profile == "finite" else EXIT_USAGE)
         assert time.perf_counter() - start < 5
 
 

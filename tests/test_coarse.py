@@ -151,6 +151,35 @@ class TestCloseFiniteBase:
         with pytest.raises(Exception):
             close_finite_base(space, [])
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_one_relation_is_the_components_closure(self, data):
+        from coarseact.oracle import naive_closure
+
+        labels = tuple(range(data.draw(st.integers(1, 5))))
+        space = GroundSpace.finite(labels)
+        pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+        base = data.draw(st.lists(st.frozensets(pair, min_size=1, max_size=5),
+                                  min_size=1, max_size=4))
+        # x ~ y when a path of base pairs, each taken either way, joins them
+        linked = {x: {x} for x in labels}
+        for rel in base:
+            for x, y in rel:
+                linked[x].add(y)
+                linked[y].add(x)
+        expected = set()
+        for x in labels:
+            seen, todo = {x}, [x]
+            while todo:
+                fresh = linked[todo.pop()] - seen
+                seen |= fresh
+                todo.extend(fresh)
+            expected |= {(x, y) for y in seen}
+        closure = close_finite_base(space, base)
+        assert closure.maximal == (frozenset(expected),)
+        if len(labels) <= 4:
+            assert closure.maximal == naive_closure(space, base)[1]
+
 
 class TestMembership:
     def test_metric_ball_boundary(self):
@@ -767,6 +796,18 @@ class TestContainmentSoundness:
                         for pair in pairs:
                             if entourage_membership(e1, pair) is True:
                                 assert entourage_membership(e2, pair) is not False
+
+    def test_diffrel_into_connected_refutation_replays(self):
+        # the refuting pair lies in the shift relation and outside diag ∪ B×B;
+        # a pair moved against its shift would lie in neither
+        from coarseact.coarse import entourage_leq_exact
+
+        e1 = DiffRel(Z, box_set((1, 3)))
+        e2 = ConnectedPairs(Z, box_set((0, 5)))
+        verdict, pair = entourage_leq_exact(e1, e2)
+        assert verdict is False
+        assert entourage_membership(e1, pair) is True
+        assert entourage_membership(e2, pair) is False
 
 
 class TestGroupRightStructure:
