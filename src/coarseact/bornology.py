@@ -318,7 +318,7 @@ def _unit_row(n, r):
     return tuple(1 if i == r else 0 for i in range(n))
 
 
-def is_bounded(spec: BornologySpec, s, budget=None) -> BoundVerdict:
+def is_bounded(spec: BornologySpec, s) -> BoundVerdict:
     """Least chain level containing s, or a certified escape.
 
     Exact for Box/FinitePoints/UnionOf descriptors: containment in a box level

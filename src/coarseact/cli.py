@@ -347,7 +347,10 @@ def _build_candidate(ckind: str, inst: ActionInstance):
             raise ParseError("metric_ball candidates need a lattice space")
         return metric_ball_structure(inst.space)
     if ckind == "group_right":
-        return group_right_structure(inst.group)
+        cs = group_right_structure(inst.group)
+        if cs.space != inst.space:
+            raise ParseError("group_right candidates need the group to be the ground space")
+        return cs
     if ckind == "connected_pairs":
         return associated_connected_structure(inst.space_bornology)
     raise ParseError(f"unknown candidate kind {ckind!r}")

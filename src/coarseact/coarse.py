@@ -649,11 +649,10 @@ def close_finite_base(space: GroundSpace, base) -> FiniteClosure:
     A coarse structure on a finite set is closed under finite unions, so it
     is the set of subsets of one relation; that relation holds the diagonal
     and is closed under transpose and composition, so it is the equivalence
-    closure of the base, found by union–find over the labels.  Ground sets
-    are capped at 12 elements.
+    closure of the base, found by union–find over the labels.
     """
-    if space.is_lattice or len(space.labels) > 12:
-        raise GeometryError("finite closure needs a finite ground set of size <= 12")
+    if space.is_lattice:
+        raise GeometryError("finite closure needs a finite ground set")
     parent = {x: x for x in space.labels}
 
     def find(x):
@@ -668,12 +667,14 @@ def close_finite_base(space: GroundSpace, base) -> FiniteClosure:
         (x, y) for x in space.labels for y in space.labels if find(x) == find(y)),))
 
 
+def _full_closure(space: GroundSpace) -> FiniteClosure:
+    return FiniteClosure(space, (frozenset(itertools.product(space.labels, repeat=2)),))
+
+
 def associated_connected_structure(b: BornologySpec):
-    """E_B: levels diag ∪ (B_n × B_n); full closure on finite spaces."""
+    """E_B: levels diag ∪ (B_n × B_n); every pair on a finite space."""
     if not b.space.is_lattice:
-        labels = b.space.labels
-        full = frozenset(itertools.product(labels, labels))
-        return close_finite_base(b.space, [full])
+        return _full_closure(b.space)
     return ChainStructure(b.space, "connected_pairs", bornology=b)
 
 
@@ -682,19 +683,15 @@ def group_right_structure(g: GroupSpec):
     level is the whole group, so its relation holds every pair."""
     if g.is_lattice:
         return ChainStructure(GroundSpace.lattice(g.rank), "group_right", group=g)
-    return close_finite_base(GroundSpace.finite(g.elements),
-                             [itertools.product(g.elements, repeat=2)])
+    return _full_closure(GroundSpace.finite(g.elements))
 
 
 def associated_orbit_structure(a: ActionInstance):
-    """E(L, B_X) as a chain of orbit-pair levels (finite: explicit closure of
-    the one level, the orbit pairs of the whole label set)."""
+    """E(L, B_X) as a chain of orbit-pair levels.  On a finite space the one
+    level is ⋃_g (gX × gX) = X × X, since every g maps X onto X."""
     if a.space.is_lattice:
         return ChainStructure(a.space, "orbit_pair", action=a)
-    e = OrbitPair(a, FinitePoints(frozenset(a.space.labels)))
-    pairs = list(itertools.product(a.space.labels, repeat=2))
-    return close_finite_base(a.space, [
-        [p for p, m in zip(pairs, entourage_members(e, pairs)) if m is True]])
+    return _full_closure(a.space)
 
 
 # --- induced bornology and coarse boundedness --------------------------------
@@ -825,18 +822,17 @@ def _connected_coarsely_bounded(b: BornologySpec, s, budget: Budget) -> BoundVer
 
 
 def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdict:
-    rw = _rewrite_orbit_pair(OrbitPair(a, BoxSet(level_box(a.space_bornology, 0))))
+    sb = a.space_bornology  # an empty level rewrites exactly, so read the first non-empty one
+    rw = _rewrite_orbit_pair(OrbitPair(a, BoxSet(level_box(sb, first_level(sb) or 0))))
     if rw.exact and isinstance(rw.descriptor, DiffRel):
         cs = ChainStructure(a.space, "orbit_pair", action=a)
         return _diffrel_coarsely_bounded(cs, s, budget)
     if rw.exact and isinstance(rw.descriptor, ConnectedPairs):
-        return _connected_coarsely_bounded(a.space_bornology, s, budget)
-    v = is_bounded(a.space_bornology, s)
+        return _connected_coarsely_bounded(sb, s, budget)
+    v = is_bounded(sb, s)
     if v.bounded:
         return bounded_at(v.index, note="A={point of the bounded set}")
-    if a.space_bornology.kind == CHAIN and not _recession_rays(
-        a.matrix, chain_recession(a.space_bornology)
-    ):
+    if sb.kind == CHAIN and not _recession_rays(a.matrix, chain_recession(sb)):
         return v  # weakly proper: induced bornology equals the space bornology
     return BoundVerdict("inconclusive", note="orbit chain without exact rewrite")
 

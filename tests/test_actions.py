@@ -13,6 +13,8 @@ from coarseact.boxes import (
     POS_INF,
     Box,
     BoxSet,
+    FinitePoints,
+    GeometryError,
     GroundSpace,
     UnsupportedVariant,
     box,
@@ -34,6 +36,7 @@ from coarseact.bornology import (
     affine,
     chain_bornology,
     cubes_chain,
+    finite_base_bornology,
     is_bounded,
     level_box,
     maximal_bornology,
@@ -418,6 +421,40 @@ class TestClassify:
         assert classify(inst).flags() == {
             "b_proper": True, "weakly_b_proper": True, "bi": True,
         }
+
+    def test_finite_transporter_search_agrees(self):
+        # the search classify no longer runs: on a finite space every
+        # level-pair, point and stabilizer transporter is bounded
+        import os
+
+        from coarseact.cli import parse_instance
+        from coarseact.oracle import random_instance
+
+        path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                            "cyclic_rotation.instance")
+        insts = [random_instance(seed, "finite") for seed in range(1, 101)]
+        for inst in [*insts, parse_instance(path).action]:
+            whole = FinitePoints(frozenset(inst.space.labels))
+            pairs = [(whole, whole)]
+            for x in inst.space.labels:
+                point = FinitePoints(frozenset({x}))
+                pairs += [(point, whole), (point, point)]
+            for b, b2 in pairs:
+                assert transporter_bounded(inst, transporter(inst, b, b2)).bounded
+            cls = classify(inst)
+            assert all(cls.flags().values()), inst.name
+            assert cls.sample_points == inst.space.labels
+
+    def test_finite_base_failing_the_axioms_raises(self):
+        # a base of either side that is not pair-dominated or not covering
+        space, one = GroundSpace.finite((0, 1, 2)), GroundSpace.finite((0,))
+        rule = PermutationRule((tuple((x, x) for x in (0, 1, 2)),))
+        bad_space = finite_base_bornology(space, [points_set(0), points_set(1, 2)])
+        bad_group = finite_base_bornology(one, [])
+        for sb, gb in ((bad_space, maximal_bornology(one)), (maximal_bornology(space), bad_group)):
+            inst = ActionInstance("bad", finite_group((0,), ((0,),), gb), space, rule, sb)
+            with pytest.raises(GeometryError, match="fails the bornology axioms"):
+                classify(inst)
 
 
 class TestOrbitBornologies:

@@ -300,6 +300,25 @@ class TestInputContract:
         assert proc.returncode == EXIT_OK
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name", ["cyclic_rotation", "first_coordinate_shift"])
+    @pytest.mark.parametrize("ckind", ["metric_ball", "group_right", "connected_pairs"])
+    def test_candidate_kinds_keep_exit_contract(self, name, ckind, tmp_path):
+        # neither fixture's group is its ground space, so a group_right
+        # candidate is a usage error there, not a refutation
+        with open(fixture(f"{name}.instance"), encoding="utf-8") as fh:
+            text = fh.read()
+        cut = min(i for i in (text.find("[coarse.candidate"), text.find("[expect]"), len(text))
+                  if i >= 0)
+        path = tmp_path / f"{name}.instance"
+        path.write_text(f"{text[:cut]}\n[coarse.candidate.c]\nkind = {ckind}\n")
+        for which in ("main", "transitive"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run_command(["theorem", which, str(path)])
+            assert code in (0, 1, 2, 3), (which, err.getvalue())
+            if ckind == "group_right":
+                assert code == EXIT_USAGE and "group_right" in err.getvalue()
+
     def test_random_instances_keep_exit_contract(self, tmp_path):
         # every exact command on random instances of each profile ends in an
         # exit code, and closure answers on finite spaces only; seeds 16, 63,

@@ -1,3 +1,6 @@
+import ast
+import contextlib
+import io
 import itertools
 import random
 
@@ -94,6 +97,24 @@ def check_coarse_axioms(closure):
             assert closure.contains_relation(comp)
 
 
+def components_closure(labels, base) -> frozenset:
+    """x ~ y when a path of base pairs, each taken either way, joins them."""
+    linked = {x: {x} for x in labels}
+    for rel in base:
+        for x, y in rel:
+            linked[x].add(y)
+            linked[y].add(x)
+    expected = set()
+    for x in labels:
+        seen, todo = {x}, [x]
+        while todo:
+            fresh = linked[todo.pop()] - seen
+            seen |= fresh
+            todo.extend(fresh)
+        expected |= {(x, y) for y in seen}
+    return frozenset(expected)
+
+
 class TestCloseFiniteBase:
     def test_empty_base_is_diagonal(self):
         space = GroundSpace.finite(("a", "b"))
@@ -146,10 +167,25 @@ class TestCloseFiniteBase:
             ]
             check_coarse_axioms(close_finite_base(space, base))
 
-    def test_size_cap(self):
-        space = GroundSpace.finite(tuple(range(13)))
-        with pytest.raises(Exception):
-            close_finite_base(space, [])
+    def test_thirteen_labels(self, tmp_path):
+        # union–find needs no size cap: 13 labels close like 5, and the
+        # commands that build a closure answer on a 13-label instance
+        from coarseact.cli import run_command
+
+        labels = tuple(range(13))
+        base = [frozenset({(0, 1), (2, 1)}), frozenset({(5, 12), (12, 7)}),
+                frozenset({(3, 3)})]
+        closure = close_finite_base(GroundSpace.finite(labels), base)
+        assert closure.maximal == (components_closure(labels, base),)
+        path = tmp_path / "thirteen.instance"
+        path.write_text(
+            "[space]\nkind = finite\nsize = 13\n\n"
+            "[group]\nkind = finite\nsize = 1\nmul0 = (0)\n\n"
+            f"[action]\nkind = permutation\nperm0 = {labels}\n\n"
+            "[bornology.x]\nkind = maximal\n\n[bornology.l]\nkind = maximal\n")
+        for argv in (["theorem", "main"], ["closure"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_command([*argv, str(path)]) == 0, argv
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -161,22 +197,8 @@ class TestCloseFiniteBase:
         pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
         base = data.draw(st.lists(st.frozensets(pair, min_size=1, max_size=5),
                                   min_size=1, max_size=4))
-        # x ~ y when a path of base pairs, each taken either way, joins them
-        linked = {x: {x} for x in labels}
-        for rel in base:
-            for x, y in rel:
-                linked[x].add(y)
-                linked[y].add(x)
-        expected = set()
-        for x in labels:
-            seen, todo = {x}, [x]
-            while todo:
-                fresh = linked[todo.pop()] - seen
-                seen |= fresh
-                todo.extend(fresh)
-            expected |= {(x, y) for y in seen}
         closure = close_finite_base(space, base)
-        assert closure.maximal == (frozenset(expected),)
+        assert closure.maximal == (components_closure(labels, base),)
         if len(labels) <= 4:
             assert closure.maximal == naive_closure(space, base)[1]
 
@@ -688,6 +710,31 @@ class TestCoarselyBounded:
         v = coarsely_bounded(associated_orbit_structure(a), box_set((0, POS_INF)))
         assert v.outcome == "inconclusive"
         assert v.note == "orbit chain without exact rewrite"
+
+    @pytest.mark.parametrize("step", [2, 3])
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_late_chain_certificates_replay(self, step, offset):
+        # levels [-m+offset, m-offset] are empty before m = offset; an empty
+        # level rewrites exactly, so it must not stand in for the later ones
+        chain = chain_bornology(Z, [(affine(-1, offset), affine(1, -offset))])
+        a = ActionInstance("late", lattice_group(1, cubes_chain(Z)), Z,
+                           TranslationRule(((step,),)), chain)
+        cs = associated_orbit_structure(a)
+        for lo in range(-6, 4):
+            for width in range(12):
+                s = box_set((lo, lo + width))
+                v = coarsely_bounded(cs, s)
+                assert v.bounded, (lo, width)
+                # replay s ⊆ E_n[{c}]: c and every y lie in one translate
+                # step·l + B_n, with l searched over a window
+                c = ast.literal_eval(v.note[3:-1]) if v.note.startswith("A={(") else (lo,)
+                n = v.index
+                for y in range(lo, lo + width + 1):
+                    assert any(
+                        max(c[0], y) - step * l <= n - offset
+                        and min(c[0], y) - step * l >= offset - n
+                        for l in range(-20, 21)
+                    ), (lo, width, v)
 
 
 class TestAssociatedConnected:
