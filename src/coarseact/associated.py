@@ -463,7 +463,7 @@ def verify_theorem_weak(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> T
             except GeometryError as exc:
                 error = str(exc)
                 break
-            chain_verdicts.append((x, chains_mutually_cofinal(pull, push, budget)))
+            chain_verdicts.append((x, chains_mutually_cofinal(pull, push)))
         if error is not None:
             right = verdict_inconclusive(error)
         elif all(v.confirmed for _, v in chain_verdicts):
@@ -538,7 +538,7 @@ def verify_theorem_main(a: ActionInstance, candidates=(),
         for name, cand in candidates:
             equi_c = equi_controlled_check(a, cand, budget)
             induced = induced_bornology_chain(cand)
-            matches = chains_mutually_cofinal(induced, a.space_bornology, budget)
+            matches = chains_mutually_cofinal(induced, a.space_bornology)
             if not (equi_c.confirmed and matches.confirmed):
                 items.append((name, not_applicable("candidate filtered",
                                                    witness={"equi": equi_c,

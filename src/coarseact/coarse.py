@@ -30,31 +30,32 @@ from .boxes import (
     box_intersect,
     cube,
     difference_box,
+    full_box,
     is_finite_end,
     mat_vec,
     minkowski_sum,
     point_box,
     set_bounding_box,
     set_boxes,
-    set_contains_set,
     set_is_empty,
     set_membership,
     set_negate,
-    set_pieces,
-    set_points_within,
     set_translate,
     union_set,
 )
 from .bornology import (
+    AFF_POS_INF,
     CHAIN,
     MAXIMAL,
     AffineEnd,
     BornologySpec,
+    bornology_axiom_check,
     chain_bornology,
     chain_recession,
     cubes_chain,
     first_level,
     is_bounded,
+    least_index_cover_upper,
     level_box,
     maximal_bornology,
     _point_inside,
@@ -736,7 +737,7 @@ def coarsely_bounded(cs, s, budget: Budget = DEFAULT_BUDGET) -> BoundVerdict:
     if set_is_empty(s):
         return bounded_at(0, note="empty set")
     if cs.kind in ("metric_ball", "group_right"):
-        return _diffrel_coarsely_bounded(cs, s, budget)
+        return _diffrel_coarsely_bounded(cs, s)
     if cs.kind == "connected_pairs":
         return _connected_coarsely_bounded(cs.bornology, s, budget)
     if cs.kind == "orbit_pair":
@@ -744,44 +745,29 @@ def coarsely_bounded(cs, s, budget: Budget = DEFAULT_BUDGET) -> BoundVerdict:
     raise UnsupportedVariant(f"coarsely_bounded over {cs!r}")
 
 
-def _level_shift_set(cs, n: int):
-    rw = entourage_rewrite(cs.level(n))
-    return rw.descriptor.shift_set
-
-
-def _diffrel_coarsely_bounded(cs, s, budget: Budget) -> BoundVerdict:
+def _diffrel_coarsely_bounded(cs, s) -> BoundVerdict:
+    """s is coarsely bounded in a DiffRel chain exactly when one translate of
+    one level's difference box holds s's bounding box."""
+    diffs, bset, _ = _leq_form(cs)
     d = cs.space.dim
     bb = set_bounding_box(s)
-    # reach flags unioned over levels: an empty low level must not hide the
-    # symbolic ends that later levels carry
-    lo_inf = [False] * d
-    hi_inf = [False] * d
-    for n in range(budget.max_index + 1):
-        shift_bb = set_bounding_box(_level_shift_set(cs, n))
-        if shift_bb.empty:
-            continue
-        for i in range(d):
-            lo_inf[i] = lo_inf[i] or shift_bb.lower[i] == NEG_INF
-            hi_inf[i] = hi_inf[i] or shift_bb.upper[i] == POS_INF
-    rec = Box(
-        tuple(NEG_INF if f else 0 for f in lo_inf),
-        tuple(POS_INF if f else 0 for f in hi_inf),
-    )
-    for i in range(d):
-        if bb.lower[i] == NEG_INF and rec.lower[i] != NEG_INF:
-            return unbounded(direction=_unit(-1, i, d), base_point=_point_inside(bb),
-                             note="set is infinite where every level reach is finite")
-        if bb.upper[i] == POS_INF and rec.upper[i] != POS_INF:
-            return unbounded(direction=_unit(1, i, d), base_point=_point_inside(bb),
-                             note="set is infinite where every level reach is finite")
-    for n in range(budget.max_index + 1):
-        shift_bb = set_bounding_box(_level_shift_set(cs, n))
-        if shift_bb.empty:
-            continue
-        a = _fit_translate(bb, shift_bb)
-        if a is not None:
-            return bounded_at(n, note=f"A={{{a}}}")
-    return BoundVerdict("inconclusive", note="no single-translate fit within budget")
+    # every non-empty level has the infinite ends of the first one
+    for i, side, _ in _open_sides(diffs, bb):
+        return unbounded(direction=_unit(side, i, d), base_point=_point_inside(bb),
+                         note="set is infinite where every level reach is finite")
+    # the fit index: the least level at least as wide as bb in every coordinate;
+    # a point fits in the 0 that every orbit level holds
+    widths = Box((0,) * d, tuple(hi - lo for lo, hi in zip(bb.lower, bb.upper)))
+    if bset is not None and _within_zero(widths):
+        n = 0
+    else:
+        fit = diffs if diffs.kind == MAXIMAL else chain_bornology(
+            cs.space, [(AffineEnd(0, 0), _width_end(lo, hi)) for lo, hi in diffs.shape])
+        n = is_bounded(fit, BoxSet(widths)).index
+        if n is None:
+            return BoundVerdict("inconclusive", note="no level fits: the chain fails the axioms")
+    a = _fit_translate(bb, _level_diffs(diffs, bset, n))
+    return bounded_at(n, note=f"A={{{a}}}")
 
 
 def _fit_translate(target: Box, shape: Box):
@@ -826,7 +812,7 @@ def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdic
     rw = _rewrite_orbit_pair(OrbitPair(a, BoxSet(level_box(sb, first_level(sb) or 0))))
     if rw.exact and isinstance(rw.descriptor, DiffRel):
         cs = ChainStructure(a.space, "orbit_pair", action=a)
-        return _diffrel_coarsely_bounded(cs, s, budget)
+        return _diffrel_coarsely_bounded(cs, s)
     if rw.exact and isinstance(rw.descriptor, ConnectedPairs):
         return _connected_coarsely_bounded(sb, s, budget)
     v = is_bounded(sb, s)
@@ -838,272 +824,105 @@ def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdic
 
 
 # --- containment between structures ------------------------------------------
+#
+# A lattice chain structure is read in one of three normal forms: a DiffRel
+# chain (metric balls, group-right levels), connected pairs diag ∪ B_n × B_n,
+# or orbit pairs E(L, B_n).  Every level is built from boxes whose ends are
+# affine in n, and under the covering axiom every finite end widens without
+# bound, so the non-empty levels of a chain share their infinite ends: "∃m with
+# X_n ⊆ Y_m" holds for every n once it holds at the first level of X with an
+# off-diagonal pair, and the least such m is one is_bounded read per n.
 
 
-def entourage_leq_exact(e1, e2):
-    """(verdict, witness) for e1 ⊆ e2 using rewrites only; None = undecided.
-
-    An inexact (over-approximating) rewrite of e1 may still prove containment;
-    refutation witnesses are only issued from exact forms and replay through
-    entourage_membership.
-    """
-    r1, r2 = entourage_rewrite(e1), entourage_rewrite(e2)
-    d1, d2 = r1.descriptor, r2.descriptor
-    if isinstance(d1, DiffRel) and _is_zero_only(d1.shift_set, d1.space.dim):
-        for cand in (e2, d2):
-            if isinstance(cand, (OrbitPair, ConnectedPairs)):
-                return True, None
-        if isinstance(d2, DiffRel) and r2.exact:
-            zero = (0,) * d1.space.dim
-            if set_membership(d2.shift_set, zero):
-                return True, None
-    if isinstance(d1, DiffRel) and isinstance(d2, DiffRel):
-        contained = set_contains_set(d2.shift_set, d1.shift_set)
-        # an over-approximation is sound on the left only
-        if contained is True and r2.exact:
-            return True, None
-        if contained is False and r1.exact and r2.exact:
-            v = _witness_shift(d1.shift_set, d2.shift_set)
-            if v is not None:
-                dim = d1.space.dim
-                return False, ((0,) * dim, v)
-        if r1.exact and not r2.exact and isinstance(e2, OrbitPair):
-            return _leq_diffrel_into_orbit_line(d1, e2)
-        return None, None
-    if isinstance(d2, ConnectedPairs):
-        return _leq_into_connected(d1, r1.exact, d2)
-    if isinstance(d1, ConnectedPairs):
-        return _leq_from_connected(d1, d2, r2.exact)
-    if isinstance(d1, OrbitPair) and isinstance(d2, OrbitPair):
-        if d1.action is d2.action or (
-            d1.action.is_translation
-            and d2.action.is_translation
-            and d1.action.matrix == d2.action.matrix
-        ):
-            c = set_contains_set(d2.bounded_set, d1.bounded_set)
-            if c is True:
-                return True, None
-    if isinstance(d1, DiffRel) and r1.exact and isinstance(e2, OrbitPair):
-        return _leq_diffrel_into_orbit_line(d1, e2)
-    return None, None
+def _leq_form(cs):
+    """(diffs, bset, matrix) of a lattice chain structure.  diffs is the chain
+    of level difference sets {y - x : (x,y) ∈ level n}; a connected or orbit
+    chain also has its level sets B_n as bset and its shift matrix (None when
+    zero), and its level n holds the differences (B_n ⊖ B_n) ∪ {0}, all
+    realised at l = 0.  A DiffRel chain has bset None."""
+    if cs.kind == "metric_ball":
+        return cubes_chain(cs.space), None, None
+    if cs.kind == "group_right":
+        return cs.group.bornology, None, None
+    if cs.kind == "connected_pairs":
+        b, m = cs.bornology, None
+    elif cs.kind == "orbit_pair":
+        require_exact_rule(cs.action)
+        b, m = cs.action.space_bornology, cs.action.matrix
+        m = m if any(any(row) for row in m) else None
+    else:
+        raise UnsupportedVariant(f"chain kind {cs.kind}")
+    return _difference_chain(b), b, m
 
 
-def _leq_diffrel_into_orbit_line(d1: DiffRel, e2: OrbitPair):
-    """Exact d=k=1 rule: membership of (x, x+v) depends only on x mod the
-    column gcd, so bounded shift sets check finitely."""
-    a = e2.action
-    if not (a.is_translation and a.space.is_lattice
-            and a.space.dim == 1 and a.group.rank == 1):
-        return None, None
-    g = column_lattice_index(a.matrix)
-    if g is None or g == 0:
-        return None, None
-    b_bb = set_bounding_box(e2.bounded_set)
-    shifts = d1.shift_set
-    for piece in set_pieces(shifts):
-        if isinstance(piece, BoxSet) and not piece.box.is_bounded():
-            if b_bb.is_bounded():
-                diam = int(b_bb.upper[0] - b_bb.lower[0])
-                v = (diam + 1,) if piece.box.upper[0] == POS_INF else (-diam - 1,)
-                if set_membership(shifts, v) and \
-                        entourage_membership(e2, ((0,), v)) is False:
-                    return False, ((0,), v)
-            return None, None
-    vs = set_points_within(shifts, 4096)
-    if len(vs) > 4096:
-        return None, None
-    for v in vs:
-        for r in range(g):
-            pair = ((r,), (r + v[0],))
-            m = entourage_membership(e2, pair)
-            if m is False:
-                return False, pair
-            if m is None:
-                return None, None
-    return True, None
+def _width_end(lo: AffineEnd, hi: AffineEnd) -> AffineEnd:
+    """hi - lo as an end in the chain index; +inf when either end is infinite."""
+    if lo.is_symbolic or hi.is_symbolic:
+        return AFF_POS_INF
+    return AffineEnd(hi.coeff - lo.coeff, hi.offset - lo.offset)
 
 
-def _is_zero_only(s, d) -> bool:
-    zero = (0,) * d
-    for piece in set_pieces(s):
-        if isinstance(piece, FinitePoints):
-            if piece.points - {zero}:
-                return False
-        elif not (piece.box.lower == zero and piece.box.upper == zero):
-            return False
-    return True
+def _difference_chain(b: BornologySpec) -> BornologySpec:
+    """The chain of B_n ⊖ B_n = ∏ [-(hi - lo), hi - lo], empty where B_n is."""
+    if b.kind == MAXIMAL:
+        return b
+    ends = [_width_end(lo, hi) for lo, hi in b.shape]
+    return chain_bornology(b.space, [(AffineEnd(-w.coeff, -w.offset, -w.inf), w) for w in ends])
 
 
-def _leq_into_connected(d1, exact1, d2: ConnectedPairs):
-    """e1 ⊆ diag ∪ (B×B): the off-diagonal part of e1 must sit inside B×B."""
-    b = d2.bounded_set
-    dim = d2.space.dim
-    if isinstance(d1, DiffRel):
-        zero = (0,) * dim
-        off_diag = []
-        for p in set_pieces(d1.shift_set):
-            if isinstance(p, FinitePoints):
-                rest = FinitePoints(p.points - {zero})
-                if rest.points:
-                    off_diag.append(rest)
-            elif not (p.box.lower == zero and p.box.upper == zero):
-                off_diag.append(p)
-        if not off_diag:
-            return True, None
-        if set_bounding_box(b) == bx.full_box(dim):
-            return True, None
-        if not exact1:
-            return None, None
-        # pick a nonzero shift v and a base point outside B: the pair escapes
-        v = None
-        for p in off_diag:
-            for cand in set_points_within(p, 8):
-                if any(c != 0 for c in cand):
-                    v = cand
-                    break
-            if v:
-                break
-        x = _point_outside(b, dim)
-        if v is None or x is None:
-            return None, None
-        return False, (x, tuple(a + c for a, c in zip(x, v)))
-    if isinstance(d1, ConnectedPairs):
-        b1 = d1.bounded_set
-        if _count_points_at_most(b1, 1):
-            return True, None
-        if set_contains_set(b, b1) is True:
-            return True, None
-        return None, None
-    return None, None
+def _level_diffs(diffs: BornologySpec, bset, n: int) -> Box:
+    """The differences of level n: a connected or orbit level holds the
+    diagonal's 0 also where B_n is empty."""
+    box = level_box(diffs, n)
+    return point_box((0,) * box.dim) if bset is not None and box.empty else box
 
 
-def _leq_from_connected(d1: ConnectedPairs, d2, exact2):
-    """diag ∪ (B×B) ⊆ e2: reduces to the difference set of B landing in e2."""
-    b = d1.bounded_set
-    dim = d1.space.dim
-    zero = (0,) * dim
-    if isinstance(d2, DiffRel):
-        if not set_membership(d2.shift_set, zero):
-            x = (0,) * dim
-            return False, (x, x)
-        if set_is_empty(b) or _count_points_at_most(b, 1):
-            return True, None
-        # a hulled difference set over-approximates: containment stays sound
-        # and an escape is replayed by _pair_realizing_escape
-        diff, _ = _piecewise_difference(b, b)
-        c = set_contains_set(d2.shift_set, diff)
-        if c is True:
-            return True, None
-        if c is False and exact2:
-            pair = _pair_realizing_escape(b, d2.shift_set)
-            if pair is not None:
-                return False, pair
-        return None, None
-    return None, None
+def _within_zero(box: Box) -> bool:
+    return box.empty or set(box.lower + box.upper) == {0}
 
 
-def _pair_realizing_escape(b, outer_shifts):
-    """x, y ∈ b whose difference escapes outer_shifts, if constructible."""
-    for p1 in set_boxes(b):
-        for p2 in set_boxes(b):
-            diff = difference_box(p2, p1)
-            v = _witness_shift(BoxSet(diff), outer_shifts)
-            if v is None:
-                continue
-            feas = box_intersect(p1, bx.translate_box(p2, tuple(-c for c in v)))
-            x = _point_inside(feas)
-            if x is None:
-                continue
-            y = tuple(a + c for a, c in zip(x, v))
-            if set_membership(b, x) and set_membership(b, y):
-                return (x, y)
-    return None
+def _first_wide(diffs: BornologySpec) -> int:
+    """The first level whose differences hold a nonzero shift."""
+    n = first_level(diffs)
+    return first_level(diffs, 2) if _within_zero(level_box(diffs, n)) else n
 
 
-def _count_points_at_most(s, n: int) -> bool:
-    count = 0
-    for piece in set_pieces(s):
-        count += len(piece.points) if isinstance(piece, FinitePoints) else bx.box_size(piece.box)
-        if count > n:
-            return False
-    return True
+def _open_sides(spec: BornologySpec, box: Box) -> list:
+    """(coordinate, side, end) where box is infinite and every level of spec
+    ends at the finite affine end."""
+    if spec.kind == MAXIMAL:
+        return []
+    return [(r, s, end) for r, ends in enumerate(spec.shape)
+            for s, end, v in zip((-1, 1), ends, (box.lower[r], box.upper[r]))
+            if not end.is_symbolic and not is_finite_end(v)]
 
 
-def _point_outside(s, d, radius: int = 64):
-    for t in range(1, radius + 1):
-        for sign in (1, -1):
-            for i in range(d):
-                p = _unit(sign * t, i, d)
-                if not set_membership(s, p):
-                    return p
-    return None
+def _escape_family(p, q, wx, wy, end: AffineEnd, base: int) -> tuple:
+    """The pairs (p + t·wx, q + t·wy) with t = |a|·m + |b| + |base| + 1 for the
+    end a·m + b, one AffineEnd per coordinate: a coordinate that starts at base
+    and moves by at least t passes the end at every m."""
+    k, k0 = abs(end.coeff), abs(end.offset) + abs(base) + 1
+    return tuple(tuple(AffineEnd(k * w, c + k0 * w) for c, w in zip(pt, ws))
+                 for pt, ws in ((p, wx), (q, wy)))
 
 
-def _witness_shift(inner, outer):
-    """A vector in inner \\ outer, searching piece corners then small windows."""
-    for piece in set_pieces(inner):
-        if isinstance(piece, FinitePoints):
-            for p in sorted(piece.points):
-                if not set_membership(outer, p):
-                    return p
-        else:
-            for corner in bx._finite_corners(piece.box):
-                if piece.box.contains(corner) and not set_membership(outer, corner):
-                    return corner
-    for piece in set_pieces(inner):
-        if isinstance(piece, BoxSet):
-            for p in bx.box_points(bx.clip_box(piece.box, 16)):
-                if not set_membership(outer, p):
-                    return p
-    return None
+def family_pair(family, m: int) -> tuple:
+    """The member at index m of a refutation family of structure_leq."""
+    return tuple(tuple(e(m) for e in pt) for pt in family)
 
 
-def _window_leq(e1, e2, budget: Budget):
-    """Refutation by directed/grid counterexample pairs; else inconclusive.
-
-    Only window evidence exists on this path, so the positive answer is never
-    claimed here.
-    """
-    d = e1.space.dim if e1.space.is_lattice else None
-    if d is None:
-        return None, None
-    ts = sorted(
-        set(range(0, min(budget.window, 2 * budget.max_index + 4) + 1))
-        | {budget.window // 2, budget.window}
-    )
-    pairs = []
-    z = (0,) * d
-    for t in ts:
-        for i in range(d):
-            for sign in (1, -1):
-                p = _unit(sign * t, i, d)
-                pairs.append((z, p))
-                pairs.append((p, z))
-                for j in range(d):
-                    step = _unit(1, j, d)
-                    pairs.append((p, tuple(a + s for a, s in zip(p, step))))
-                    pairs.append((p, tuple(a + 2 * s for a, s in zip(p, step))))
-    r = 3 if d <= 2 else 1
-    grid = list(bx.box_points(cube(r, d)))
-    pairs.extend((a, b) for a in grid for b in grid)
-    seen = set()
-    for pair in pairs:
-        if pair in seen:
-            continue
-        seen.add(pair)
-        m1 = entourage_membership(e1, pair, budget)
-        if m1 is True:
-            m2 = entourage_membership(e2, pair, budget)
-            if m2 is False:
-                return False, pair
-    return None, None
+def _escape(n: int, family, budget: Budget) -> Verdict:
+    return refuted(witness={"level": n, "pair": family_pair(family, budget.max_index),
+                            "family": family},
+                   detail=f"level {n} escapes every level: the family holds one pair per level")
 
 
 def structure_leq(cs1, cs2, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """∀n ∃m: level1_n ⊆ level2_m, with witnesses on failure.
+    """∀n ∃m: level1_n ⊆ level2_m, read from the affine ends of both chains.
 
-    Chains are monotone, so a counterexample pair against the top budget level
-    certifies escape from every smaller level.
+    The confirmed witness lists (n, max(n, least m)) for n ≤ max_index.  A
+    refutation names a level n and a family m ↦ pair of level-n pairs outside
+    level m (see family_pair), with its member at m = max_index as "pair".
     """
     if isinstance(cs1, FiniteClosure) and isinstance(cs2, FiniteClosure):
         if cs1.space != cs2.space:
@@ -1117,31 +936,83 @@ def structure_leq(cs1, cs2, budget: Budget = DEFAULT_BUDGET) -> Verdict:
         raise GeometryError("structure_leq: mixed finite/lattice structures")
     if cs1.space != cs2.space:
         raise GeometryError("structure_leq: ground space mismatch")
-    top = budget.max_index
-    # containment indexes may exceed the level budget (e.g. m = 2n); search
-    # further for certificates, refute against the deepest searched level
-    m_top = 4 * top + 8
-    pairs = []
-    for n in range(top + 1):
-        e1 = cs1.level(n)
-        found = None
-        for m in itertools.chain(range(n, m_top + 1), range(0, n)):
-            ok, _ = entourage_leq_exact(e1, cs2.level(m))
-            if ok is True:
-                found = m
-                break
-        if found is None:
-            ok_top, witness = _window_leq(e1, cs2.level(m_top), budget)
-            if ok_top is False:
-                return refuted(
-                    witness={"level": n, "pair": witness},
-                    detail=f"level {n} escapes every level <= {m_top}",
-                )
-            return verdict_inconclusive(
-                f"level {n}: no containment certificate within budget"
-            )
-        pairs.append((n, found))
-    return confirmed("levelwise containment", witness=tuple(pairs))
+    dx, bx, mx = _leq_form(cs1)
+    dy, by, my = _leq_form(cs2)
+    if not all(s.matrix is None and bornology_axiom_check(s).passed
+               for s in (bx or dx, by or dy)):
+        return verdict_inconclusive("a chain fails the bornology axioms")
+    dim = cs1.space.dim
+    zero = (0,) * dim
+    n = _first_wide(dx)
+    diffs = _level_diffs(dx, bx, n)
+    # a level-n pair whose difference passes the ends of every level of cs2
+    for r, s, end in _open_sides(dy, diffs):
+        unit = _unit(s, r, dim)
+        if bx is None:
+            q = _point_inside(diffs)
+            return _escape(n, _escape_family(zero, q, zero, unit, end, q[r]), budget)
+        # B_n is infinite along r: move one of two equal points along it
+        b = level_box(bx, n)
+        p = _point_inside(b)
+        if not is_finite_end((b.upper if s > 0 else b.lower)[r]):
+            return _escape(n, _escape_family(p, p, zero, unit, end, 0), budget)
+        return _escape(n, _escape_family(p, p, _unit(-s, r, dim), zero, end, 0), budget)
+    exact = by is None or (my is not None and column_lattice_index(my) == 1)
+    if not exact:
+        # on a zero row r of M' the pairs of E(L', B'_m) off the diagonal stay
+        # in B'_m, so a level-n pair that reaches past a finite end of B' there
+        # escapes; level n reaches along the nonzero rows of M and B_n's
+        # infinite ends, and a DiffRel level reaches everywhere
+        reach = full_box(dim) if bx is None else level_box(bx, n)
+        if mx is not None:
+            free = [any(row) for row in mx]
+            reach = Box(tuple(NEG_INF if f else v for f, v in zip(free, reach.lower)),
+                        tuple(POS_INF if f else v for f, v in zip(free, reach.upper)))
+        for r, s, end in _open_sides(by, reach):
+            if my is not None and any(my[r]):
+                continue
+            # a pair (p, q) of level n that moves by w, at least one step along r
+            w = _unit(s, r, dim)
+            if bx is None:
+                v = _point_inside(diffs)
+                p, q = zero, (v if any(v) else _second_point(diffs, v))
+            elif mx is not None and any(mx[r]):
+                b = level_box(bx, n)
+                p = _point_inside(b)
+                q = _second_point(b, p)
+                j = next(j for j, c in enumerate(mx[r]) if c)
+                w = tuple(s * (1 if mx[r][j] > 0 else -1) * row[j] for row in mx)
+            else:
+                p = _point_inside(level_box(bx, n))
+                q = tuple(a + c for a, c in zip(p, w))
+            return _escape(n, _escape_family(p, q, w, w, end, p[r]), budget)
+
+    def least(k: int):
+        """The least m with level k ⊆ level m, or None when no rule applies."""
+        d = _level_diffs(dx, bx, k)
+        if by is not None and _within_zero(d):
+            return 0  # level k lies in the diagonal, which every level holds
+        if exact:
+            return is_bounded(dy, BoxSet(d)).index
+        ms = []
+        if mx is None or my is None or mx == my:
+            # B_k ⊆ B'_m suffices, and into connected pairs it is exact once
+            # no zero-row escape exists; a DiffRel level needs B' full
+            v = is_bounded(by, BoxSet(full_box(dim) if bx is None else level_box(bx, k)))
+            ms += [v.index] if v.bounded else []
+        if my is not None and len(my) == 1 == len(my[0]):
+            # d = k = 1: (x, x+u) ∈ E(L', B') for every x exactly when B' is
+            # wide enough to hold u in every class mod the column gcd g
+            u = max(-d.lower[0], d.upper[0]) + abs(my[0][0]) - 1
+            m = least_index_cover_upper(_width_end(*by.shape[0]) if by.kind != MAXIMAL
+                                        else AFF_POS_INF, u)
+            ms += [m] if m is not None else []
+        return min(ms, default=None)
+
+    if least(n) is None:
+        return verdict_inconclusive(f"level {n}: no containment rule for these chains")
+    return confirmed("levelwise containment",
+                     witness=tuple((k, max(k, least(k))) for k in range(budget.max_index + 1)))
 
 
 def structures_equivalent(cs1, cs2, budget: Budget = DEFAULT_BUDGET) -> Verdict:

@@ -91,7 +91,7 @@ def test_criterion_1_flagship_classification(flagships):
     from coarseact.actions import chains_mutually_cofinal, orbit_bornologies
 
     pull, push = orbit_bornologies(flagships[3], (0,))
-    assert chains_mutually_cofinal(pull, push, BUDGET).refuted
+    assert chains_mutually_cofinal(pull, push).refuted
     report(1, True, "flagship classification matrix")
 
 

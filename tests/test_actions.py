@@ -473,6 +473,17 @@ class TestOrbitBornologies:
         v = chains_mutually_cofinal(pull, push)
         assert v.refuted
 
+    def test_late_push_chain_refuted_at_first_level(self):
+        # push levels 0..19 are empty and level 20 is the line Z x {0}, which
+        # no cube holds; the escape is read there, at no budget
+        push = chain_bornology(Z2, [(AFF_NEG_INF, AFF_POS_INF), (affine(-1, 20), affine(1, -20))])
+        v = chains_mutually_cofinal(cubes_chain(Z2), push)
+        assert v.refuted and v.witness["push_level"] == 20
+        assert v.witness["verdict"].unbounded and v.witness["verdict"].direction == (-1, 0)
+        assert chains_mutually_cofinal(push, push).confirmed
+        v = chains_mutually_cofinal(push, cubes_chain(Z2))
+        assert v.refuted and v.witness["pull_level"] == 20
+
     def test_trivial_one_point_orbit(self, trivial):
         pull, push = orbit_bornologies(trivial, (0,))
         assert chains_mutually_cofinal(pull, push).confirmed

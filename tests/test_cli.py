@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,17 +10,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarseact.actions import (
+    ActionInstance,
+    TranslationRule,
+    action_bornological_check,
+    group_bornological_check,
+    lattice_group,
+)
+from coarseact.bornology import affine, chain_bornology, cubes_chain, maximal_bornology
+from coarseact.boxes import GroundSpace
 from coarseact.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    ParsedInstance,
     ParseError,
     parse_instance,
     parse_instance_text,
     run_command,
     serialize_instance,
 )
+
+from conftest import Z, random_chain
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -318,6 +331,48 @@ class TestInputContract:
             assert code in (0, 1, 2, 3), (which, err.getvalue())
             if ckind == "group_right":
                 assert code == EXIT_USAGE and "group_right" in err.getvalue()
+
+    def test_theorem_transitive_is_budget_monotone(self, tmp_path):
+        # a larger (window, max_index) may only turn inconclusive into decided:
+        # seeded lattice instances whose space chains start as late as level
+        # 25, and the shift on a chain whose levels 0..19 are empty
+        start = time.perf_counter()
+        budgets = (("16", "4"), ("64", "8"), ("128", "40"))
+        late = chain_bornology(Z, [(affine(-1, 20), affine(1, -20))])
+        instances = [ActionInstance("late", lattice_group(1, cubes_chain(Z)), Z,
+                                    TranslationRule(((1,),)), late)]
+        for seed in range(40):
+            rng = random.Random(seed)
+            d, k = rng.randint(1, 2), rng.randint(1, 2)
+            m = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(d))
+            sb = random_chain(rng, GroundSpace.lattice(d), 25)
+            gb = (maximal_bornology(GroundSpace.lattice(k)) if rng.random() < 0.1
+                  else random_chain(rng, GroundSpace.lattice(k), 3))
+            a = ActionInstance(f"probe-{seed}", lattice_group(k, gb), GroundSpace.lattice(d),
+                               TranslationRule(m), sb)
+            if group_bornological_check(a.group).passed and action_bornological_check(a).passed:
+                instances.append(a)
+        assert len(instances) > 12
+        for a in instances:
+            text = serialize_instance(ParsedInstance(a))
+            for ckind in ("connected_pairs", "metric_ball"):
+                path = tmp_path / f"{a.name}-{ckind}.instance"
+                path.write_text(f"{text}\n[coarse.candidate.c]\nkind = {ckind}\n")
+                statuses = []
+                for window, top in budgets:
+                    with contextlib.redirect_stdout(io.StringIO()) as out, \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = run_command(["theorem", "transitive", str(path), "--window",
+                                            window, "--max-index", top, "--format", "machine"])
+                    assert code in (0, 1, 2, 3), (a.name, ckind, top)
+                    rows = [r for r in out.getvalue().splitlines() if r.startswith("status=")]
+                    statuses.append(rows[0] if rows else code)
+                decided = [s for s in statuses if s != "status=inconclusive"]
+                assert decided == statuses[len(statuses) - len(decided):], (a.name, ckind, statuses)
+                assert len(set(decided)) <= 1, (a.name, ckind, statuses)
+                if a.name == "late" and ckind == "connected_pairs":
+                    assert statuses == ["status=refuted"] * 3
+        assert time.perf_counter() - start < 5
 
     def test_random_instances_keep_exit_contract(self, tmp_path):
         # every exact command on random instances of each profile ends in an

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import itertools
 import random
@@ -30,6 +31,7 @@ from coarseact.boxes import (
 )
 from coarseact.bornology import (
     AFF_NEG_INF,
+    AFF_POS_INF,
     affine,
     chain_bornology,
     cubes_chain,
@@ -56,15 +58,16 @@ from coarseact.coarse import (
     entourage_membership,
     entourage_rewrite,
     equi_controlled_check,
+    family_pair,
     group_right_structure,
     metric_ball_structure,
     neighborhood,
     structure_leq,
     structures_equivalent,
 )
-from coarseact.verdicts import Budget
+from coarseact.verdicts import DEFAULT_BUDGET, Budget
 
-from conftest import Z, Z2, lower_quadrant_chain
+from conftest import Z, Z2, lower_quadrant_chain, random_chain
 
 
 def closure_family(closure):
@@ -711,6 +714,25 @@ class TestCoarselyBounded:
         assert v.outcome == "inconclusive"
         assert v.note == "orbit chain without exact rewrite"
 
+    def test_late_chain_reach_read_at_first_level(self):
+        # M = I on Z^2 and space chain Z x [-m+20, m-20]: levels 0..19 are
+        # empty and reach nowhere, level 20 reaches along the first coordinate
+        chain = chain_bornology(Z2, [(AFF_NEG_INF, AFF_POS_INF), (affine(-1, 20), affine(1, -20))])
+        a = ActionInstance("late", lattice_group(2, cubes_chain(Z2)), Z2,
+                           TranslationRule(((1, 0), (0, 1))), chain)
+        cs = associated_orbit_structure(a)
+        s = box_set((NEG_INF, 0), (0, 0))
+        for top in (4, 8, 30):
+            v = coarsely_bounded(cs, s, Budget(max_index=top))
+            assert v.bounded and v.index == 20 and v.note == "A={(0, 0)}", top
+        assert all(entourage_membership(cs.level(20), ((0, 0), (-x, 0))) for x in range(40))
+        assert coarsely_bounded(cs, box_set((0, 0), (0, POS_INF))).unbounded
+        # a point fits in the first non-empty DiffRel level, not in level 0
+        late = group_right_structure(lattice_group(1, chain_bornology(
+            Z, [(affine(-1, 7), affine(1, -5))])))
+        v = coarsely_bounded(late, points_set((3,)))
+        assert v.bounded and v.index == 6 and v.note == "A={(2,)}"  # E_6[{2}] = {2 + 1}
+
     @pytest.mark.parametrize("step", [2, 3])
     @pytest.mark.parametrize("offset", [1, 2, 3])
     def test_late_chain_certificates_replay(self, step, offset):
@@ -788,12 +810,49 @@ class TestStructureLeq:
     def test_metric_not_below_connected(self):
         v = structure_leq(metric_ball_structure(Z), associated_connected_structure(cubes_chain(Z)))
         assert v.refuted
-        n, pair = v.witness["level"], v.witness["pair"]
-        # replay: the pair is in the metric level but outside every candidate
-        assert entourage_membership(metric_ball_structure(Z).level(n), pair) is True
+        n, family = v.witness["level"], v.witness["family"]
+        assert v.witness["pair"] == family_pair(family, DEFAULT_BUDGET.max_index)
+        # replay member for member: the pair at m lies in the metric level n
+        # and outside connected level m, far past the budget too
         eb = associated_connected_structure(cubes_chain(Z))
-        for m in range(9):
+        for m in (*range(12), 40, 400):
+            pair = family_pair(family, m)
+            assert entourage_membership(metric_ball_structure(Z).level(n), pair) is True
             assert entourage_membership(eb.level(m), pair) is False
+
+    def test_late_chain_refuted_at_first_two_point_level(self, shift):
+        # the levels of E(L, B) hold one point at most up to level 20, so they
+        # are the diagonal; level 21 sweeps [-1, 1] past every finite level
+        late = chain_bornology(Z, [(affine(-1, 20), affine(1, -20))])
+        assoc = associated_orbit_structure(dataclasses.replace(shift, space_bornology=late))
+        cs = associated_connected_structure(late)
+        for top in (4, 8, 30):
+            v = structure_leq(assoc, cs, Budget(max_index=top))
+            assert v.refuted and v.witness["level"] == 21, top
+            for m in range(0, 60, 7):
+                pair = family_pair(v.witness["family"], m)
+                assert entourage_membership(assoc.level(21), pair) is True
+                assert entourage_membership(cs.level(m), pair) is False
+        # the reverse inclusion holds, with the late levels read in closed form
+        v = structure_leq(cs, assoc, Budget(max_index=30))
+        assert v.confirmed and v.witness[25] == (25, 25)
+
+    def test_inexact_orbit_rewrite_is_not_containment(self):
+        # x -> x + 2l: the DiffRel rewrite of E(L, B') over-approximates, so
+        # (0, 2) in diag ∪ [0, 2]^2 is not in E(L, [-1, 1]) although its
+        # difference lies in [-1, 1] ⊖ [-1, 1]
+        double = ActionInstance("double", lattice_group(1, cubes_chain(Z)), Z,
+                                TranslationRule(((2,),)), cubes_chain(Z))
+        orbit = associated_orbit_structure(double)
+        conn = associated_connected_structure(
+            chain_bornology(Z, [(affine(-1, 1), affine(1, 1))]))
+        assert entourage_membership(orbit.level(1), ((0,), (2,))) is False
+        v = structure_leq(conn, orbit)
+        assert v.confirmed and v.witness[1] == (1, 2)
+        pairs = list(itertools.product(((x,) for x in range(-12, 13)), repeat=2))
+        for n, m in v.witness:
+            inside = [p for p, ok in zip(pairs, entourage_members(conn.level(n), pairs)) if ok]
+            assert all(entourage_members(orbit.level(m), inside)), (n, m)
 
     def test_transitive_on_suite(self):
         a = associated_connected_structure(cubes_chain(Z))
@@ -816,45 +875,75 @@ class TestStructureLeq:
 
 class TestContainmentSoundness:
     def test_exact_verdicts_agree_with_membership(self):
-        # meta-test: every decided containment must replay on window pairs
+        # meta-test: a confirmed (n, m) replays on every window pair of level
+        # n, and a refutation family member for member, past the budget too
         from coarseact.boxes import box_points, cube
-        from coarseact.coarse import entourage_leq_exact
         from coarseact.oracle import random_instance
 
         rng = random.Random(0)
-        for seed in range(1, 13):
-            inst = random_instance(seed, "lattice-k1")
+        top = 4
+        decided = 0
+        seeds = [("lattice-k1", s) for s in range(1, 13)] + [("lattice-k2", s) for s in (4, 6, 8)]
+        for profile, seed in seeds:
+            inst = random_instance(seed, profile)
             d = inst.space.dim
-            ents = [DiffRel(inst.space, BoxSet(cube(rng.randint(0, 4), d)))]
-            for _ in range(2):
-                lo = tuple(rng.randint(-3, 1) for _ in range(d))
-                b = box_set(*((l, l + rng.randint(0, 3)) for l in lo))
-                ents.append(OrbitPair(inst, b))
-            for e1 in ents:
-                for e2 in ents:
-                    verdict, witness = entourage_leq_exact(e1, e2)
-                    if verdict is False:
-                        assert entourage_membership(e1, witness) is True
-                        assert entourage_membership(e2, witness) is False
-                    elif verdict is True:
-                        pts = list(box_points(cube(4 if d <= 2 else 2, d)))
-                        pairs = [(rng.choice(pts), rng.choice(pts))
-                                 for _ in range(120)]
-                        for pair in pairs:
-                            if entourage_membership(e1, pair) is True:
-                                assert entourage_membership(e2, pair) is not False
+            late = random_chain(rng, inst.space, 6)
+            doubled = TranslationRule(tuple(tuple(2 * c for c in row) for row in inst.matrix))
+            structures = [
+                metric_ball_structure(inst.space),
+                associated_connected_structure(inst.space_bornology),
+                associated_connected_structure(late),
+                associated_orbit_structure(inst),
+                associated_orbit_structure(dataclasses.replace(inst, space_bornology=late)),
+                associated_orbit_structure(dataclasses.replace(inst, rule=doubled)),
+            ]
+            if d <= 2:
+                structures.append(group_right_structure(lattice_group(d, late)))
+            # rank-2 orbit membership is slow per pair: a smaller window there
+            pts = list(box_points(cube(4 if d == 1 else (2 if d == 2 and inst.group.rank == 1
+                                                         else 1), d)))
+            pairs = list(itertools.product(pts, repeat=2))
+            for cs1, cs2 in itertools.product(structures, repeat=2):
+                v = structure_leq(cs1, cs2, Budget(max_index=top))
+                decided += v.status != "inconclusive"
+                if v.refuted:
+                    n, family = v.witness["level"], v.witness["family"]
+                    assert v.witness["pair"] == family_pair(family, top)
+                    for m in (*range(top + 3), 25):
+                        pair = family_pair(family, m)
+                        assert entourage_membership(cs1.level(n), pair) is True
+                        assert entourage_membership(cs2.level(m), pair) is False
+                elif v.confirmed:
+                    assert [n for n, _ in v.witness] == list(range(top + 1))
+                    for n, m in v.witness:
+                        inside = [p for p, ok in zip(pairs, entourage_members(cs1.level(n), pairs))
+                                  if ok]
+                        assert False not in entourage_members(cs2.level(m), inside), (seed, n, m)
+        assert decided > 300
 
     def test_diffrel_into_connected_refutation_replays(self):
-        # the refuting pair lies in the shift relation and outside diag ∪ B×B;
-        # a pair moved against its shift would lie in neither
-        from coarseact.coarse import entourage_leq_exact
-
-        e1 = DiffRel(Z, box_set((1, 3)))
-        e2 = ConnectedPairs(Z, box_set((0, 5)))
-        verdict, pair = entourage_leq_exact(e1, e2)
-        assert verdict is False
-        assert entourage_membership(e1, pair) is True
-        assert entourage_membership(e2, pair) is False
+        # DiffRel([1, 3]) at level 0 against diag ∪ [-m, m+5]^2: the family
+        # starts each pair outside the target level and keeps its shift in
+        # [1, 3]; a pair moved against its shift would leave the relation
+        shifts = group_right_structure(
+            lattice_group(1, chain_bornology(Z, [(affine(-1, 1), affine(1, 3))])))
+        conn = associated_connected_structure(chain_bornology(Z, [(affine(-1, 0), affine(1, 5))]))
+        v = structure_leq(shifts, conn)
+        assert v.refuted and v.witness["level"] == 0
+        for m in range(30):
+            pair = family_pair(v.witness["family"], m)
+            assert entourage_membership(shifts.level(0), pair) is True
+            assert entourage_membership(conn.level(m), pair) is False
+        # one-sided chains: the escape runs along the side B' leaves finite,
+        # and both points stay in the half-line B_n
+        up = associated_connected_structure(chain_bornology(Z, [(affine(-1, 0), AFF_POS_INF)]))
+        down = associated_connected_structure(chain_bornology(Z, [(AFF_NEG_INF, affine(1, 0))]))
+        v = structure_leq(up, down)
+        assert v.refuted
+        for m in range(30):
+            pair = family_pair(v.witness["family"], m)
+            assert entourage_membership(up.level(v.witness["level"]), pair) is True
+            assert entourage_membership(down.level(m), pair) is False
 
 
 class TestGroupRightStructure:
