@@ -10,6 +10,9 @@ and counts those in b2 − M·l from a summed-area table of the marks (Crow,
 SIGGRAPH 1984), with 2^d reads per piece of b2; queries on one b share the
 table, each clipped to its own box.  The orbit-pair sweeps drop
 the coordinates that no piece bounds, then dedupe the shifts M·l on the rest.
+They read "x − M·l in a piece" as x − hi ≤ M·l ≤ x − lo, one coordinate and
+one piece at a time: bound comparisons against the shift columns give the
+(point, shift) table directly, with no point × shift × d array.
 
 The oracle's semantics live here as explicit searches over window points and
 group elements, deliberately independent of the symbolic interval calculus.
@@ -87,11 +90,7 @@ def orbit_pair_sweep(xs, ys, lgrid, m, b_lo, b_hi) -> np.ndarray:
     xs, ys, b_lo, b_hi = (v[:, kept] for v in (xs, ys, b_lo, b_hi))
     shifts = _distinct_rows(lgrid @ m[kept].T)[0]
     ux, which = _distinct_rows(xs)
-    step = _chunk(len(shifts) * len(b_lo))
-    admits = np.zeros((len(ux), len(shifts)), dtype=bool)  # x − M·l ∈ b
-    for start in range(0, len(ux), step):
-        moved = ux[start:start + step, None, :] - shifts
-        admits[start:start + step] = _inside(moved, b_lo, b_hi)
+    admits = _admitted(ux, shifts, b_lo, b_hi)  # x − M·l ∈ b
     live = admits.any(axis=0)
     shifts, admits = shifts[live], admits[:, live]
     pending = np.flatnonzero(~out)
@@ -123,8 +122,8 @@ def orbit_compose_sweep(xs, zs, lgrid, hgrid, m, b1_lo, b1_hi, b2_lo, b2_hi) -> 
     shifts_l = _distinct_rows(lgrid @ m[kept].T)[0]
     shifts_h = _distinct_rows(hgrid @ m[kept].T)[0]
     out = np.zeros(len(xs), dtype=bool)
-    left = _inside(xs[:, None] - shifts_l, b1_lo, b1_hi)
-    right = _inside(zs[:, None] - shifts_h, b2_lo, b2_hi)
+    left = _admitted(xs, shifts_l, b1_lo, b1_hi)
+    right = _admitted(zs, shifts_h, b2_lo, b2_hi)
     for p in range(len(xs)):
         sl = shifts_l[left[p]][:, None, None, None, :]
         sh = shifts_h[right[p]][None, :, None, None, :]
@@ -143,6 +142,20 @@ def _inside(points, lo, hi) -> np.ndarray:
         p = points[..., i, None]
         hit &= (p >= lo[:, i]) & (p <= hi[:, i])
     return hit.any(axis=-1)
+
+
+def _admitted(points, shifts, lo, hi) -> np.ndarray:
+    """(point, shift) table of "point − shift lies in some box".  Per piece
+    and coordinate, point − hi ≤ shift ≤ point − lo compares the shift column
+    against two bounds per point, so no point × shift × d array is formed."""
+    out = np.zeros((len(points), len(shifts)), dtype=bool)
+    for p_lo, p_hi in zip(lo, hi):
+        hit = np.ones_like(out)
+        for i in np.flatnonzero(np.isfinite(p_lo) | np.isfinite(p_hi)):
+            hit &= shifts[:, i] >= points[:, i, None] - p_hi[i]
+            hit &= shifts[:, i] <= points[:, i, None] - p_lo[i]
+        out |= hit
+    return out
 
 
 def _bounded_columns(*ends) -> np.ndarray:

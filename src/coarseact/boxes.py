@@ -435,77 +435,9 @@ def set_points_within(s, radius: int) -> list:
     return sorted(seen)
 
 
-def set_contains_set(outer, inner) -> bool | None:
-    """Exact containment where the shapes allow; None when undecided.
-
-    Box-in-box and point-in-anything are exact.  Box-in-union is exact in
-    dimension 1 after interval merging; higher-dimensional box-in-union is
-    decided only when a single member already contains the box.
-    """
-    if set_is_empty(inner):
-        return True
-    inner_pieces = set_pieces(inner)
-    results = [_piece_contained(outer, p) for p in inner_pieces]
-    if all(r is True for r in results):
-        return True
-    if any(r is False for r in results):
-        return False
-    return None
-
-
-def _piece_contained(outer, piece) -> bool | None:
-    if isinstance(piece, FinitePoints):
-        return all(set_membership(outer, p) for p in piece.points)
-    b = piece.box
-    outer_pieces = set_pieces(outer)
-    boxes = [p.box for p in outer_pieces if isinstance(p, BoxSet)]
-    if any(box_contains_box(ob, b) for ob in boxes):
-        return True
-    if box_size(b) <= 4096:
-        return all(set_membership(outer, p) for p in box_points(b))
-    if b.dim == 1 and all(isinstance(p, (BoxSet, FinitePoints)) for p in outer_pieces):
-        return _interval_union_contains(outer_pieces, b)
-    # find a cheap counterexample: a corner of b outside outer
-    for corner in _finite_corners(b):
-        if not set_membership(outer, corner):
-            return False
-    return None
-
-
 def box_size(b: Box):
     """The number of integer points of b: 0 when empty, inf when unbounded."""
     return prod(b.widths())
-
-
-def _finite_corners(b: Box):
-    axes = []
-    for lo, hi in zip(b.lower, b.upper):
-        vals = []
-        if is_finite_end(lo):
-            vals.append(lo)
-        if is_finite_end(hi) and hi != lo:
-            vals.append(hi)
-        if not vals:
-            vals = [0]
-        axes.append(vals)
-    return itertools.product(*axes)
-
-
-def _interval_union_contains(pieces, b: Box) -> bool:
-    ivals = []
-    for p in pieces:
-        if isinstance(p, BoxSet):
-            ivals.append((p.box.lower[0], p.box.upper[0]))
-        else:
-            ivals.extend((pt[0], pt[0]) for pt in p.points)
-    ivals.sort()
-    merged = []
-    for lo, hi in ivals:
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return any(lo <= b.lower[0] and b.upper[0] <= hi for lo, hi in merged)
 
 
 # --- integer matrix helpers ------------------------------------------------

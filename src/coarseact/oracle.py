@@ -114,7 +114,7 @@ def _per_coordinate_bounds(a: ActionInstance, b, b2, gw: int) -> list:
     return out
 
 
-_SWEEP_CELL_CAP = 20_000_000
+_SWEEP_BYTES = 16 << 20  # the most one transporter sweep may allocate
 
 
 def _affine_oracle_transporter(a: ActionInstance, b, b2, gw: int, xw: int):
@@ -148,50 +148,77 @@ def oracle_transporters(a: ActionInstance, b, b2s, gw: int, xw: float) -> list:
     """oracle_transporter of a translation action for (b, b2), each b2 of b2s.
     Each pair keeps its own radii, notes and group window; the pairs that
     share a group window read one summed-area table over b's points in their
-    largest radii box, each clipped to its own."""
+    largest radii box, each clipped to its own, when that joint sweep fits
+    the enumeration budget, and sweep one by one when it does not."""
     d, k = a.space.dim, a.group.rank
-    plans = [_sweep_plan(a, b, b2, gw, xw) for b2 in b2s]
+    hull = _hull(b)
+    plans = [_sweep_plan(a, b, b2, gw, xw, hull) for b2 in b2s]
+    ends = [_ends(b2, d) for b2 in b2s]
     b_lo, b_hi = _ends(b, d)
     out = [None] * len(b2s)
     for eff_gw in dict.fromkeys(p[2] for p in plans):
         idx = [i for i, p in enumerate(plans) if p[2] == eff_gw]
-        radii = np.array([plans[i][0] for i in idx], dtype=float)
-        reach = radii.max(axis=0)
-        lgrid = _grid([-eff_gw] * k, [eff_gw] * k)
-        # window points outside b's hull are never witnesses: enumerate only the hull
-        xgrid = _grid(np.maximum(b_lo.min(axis=0), -reach), np.minimum(b_hi.max(axis=0), reach))
-        ends = [_ends(b2s[i], d) for i in idx]
-        hits = kern.transporter_sweep(
-            lgrid, np.array(a.matrix, dtype=float), b_lo, b_hi,
-            *(np.concatenate(e) for e in zip(*ends)), xgrid,
-            np.repeat(np.arange(len(idx)), [len(lo) for lo, _ in ends]), -radii, radii,
-        )
-        for i, hit in zip(idx, hits):
-            out[i] = (sorted(map(tuple, lgrid[hit].astype(np.int64).tolist())), plans[i][1], eff_gw)
+        size = _sweep_bytes(hull, [max(r) for r in zip(*(plans[i][0] for i in idx))],
+                            (2 * eff_gw + 1) ** k * sum(len(ends[i][0]) for i in idx))
+        for run in [idx] if size <= _SWEEP_BYTES else [[i] for i in idx]:
+            radii = np.array([plans[i][0] for i in run], dtype=float)
+            reach = radii.max(axis=0)
+            lgrid = _grid([-eff_gw] * k, [eff_gw] * k)
+            # window points outside b's hull are never witnesses: enumerate only the hull
+            xgrid = _grid(np.maximum(hull[0], -reach), np.minimum(hull[1], reach))
+            hits = kern.transporter_sweep(
+                lgrid, np.array(a.matrix, dtype=float), b_lo, b_hi,
+                *(np.concatenate(e) for e in zip(*(ends[i] for i in run))), xgrid,
+                np.repeat(np.arange(len(run)), [len(ends[i][0]) for i in run]), -radii, radii,
+            )
+            for i, hit in zip(run, hits):
+                out[i] = (sorted(map(tuple, lgrid[hit].astype(np.int64).tolist())),
+                          plans[i][1], eff_gw)
     return out
 
 
-def _sweep_plan(a: ActionInstance, b, b2, gw: int, xw: float) -> tuple:
+def _sweep_plan(a: ActionInstance, b, b2, gw: int, xw: float, hull) -> tuple:
     """(witness radii, advisory notes, group window) of one transporter pair:
-    the certified radii capped at xw, shrunk to the enumeration budget."""
+    the certified radii capped at xw, shrunk to the enumeration budget.
+    hull is ``_hull(b)``."""
     notes = []
     k = a.group.rank
+    pieces = len(set_boxes(b2))
     while True:
         per = _per_coordinate_bounds(a, b, b2, gw)
         radii = [min(xw, r) for r in per]
         if any(r > xw for r in per):
             notes.append(f"witness window {xw} below the certified bound {max(per)}")
-        cells = (2 * gw + 1) ** k * math.prod(2 * r + 1 for r in radii)
-        if cells <= _SWEEP_CELL_CAP or gw <= 4:
+        size = _sweep_bytes(hull, radii, (2 * gw + 1) ** k * pieces)
+        if size <= _SWEEP_BYTES or gw <= 4:
             break
         gw = max(4, gw // 2)
         notes = [f"group window shrunk to {gw} to fit the enumeration budget"]
-    if cells > _SWEEP_CELL_CAP:
-        while cells > _SWEEP_CELL_CAP and any(r > 2 for r in radii):
+    if size > _SWEEP_BYTES:
+        while size > _SWEEP_BYTES and any(r > 2 for r in radii):
             radii = [max(2, r - max(1, r // 4)) for r in radii]
-            cells = (2 * gw + 1) ** k * math.prod(2 * r + 1 for r in radii)
+            size = _sweep_bytes(hull, radii, (2 * gw + 1) ** k * pieces)
         notes.append("witness grid truncated below the certificate: advisory only")
     return radii, notes, gw
+
+
+def _sweep_bytes(hull, radii, rows: int) -> int:
+    """A bound on the bytes a transporter sweep's arrays take, in 8-byte entries:
+    3d + 2 per point of b's hull within the radii (its window grid row, three
+    times over while the grid is built, and its count-table entry, twice over
+    while the table is summed) and 2^d + 6d + 2 per group element and piece
+    of b2 (its 2^d table reads, its clipped ends, six times over while they
+    are built, and its group element and shift)."""
+    d = len(radii)
+    points = math.prod(max(0, min(hi, r) - max(lo, -r) + 1) for lo, hi, r in zip(*hull, radii))
+    return 8 * (int(points) * (3 * d + 2) + rows * (2 ** d + 6 * d + 2))
+
+
+def _hull(s) -> tuple:
+    """The lowest lower and the highest upper end of s's boxes, per coordinate."""
+    pieces = set_boxes(s)
+    return ([min(v) for v in zip(*(p.lower for p in pieces))],
+            [max(v) for v in zip(*(p.upper for p in pieces))])
 
 
 # --- entourage membership oracle -----------------------------------------------
@@ -295,10 +322,11 @@ def oracle_neighborhood_mask(e, a_set, gw: int, window: int) -> tuple:
 def naive_closure(space: GroundSpace, base) -> tuple:
     """Full-family closure over relation bitmasks.
 
-    Generates by BFS over transpose/union/composition, materializes every
-    submask, applies the top-element shortcut, and verifies closure on the
-    materialized family by exhaustive transpose and sampled pairs.  Returns
-    (family set of masks, maximal antichain as frozensets of pairs).
+    Generates by BFS over transpose/union/composition, applies the
+    top-element shortcut, materializes every submask of the maximal generated
+    masks, and verifies closure on the materialized family by exhaustive
+    transpose and sampled pairs.  Returns (family as a sorted uint32 array of
+    masks, maximal antichain as frozensets of pairs).
     """
     labels = list(space.labels)
     n = len(labels)
@@ -338,36 +366,48 @@ def naive_closure(space: GroundSpace, base) -> tuple:
             break
         if len(generated) > 200_000:
             raise GeometryError("naive closure exceeded its family cap")
-    family = set()
-    for m in generated:
-        sub = m
-        while True:
-            family.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-    _verify_family_closed(family, transpose, compose, diag)
     maximal = [m for m in generated if not any(m != o and (m | o) == o for o in generated)]
+    marked = _downward_closure(maximal, n * n)
+    family = np.flatnonzero(marked).astype(np.uint32)
+    _verify_family_closed(family, marked, transpose, compose, diag)
     antichain = [frozenset((labels[i], labels[j]) for i in range(n) for j in range(n)
                            if m & bit(i, j)) for m in maximal]
     return family, tuple(sorted(antichain, key=lambda r: (len(r), sorted(map(str, r)))))
 
 
+def _downward_closure(maximal, bits: int) -> np.ndarray:
+    """Which of the 2^bits masks lie below some mask of maximal, as a boolean
+    array.  Each mask's submasks come by bit deposit: entry j of ``sub``
+    spreads the bits of j over the set bits of m, one doubling per set bit,
+    so the work is the size of the family, not 2^bits."""
+    marked = np.zeros(1 << bits, dtype=bool)
+    for m in maximal:
+        sub = np.zeros(1, dtype=np.uint32)
+        for t in range(bits):
+            if m >> t & 1:
+                sub = np.concatenate([sub, sub | np.uint32(1 << t)])
+        marked[sub] = True
+    return marked
+
+
 def _relation_ops(n: int) -> tuple:
     """Transpose and composition of n×n relation bitmasks (bit i·n + j is (i, j)).
 
-    ``spread[r] << i`` is row i holding the columns r, transposed.  Column j
-    of m1, ``m1 >> j & ones``, marks bit 0 of each row i with (i, j) ∈ m1, so
+    ``spread[r] << i`` is row i holding the columns r, transposed; transpose
+    takes one mask or a uint32 array of masks.  Column j of m1,
+    ``m1 >> j & ones``, marks bit 0 of each row i with (i, j) ∈ m1, so
     multiplying it by row j of m2 copies that row into exactly those rows.
     """
     low = (1 << n) - 1
     spread = [sum(1 << (j * n) for j in range(n) if r >> j & 1) for r in range(1 << n)]
+    spread_array = np.array(spread, dtype=np.uint32)
     ones = spread[low]
 
     def transpose(m):
+        table = spread_array if isinstance(m, np.ndarray) else spread
         out = 0
         for i in range(n):
-            out |= spread[m >> (i * n) & low] << i
+            out |= table[m >> (i * n) & low] << i
         return out
 
     def compose(m1, m2):
@@ -379,18 +419,17 @@ def _relation_ops(n: int) -> tuple:
     return transpose, compose
 
 
-def _verify_family_closed(family, transpose, compose, diag):
-    if diag not in family:
+def _verify_family_closed(family, marked, transpose, compose, diag):
+    """family is the sorted member array and marked its boolean mask."""
+    if not marked[diag]:
         raise GeometryError("naive closure lost the diagonal")
-    for m in family:
-        if transpose(m) not in family:
-            raise GeometryError("naive closure not transpose-closed")
+    if not marked[transpose(family)].all():
+        raise GeometryError("naive closure not transpose-closed")
     rng = random.Random(0)
-    members = sorted(family)
-    for _ in range(min(400, len(members) ** 2)):
-        m1 = rng.choice(members)
-        m2 = rng.choice(members)
-        if (m1 | m2) not in family or compose(m1, m2) not in family:
+    for _ in range(min(400, len(family) ** 2)):
+        m1 = int(rng.choice(family))
+        m2 = int(rng.choice(family))
+        if not (marked[m1 | m2] and marked[compose(m1, m2)]):
             raise GeometryError("naive closure not op-closed on a sampled pair")
 
 

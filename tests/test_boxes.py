@@ -17,7 +17,6 @@ from coarseact.boxes import (
     box_set,
     difference_box,
     points_set,
-    set_contains_set,
     set_membership,
     set_points_within,
     set_translate,
@@ -153,15 +152,6 @@ class TestPointsWithin:
         assert got == sorted(p for p in itertools.product(range(-radius, radius + 1),
                                                           repeat=s.box.dim)
                              if set_membership(s, p))
-
-
-class TestIntervalUnionContainment:
-    def test_points_bridge_the_gaps(self):
-        # an unbounded box in a 1-d union: merged intervals decide it exactly
-        parts = [box_set((NEG_INF, 0)), points_set((1,)), points_set((2,)), box_set((3, 10))]
-        assert set_contains_set(union_set(*parts), box_set((NEG_INF, 10))) is True
-        del parts[1]
-        assert set_contains_set(union_set(*parts), box_set((NEG_INF, 10))) is False
 
 
 class TestSlabs:

@@ -92,19 +92,28 @@ def test_single_box_ends_still_work():
 
 
 def test_union_sweeps_match_loops_over_group_elements():
-    # reference: the definitions, looping over l (and h, y) in plain Python
+    # reference: the definitions, looping over l (and h, y) in plain Python;
+    # d up to 3, up to 3 pieces per set, and ±inf ends at times
     import itertools
     import random
 
+    inf = float("inf")
     rng = random.Random(3)
-    for _ in range(6):
-        d, k = rng.randint(1, 2), rng.randint(1, 2)
+    for _ in range(10):
+        d, k = rng.randint(1, 3), rng.randint(1, 2)
         m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(d)]
         boxes = []
         for _ in range(2):
-            lo = [rng.randint(-4, 3) for _ in range(d)]
-            pieces = range(rng.randint(1, 3))
-            boxes.append([(lo, [c + rng.randint(0, 2) for c in lo]) for _ in pieces])
+            pieces = []
+            for _ in range(rng.randint(1, 3)):
+                lo = [rng.randint(-4, 3) for _ in range(d)]
+                hi = [c + rng.randint(0, 2) for c in lo]
+                for i in range(d):
+                    end = rng.randint(0, 5)
+                    lo[i] = -inf if end in (0, 2) else lo[i]
+                    hi[i] = inf if end in (1, 2) else hi[i]
+                pieces.append((lo, hi))
+            boxes.append(pieces)
         ends = [(np.array([lo for lo, _ in b], float), np.array([hi for _, hi in b], float))
                 for b in boxes]
 
@@ -114,22 +123,24 @@ def test_union_sweeps_match_loops_over_group_elements():
         shifts = [tuple(sum(m[i][j] * l[j] for j in range(k)) for i in range(d))
                   for l in itertools.product(range(-3, 4), repeat=k)]
 
+        def moved(p, s):
+            return [p[i] - s[i] for i in range(d)]
+
         def pair_member(x, y, b):
-            return x == y or any(
-                inside([x[i] - s[i] for i in range(d)], b)
-                and inside([y[i] - s[i] for i in range(d)], b) for s in shifts
-            )
+            return x == y or any(inside(moved(x, s), b) and inside(moved(y, s), b)
+                                 for s in shifts)
 
         def compose_member(x, z):
             for s, t in itertools.product(shifts, repeat=2):
-                if not (inside([x[i] - s[i] for i in range(d)], boxes[0])
-                        and inside([z[i] - t[i] for i in range(d)], boxes[1])):
+                if not (inside(moved(x, s), boxes[0]) and inside(moved(z, t), boxes[1])):
                     continue
-                for lo, hi in boxes[0]:
-                    axes = (range(lo[i] + s[i], hi[i] + s[i] + 1) for i in range(d))
-                    if any(inside([y[i] - t[i] for i in range(d)], boxes[1])
-                           for y in itertools.product(*axes)):
-                        return True
+                # a middle point, if any, can take each coordinate at a finite
+                # end of a shifted piece, or at 0 where no piece has one
+                axes = [{0} | {e + u[i] for b, u in zip(boxes, (s, t)) for lo, hi in b
+                               for e in (lo[i], hi[i]) if abs(e) < inf} for i in range(d)]
+                if any(inside(moved(y, s), boxes[0]) and inside(moved(y, t), boxes[1])
+                       for y in itertools.product(*axes)):
+                    return True
             return False
 
         pts = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(20)]
@@ -138,9 +149,34 @@ def test_union_sweeps_match_loops_over_group_elements():
         ys = np.array([q for _, q in pairs], float)
         lgrid = grid(3, k)
         got = orbit_pair_sweep(xs, ys, lgrid, np.array(m, float), *ends[0])
-        assert got.tolist() == [pair_member(x, y, boxes[0]) for x, y in pairs]
+        want = [pair_member(x, y, boxes[0]) for x, y in pairs]
+        assert got.tolist() == want
         got = orbit_compose_sweep(xs, ys, lgrid, lgrid, np.array(m, float), *ends[0], *ends[1])
         assert got.tolist() == [compose_member(x, z) for x, z in pairs]
+
+
+def test_orbit_pair_sweep_forms_no_point_shift_cube():
+    # 67 distinct x against 7,921 shifts: a float (x, shift, d) cube alone
+    # would take 8.5 MB; the (x, shift) boolean table takes 0.5 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    xs = np.unique(rng.integers(-16, 17, size=(90, 2)), axis=0)[:67].astype(float)
+    ys = xs + rng.integers(-4, 5, size=(67, 2))
+    lgrid, m = grid(44, 2), np.eye(2)
+    lo, hi = np.array([-2.0, 0.0]), np.array([1.0, 3.0])
+    assert len(xs) == 67 and len(lgrid) == 89 * 89
+    tracemalloc.start()
+    try:
+        got = orbit_pair_sweep(xs, ys, lgrid, m, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+    # every shift within ±44 is tried, so a pair is a member when each
+    # coordinate of x − y fits in the box's width
+    assert got.tolist() == (np.abs(xs - ys) <= hi - lo).all(axis=1).tolist()
+    assert 0 < got.sum() < len(got)
 
 
 def test_transporter_sweep_matches_loop_over_group_elements():
@@ -201,9 +237,9 @@ def test_distinct_rows_match_numpy_unique():
 
 @st.composite
 def _sweep_case(draw):
-    """M with entries in ±2 (k <= 2, d <= 3), two unions of boxes whose ends
-    are ±inf often enough that a coordinate is free in one piece, in every
-    piece of one set, or in both sets, and window pairs."""
+    """M with entries in ±2 (k <= 2, d <= 3), two unions of up to 3 boxes
+    whose ends are ±inf often enough that a coordinate is a ray or free in one
+    piece, free in every piece of one set, or in both sets, and window pairs."""
     d, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     m = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(d)]
     free = [draw(st.booleans()) for _ in range(d)]
@@ -211,12 +247,13 @@ def _sweep_case(draw):
     for _ in range(2):
         pieces = []
         free_here = [f or draw(st.integers(0, 3)) == 0 for f in free]
-        for _ in range(draw(st.integers(1, 2))):
+        for _ in range(draw(st.integers(1, 3))):
             lo = [draw(st.integers(-3, 3)) for _ in range(d)]
             hi = [c + draw(st.integers(0, 2)) for c in lo]
             for i in range(d):
-                if free_here[i] or draw(st.integers(0, 4)) == 0:
-                    lo[i], hi[i] = -np.inf, np.inf
+                end = 0 if free_here[i] else draw(st.integers(0, 6))
+                lo[i] = -np.inf if end in (0, 1) else lo[i]
+                hi[i] = np.inf if end in (0, 2) else hi[i]
             pieces.append((lo, hi))
         sets.append(pieces)
     point = st.tuples(*[st.integers(-6, 6)] * d)

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from coarseact.boxes import (
@@ -85,7 +86,9 @@ class TestOracleTransporter:
 
         inst = random_instance(1, "lattice-k2")
         d = inst.space.dim
-        b = box_set(*[(-2, 1)] * d)
+        # b's hull within the radii is the count table: the whole space makes
+        # the radii of the pair with the wide b2 the largest
+        b = box_set(*[(NEG_INF, POS_INF)] * d)
         b2s = [box_set(*[(0, 3)] * d), box_set(*[(-200, 200)] * d),
                union_set(box_set(*[(NEG_INF, -1)] * d), points_set((5,) * d))]
         for xw in (2, 30, math.inf):
@@ -94,6 +97,77 @@ class TestOracleTransporter:
         assert len({g for _, _, g in got}) == 2
         lone = oracle_transporters(shift, box_set((0, 1)), [box_set((5, 6))], 20, 30)
         assert lone == [([(4,), (5,), (6,)], [], 20)]
+
+    def test_pairs_sweep_apart_past_the_budget(self, shift, monkeypatch):
+        # a budget that fits each pair alone but not all three: one sweep per
+        # pair, and the same answers as the joint sweep
+        import coarseact._kernels as kern_mod
+        import coarseact.oracle as oracle_mod
+
+        b = box_set((0, 1))
+        b2s = [box_set((5, 6)), union_set(box_set((NEG_INF, -3)), points_set((9,))),
+               box_set((-2, 40))]
+        joint = oracle_mod.oracle_transporters(shift, b, b2s, 20, 30)
+        hull = oracle_mod._hull(b)
+        plans = [oracle_mod._sweep_plan(shift, b, b2, 20, 30, hull) for b2 in b2s]
+        alone = max(oracle_mod._sweep_bytes(hull, radii, 41 * len(oracle_mod.set_boxes(b2)))
+                    for (radii, _, _), b2 in zip(plans, b2s))
+        calls = []
+        sweep = kern_mod.transporter_sweep
+
+        def counted(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle_mod, "_SWEEP_BYTES", alone)
+        monkeypatch.setattr(kern_mod, "transporter_sweep", counted)
+        assert oracle_mod.oracle_transporters(shift, b, b2s, 20, 30) == joint
+        assert len(calls) == len(b2s)
+
+    def test_sweep_past_the_budget_halves_its_group_window(self):
+        # at group window 8 this pair's window grid and table would take
+        # about 28 MB; at 4 its radii fall, and the traced peak fits the budget
+        import math
+        import tracemalloc
+
+        import coarseact.oracle as oracle_mod
+
+        inst = random_instance(2, "lattice-k2")
+        b, b2 = box_set(*[(NEG_INF, POS_INF)] * 3), box_set(*[(-12, 12)] * 3)
+        tracemalloc.start()
+        try:
+            ((hits, notes, gw),) = oracle_mod.oracle_transporters(inst, b, [b2], 8, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (gw, notes) == (4, ["group window shrunk to 4 to fit the enumeration budget"])
+        assert len(hits) == 9 * 9
+        assert peak <= oracle_mod._SWEEP_BYTES, peak
+
+    def test_d3_sweeps_run_at_the_full_group_window(self, monkeypatch):
+        # the d = 3 instances of criterion 6 whose sweeps were once sized by
+        # group elements × witness grid: no advisory, and no sweep's traced
+        # peak passes the budget
+        import tracemalloc
+
+        import coarseact.oracle as oracle_mod
+
+        peaks = []
+        real = oracle_mod.oracle_transporters
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return real(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(oracle_mod, "oracle_transporters", traced)
+        insts = [random_instance(seed, "lattice-k2") for seed in (2, 14, 16, 17)]
+        reports = cross_check(insts, primitives=("transporter",))
+        assert [(r.passed, r.advisory) for r in reports] == [(True, [])] * 4
+        assert 0 < max(peaks) <= oracle_mod._SWEEP_BYTES, max(peaks)
 
 
 class TestOracleMembership:
@@ -291,6 +365,22 @@ class TestFiniteCompose:
                     _oracle_compose_orbit(inst, e1, e2, pairs, 8), seed
 
 
+def submask_family(labels, relations) -> set:
+    """Every submask of the relations' bitmasks (bit i·n + j is (labels[i],
+    labels[j])), by the (sub − 1) & m loop."""
+    n = len(labels)
+    family = set()
+    for rel in relations:
+        m = sum(1 << (labels.index(x) * n + labels.index(y)) for x, y in rel)
+        sub = m
+        while True:
+            family.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & m
+    return family
+
+
 class TestNaiveClosure:
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_matches_symbolic_closure(self, size):
@@ -312,7 +402,57 @@ class TestNaiveClosure:
         family, anti = naive_closure(space, [frozenset({(0, 1)})])
         # closure of a single off-diagonal pair over two points absorbs to full
         assert anti == (frozenset(itertools.product((0, 1), repeat=2)),)
-        assert len(family) == 16
+        assert family.dtype == np.uint32
+        assert family.tolist() == list(range(16))
+        # the diagonal alone: its four submasks, bits 0 and 3 of the 2×2 grid
+        family, _ = naive_closure(space, [frozenset({(1, 1)})])
+        assert family.tolist() == [0, 1, 8, 9]
+
+    def test_closure_check_samples_the_sorted_members(self, monkeypatch):
+        # the 400 sampled pairs are Random(0) choices over the sorted members
+        import coarseact.oracle as oracle_mod
+
+        seen = []
+        real = oracle_mod._relation_ops
+
+        def recording(n):
+            transpose, compose = real(n)
+
+            def logged(m1, m2):
+                seen.append((m1, m2))
+                return compose(m1, m2)
+
+            return transpose, logged
+
+        monkeypatch.setattr(oracle_mod, "_relation_ops", recording)
+        labels = (0, 1, 2)
+        space, base = GroundSpace.finite(labels), [frozenset({(0, 1)})]
+        naive_closure(space, base)
+        members = sorted(submask_family(labels, close_finite_base(space, base).maximal))
+        rng = random.Random(0)
+        assert seen[-400:] == [(rng.choice(members), rng.choice(members)) for _ in range(400)]
+        assert {type(m) for pair in seen[-400:] for m in pair} == {int}
+
+    def test_family_matches_submask_loop(self):
+        # every base of one or two relations over 2 labels (a pair (r, r) is
+        # the base [r]), seeded bases over 3 and 4
+        pairs = list(itertools.product((0, 1), repeat=2))
+        relations = [frozenset(itertools.compress(pairs, bits))
+                     for bits in itertools.product((0, 1), repeat=4)]
+        cases = [((0, 1), list(base))
+                 for base in itertools.combinations_with_replacement(relations, 2)]
+        rng = random.Random(26)
+        for size in (3, 4):
+            labels = tuple(range(size))
+            pairs = list(itertools.product(labels, repeat=2))
+            for _ in range(8):
+                cases.append((labels, [frozenset(rng.sample(pairs, rng.randint(1, 4)))
+                                       for _ in range(rng.randint(1, 3))]))
+        for labels, base in cases:
+            space = GroundSpace.finite(labels)
+            family, _ = naive_closure(space, base)
+            maximal = close_finite_base(space, base).maximal
+            assert family.tolist() == sorted(submask_family(labels, maximal)), base
 
 
     @staticmethod
@@ -342,6 +482,8 @@ class TestNaiveClosure:
                 masks = [rng.getrandbits(n * n) for _ in range(2000)]
                 pairs = [(rng.getrandbits(n * n), rng.getrandbits(n * n)) for _ in range(4000)]
             assert [transpose(m) for m in masks] == [want_t(m) for m in masks], n
+            assert transpose(np.array(masks, dtype=np.uint32)).tolist() == \
+                [want_t(m) for m in masks], n
             assert [compose(*p) for p in pairs] == [want_c(*p) for p in pairs], n
 
 
@@ -553,8 +695,9 @@ class TestOracleIndependence:
     CALCULUS = ("coarse", "actions", "bornology", "associated")
     HELPERS = ("_oracle_members", "_oracle_compose_orbit", "_permuted_orbit_member",
                "_affine_oracle_transporter", "existence_truncation_bound",
-               "_per_coordinate_bounds", "_sweep_plan", "_window_mask", "_grid", "_ends",
-               "naive_closure", "_relation_ops", "_verify_family_closed")
+               "_per_coordinate_bounds", "_sweep_plan", "_sweep_bytes", "_hull",
+               "_window_mask", "_grid", "_ends", "naive_closure", "_downward_closure",
+               "_relation_ops", "_verify_family_closed")
 
     def test_oracle_path_names_no_calculus_function(self):
         import ast
