@@ -35,6 +35,7 @@ from .bornology import (
     MAXIMAL,
     BornologySpec,
     bornology_axiom_check,
+    box_verdict,
     chain_recession,
     first_level,
     is_bounded,
@@ -686,9 +687,9 @@ def transporter_bounded(a: ActionInstance, t) -> "object":
 def transporter_extent(a: ActionInstance, t) -> tuple:
     """(verdict, hull) of transporter t: transporter_bounded's verdict and the
     box hull of its cases' non-empty integer boxes, None when t is empty,
-    unbounded, undecided or explicit.  The one loop over a lattice
-    transporter's cases; under a maximal group bornology, which bounds every
-    transporter, it seeks no ray and takes each case's rational bounding box."""
+    unbounded, undecided or explicit.  Under a maximal group bornology, which
+    bounds every transporter, it seeks no ray and takes each case's rational
+    bounding box; _fold_extent is the one loop over the case reads."""
     gb = a.group.bornology
     maximal = gb.kind == MAXIMAL
     if isinstance(t, ExplicitTransporter):
@@ -696,25 +697,45 @@ def transporter_extent(a: ActionInstance, t) -> tuple:
             return bounded_at(0, note="maximal group bornology" if maximal
                               else "empty transporter"), None
         return is_bounded(gb, FinitePoints(t.elements)), None
+    return _fold_extent(gb, ((None, False, rational_bbox(t.matrix, c)) if maximal
+                             else _case_extent(t.matrix, c) for c in t.cases))
+
+
+def _fold_extent(gb: BornologySpec, reads) -> tuple:
+    """transporter_extent's (verdict, hull) from its cases' (ray, status, bbox)."""
     hull = None
-    for case in t.cases:
-        if maximal:
-            bb = rational_bbox(t.matrix, case)
-        else:
-            ray, status, bb = _case_extent(t.matrix, case)
-            if status is None:
-                return inconclusive("feasibility enumeration cap hit"), None
-            if ray is not None:
-                return unbounded(direction=ray, base_point=None,
-                                 note="recession ray of the transporter polyhedron"), None
+    for ray, status, bb in reads:
+        if status is None:
+            return inconclusive("feasibility enumeration cap hit"), None
+        if ray is not None:
+            return unbounded(direction=ray, base_point=None,
+                             note="recession ray of the transporter polyhedron"), None
         if bb is not None and not bb.empty:
             hull = bb if hull is None else box_hull(hull, bb)
-    if maximal:
+    if gb.kind == MAXIMAL:
         return bounded_at(0, note="maximal group bornology"), hull
     if hull is None:
         return bounded_at(0, note="empty transporter"), None
-    v = is_bounded(gb, BoxSet(hull))
+    v = box_verdict(gb, hull)
     return v, hull if v.bounded else None
+
+
+def point_extents(a: ActionInstance, c: Box, points) -> list:
+    """transporter_extent of {l : x + M·l ∈ c} for each point x: at k = 1,
+    c's rows read once and one integer interval per point."""
+    m, gb = a.matrix, a.group.bornology
+    if len(m[0]) != 1:
+        return [transporter_extent(a, LatticeTransporter(
+            m, (bx.translate_box(c, tuple(-v for v in x)),))) for x in points]
+    rows = _k1_rows(tuple((-row[0],) for row in m), c.lower, c.upper)
+    return [_fold_extent(gb, (_interval_case(None if c.empty else _k1_interval(rows, x),
+                                             gb.kind == MAXIMAL),)) for x in points]
+
+
+def _pair_extent(a: ActionInstance, bi: Box, bj: Box) -> tuple:
+    """transporter_extent of L_{B_i,B_j}: the box B_j − B_i read at the origin."""
+    c = bx.empty_box(bi.dim) if bi.empty or bj.empty else difference_box(bj, bi)
+    return point_extents(a, c, ((0,) * bi.dim,))[0]
 
 
 def _case_extent(m, case: Box):
@@ -728,12 +749,7 @@ def _case_extent(m, case: Box):
     if case.empty:
         return None, False, None
     if m and len(m[0]) == 1:
-        iv = _interval_k1(m, case)
-        if iv is None:
-            return None, False, None
-        if iv[0] != NEG_INF and iv[1] != POS_INF:
-            return None, False, Box((iv[0],), (iv[1],))
-        return ((1,) if iv[1] == POS_INF else (-1,)), True, None
+        return _interval_case(_interval_k1(m, case))
     rec = Box(
         tuple(NEG_INF if lo == NEG_INF else 0 for lo in case.lower),
         tuple(POS_INF if hi == POS_INF else 0 for hi in case.upper),
@@ -743,6 +759,15 @@ def _case_extent(m, case: Box):
     if feasible:
         return rays[0], True, None
     return None, feasible, rational_bbox(m, case)
+
+
+def _interval_case(iv, maximal: bool = False):
+    """_case_extent's read of the rank-1 interval iv; maximal takes rational_bbox's box."""
+    if iv is None:
+        return None, False, None
+    if maximal or (iv[0] != NEG_INF and iv[1] != POS_INF):
+        return None, False, Box((iv[0],), (iv[1],))
+    return ((1,) if iv[1] == POS_INF else (-1,)), True, None
 
 
 # --- classification ----------------------------------------------------------
@@ -833,13 +858,19 @@ def _coset_firsts(basis: tuple, d: int, max_radius: int):
     seen = {_residue(basis, origin)}
     yield origin
     for radius in range(1, max_radius + 1):
-        for p in bx.box_points(bx.cube(radius, d)):
-            if max(map(abs, p)) < radius:
-                continue
+        for p in _shell(radius, d):
             r = _residue(basis, p)
             if r not in seen:
                 seen.add(r)
                 yield p
+
+
+def _shell(radius: int, d: int) -> list:
+    """The points of ℤ^d at sup norm radius, in lexicographic order."""
+    span = range(-radius, radius + 1)
+    free = list(itertools.product(span, repeat=d - 1))
+    inner = _shell(radius, d - 1) if d > 1 else []
+    return [(c, *t) for c in span for t in (free if abs(c) == radius else inner)]
 
 
 def column_lattice_index(m: tuple):
@@ -862,7 +893,8 @@ def classify(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> Classificati
 
     Translation rules are decided universally: transporter recession cones do
     not depend on the chain index, so cone triviality at one level settles
-    every level pair.  Per-level bound indexes are recorded up to the budget.
+    every level pair.  Per-level bound indexes are recorded up to the budget,
+    one point_extents call per level and one per level pair.
     """
     require_exact_rule(a)
     if a.is_translation:
@@ -901,17 +933,15 @@ def _classify_translation(a: ActionInstance, budget: Budget) -> Classification:
 
     # weakly B-proper: cone {r : M r ∈ rec(B_X)} trivial
     samples = coset_sample_points(a)
+    levels = [level_box(sb, n) for n in range(min(3, budget.max_index + 1))]
     if maximal_group:
         weakly = confirmed("maximal group bornology bounds every transporter")
     else:
         w_rays = _recession_rays(m, rec_b)
         if not w_rays:
-            certs = []
-            for x in samples[: min(4, len(samples))]:
-                for j in range(min(3, budget.max_index + 1)):
-                    t = transporter(a, FinitePoints(frozenset({x})), _level_set(a, j))
-                    v = transporter_bounded(a, t)
-                    certs.append(((x, j), v.outcome, v.index))
+            cols = [point_extents(a, lvl, samples[:4]) for lvl in levels]
+            certs = [((x, j), col[n][0].outcome, col[n][0].index)
+                     for n, x in enumerate(samples[:4]) for j, col in enumerate(cols)]
             weakly = confirmed(
                 "point-transporter recession cone is trivial", witness=tuple(certs)
             )
@@ -933,12 +963,9 @@ def _classify_translation(a: ActionInstance, budget: Budget) -> Classification:
             rec_c = difference_box(rec_b, rec_b)
         p_rays = _recession_rays(m, rec_c)
         if not p_rays:
-            certs = []
-            for i in range(min(3, budget.max_index + 1)):
-                for j in range(min(3, budget.max_index + 1)):
-                    t = transporter(a, _level_set(a, i), _level_set(a, j))
-                    v = transporter_bounded(a, t)
-                    certs.append(((i, j), v.outcome, v.index))
+            cells = [((i, j), _pair_extent(a, p, q)[0])
+                     for i, p in enumerate(levels) for j, q in enumerate(levels)]
+            certs = [(ij, v.outcome, v.index) for ij, v in cells]
             b_proper = confirmed(
                 "transporter recession cone is trivial", witness=tuple(certs)
             )
@@ -949,13 +976,6 @@ def _classify_translation(a: ActionInstance, budget: Budget) -> Classification:
                 detail="level-pair transporter contains a recession ray",
             )
     return Classification(b_proper, weakly, bi, sample_points=samples)
-
-
-def _level_set(a: ActionInstance, n: int):
-    """Level n of the space bornology; the whole set on a finite space."""
-    if a.space.is_lattice or a.space_bornology.kind != MAXIMAL:
-        return BoxSet(level_box(a.space_bornology, n))
-    return FinitePoints(frozenset(a.space.labels))
 
 
 def _require_finite_axioms(a: ActionInstance):

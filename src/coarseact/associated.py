@@ -10,6 +10,7 @@ primitives.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from .boxes import (
     cube,
     is_finite_end,
     mat_vec,
+    minkowski_sum,
     row_range,
     set_bounding_box,
     set_is_empty,
@@ -33,6 +35,7 @@ from .boxes import (
 from .bornology import (
     CHAIN,
     BornologySpec,
+    box_verdict,
     is_bounded,
     level_box,
     _point_inside,
@@ -40,14 +43,13 @@ from .bornology import (
 from .actions import (
     ActionInstance,
     Classification,
-    LatticeTransporter,
     chains_mutually_cofinal,
     classify,
     coset_sample_points,
     orbit_bornologies,
+    point_extents,
     transporter,
-    transporter_extent,
-    _level_set,
+    _pair_extent,
 )
 from .coarse import (
     ChainStructure,
@@ -290,27 +292,32 @@ def base_property_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
     """Is {E(L,B)} a coarse-structure base?  The crux is composition closure.
 
     B-proper instances confirm symbolically: each level-pair composition lands
-    in the level bounding (L_{B_i,B_j}·B_i) ∪ B_i ∪ B_j.  Otherwise a witness
-    triple (x, y, z) exhibits a composition escaping every level up to budget.
+    in the level bounding (L_{B_i,B_j}·B_i) ∪ B_i ∪ B_j, its transporter read
+    from the difference box B_j − B_i.  Otherwise a witness triple (x, y, z)
+    exhibits a composition escaping every level up to budget.
     """
     cls = classification or classify(a, budget)
     if cls.b_proper.confirmed:
-        table = []
-        for i in range(min(3, budget.max_index) + 1):
-            for j in range(min(3, budget.max_index) + 1):
-                bound = orbit_compose_bound(
-                    OrbitPair(a, _level_set(a, i)), OrbitPair(a, _level_set(a, j))
+        top, sb = min(3, budget.max_index) + 1, a.space_bornology
+        # power-set degeneracy: a finite space's maximal bornology holds every bound at 0
+        levels = [level_box(sb, n) for n in range(top)] if a.space.is_lattice else []
+        table = [] if levels else [((i, j), 0) for i in range(top) for j in range(top)]
+        for (i, bi), (j, bj) in itertools.product(enumerate(levels), repeat=2):
+            v, hull = _pair_extent(a, bi, bj)
+            if not v.bounded:
+                return verdict_inconclusive("bounded transporter expected")
+            # on coordinate rows the bound's hull has the union's row ranges
+            parts = [bi, bj] if hull is None else [
+                minkowski_sum(bx.image_hull(a.matrix, hull), bi), bi, bj]
+            v = (box_verdict(sb, functools.reduce(box_hull, parts)) if sb.matrix is None
+                 else is_bounded(sb, union_set(*map(BoxSet, parts))))
+            if not v.bounded:
+                return refuted(
+                    witness={"levels": (i, j)},
+                    detail="composition bound escaped the bornology "
+                           "(contradicts B-properness: implementation bug)",
                 )
-                if bound is None:
-                    return verdict_inconclusive("bounded transporter expected")
-                v = is_bounded(a.space_bornology, bound)
-                if not v.bounded:
-                    return refuted(
-                        witness={"levels": (i, j)},
-                        detail="composition bound escaped the bornology "
-                               "(contradicts B-properness: implementation bug)",
-                    )
-                table.append(((i, j), v.index))
+            table.append(((i, j), v.index))
         return confirmed(
             "composition bounds land at the recorded levels", witness=tuple(table)
         )
@@ -414,6 +421,7 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
     Direction two: every E_n[{a}] over the sample grid is B_X-bounded, which
     for translation rules reduces to point-transporter boundedness.  The
     sample grid is the coset sample points, a given classification's if any.
+    Each level reads every sample's transporter in one point_extents call.
     """
     if not a.space.is_lattice:
         return confirmed("finite degeneracy: both sides are the power set")
@@ -427,16 +435,14 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
             continue
         x = _point_inside(lvl)
         certs.append(("contains_level", n, x))
-        for pt in samples:
-            # the point transporter L_{pt,B_n} is {l : M·l ∈ B_n − pt}, and
-            # E_n[pt] = ∪_{l ∈ bb} (B_n − M·l): each row of B_n less its range over bb
-            case = bx.translate_box(lvl, tuple(-p for p in pt))
-            v, bb = transporter_extent(a, LatticeTransporter(a.matrix, (case,)))
+        # the point transporter L_{pt,B_n} is {l : pt + M·l ∈ B_n}, and
+        # E_n[pt] = ∪_{l ∈ bb} (B_n − M·l): each row of B_n less its range over bb
+        for pt, (v, bb) in zip(samples, point_extents(a, lvl, samples)):
             if bb is not None:
                 ranges = [row_range(row, bb) for row in a.matrix]
-                v = is_bounded(sb, BoxSet(Box(
+                v = box_verdict(sb, Box(
                     tuple(lo - r[1] for lo, r in zip(lvl.lower, ranges)),
-                    tuple(hi - r[0] for hi, r in zip(lvl.upper, ranges)))))
+                    tuple(hi - r[0] for hi, r in zip(lvl.upper, ranges))))
             cell = {"level": n, "point": pt, "verdict": v}
             if v.unbounded:
                 return refuted(witness=cell, detail="a point neighborhood escapes the bornology")
@@ -448,9 +454,10 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
     return confirmed("mutual cofinality", witness=tuple(certs))
 
 
-def verify_theorem_weak(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> TheoremReport:
+def verify_theorem_weak(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
+                        classification: Classification | None = None) -> TheoremReport:
     """weakly B-proper ⟺ (orbit bornologies agree at every point) ∧ (BI)."""
-    cls = classify(a, budget)
+    cls = classification or classify(a, budget)
     left = cls.weakly_b_proper
     if not cls.bi.confirmed:
         right = refuted(witness={"bi": cls.bi}, detail="unbounded isotropy")
@@ -493,10 +500,10 @@ def verify_theorem_weak(a: ActionInstance, budget: Budget = DEFAULT_BUDGET) -> T
     )
 
 
-def verify_theorem_main(a: ActionInstance, candidates=(),
-                        budget: Budget = DEFAULT_BUDGET) -> TheoremReport:
+def verify_theorem_main(a: ActionInstance, candidates=(), budget: Budget = DEFAULT_BUDGET,
+                        classification: Classification | None = None) -> TheoremReport:
     """Pairwise consistency of the three B-properness characterizations."""
-    cls = classify(a, budget)
+    cls = classification or classify(a, budget)
     cond1 = cls.b_proper
     base_v = base_property_check(a, budget, classification=cls)
     if cls.weakly_b_proper.confirmed and base_v.confirmed:

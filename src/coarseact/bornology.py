@@ -341,6 +341,19 @@ def is_bounded(spec: BornologySpec, s) -> BoundVerdict:
     return bounded_at(worst)
 
 
+def box_verdict(spec: BornologySpec, b: Box) -> BoundVerdict:
+    """is_bounded(spec, BoxSet(b)), read from a plain chain's ends when each covers b."""
+    if spec.kind == CHAIN and spec.matrix is None and not b.empty:
+        worst = 0
+        for (lo_end, hi_end), lo, hi in zip(spec.shape, b.lower, b.upper):
+            k_lo, k_hi = least_index_cover_lower(lo_end, lo), least_index_cover_upper(hi_end, hi)
+            if k_lo is None or k_hi is None:
+                return is_bounded(spec, BoxSet(b))
+            worst = max(worst, k_lo, k_hi)
+        return bounded_at(worst)
+    return is_bounded(spec, BoxSet(b))
+
+
 def _chain_escape(spec, s, row, bad_value) -> BoundVerdict:
     """Unbounded verdict with an escape ray inside s when one exists."""
     low_side = bad_value == NEG_INF

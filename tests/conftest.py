@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from coarseact.boxes import GroundSpace
@@ -9,7 +11,13 @@ from coarseact.bornology import (
     cubes_chain,
     maximal_bornology,
 )
-from coarseact.actions import ActionInstance, TranslationRule, lattice_group
+from coarseact.actions import (
+    ActionInstance,
+    TranslationRule,
+    action_bornological_check,
+    group_bornological_check,
+    lattice_group,
+)
 
 Z = GroundSpace.lattice(1)
 Z2 = GroundSpace.lattice(2)
@@ -26,6 +34,23 @@ def random_chain(rng, space, max_offset=20):
             rng.randint(1, 2), rng.randint(-max_offset, max_offset))
         shape.append((lo, hi))
     return chain_bornology(space, shape)
+
+
+def budget_slice_instance(seed):
+    """The seeded lattice instance of the budget slice: d, k ≤ 2, a space
+    chain that may start as late as level 25, and a maximal or chain group
+    bornology; None when it fails the bornological checks."""
+    rng = random.Random(seed)
+    d, k = rng.randint(1, 2), rng.randint(1, 2)
+    m = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(d))
+    sb = random_chain(rng, GroundSpace.lattice(d), 25)
+    gb = (maximal_bornology(GroundSpace.lattice(k)) if rng.random() < 0.1
+          else random_chain(rng, GroundSpace.lattice(k), 3))
+    a = ActionInstance(f"probe-{seed}", lattice_group(k, gb), GroundSpace.lattice(d),
+                       TranslationRule(m), sb)
+    if group_bornological_check(a.group).passed and action_bornological_check(a).passed:
+        return a
+    return None
 
 
 def lower_quadrant_chain():

@@ -458,8 +458,8 @@ class TestRecoveryCells:
         # third and the report stay inconclusive instead of "disagreeing"
         import coarseact.associated as associated
 
-        monkeypatch.setattr(associated, "transporter_extent",
-                            lambda a, t: (BoundVerdict("inconclusive", note="patched"), None))
+        monkeypatch.setattr(associated, "point_extents", lambda a, c, points: [
+            (BoundVerdict("inconclusive", note="patched"), None)] * len(points))
         r = verify_theorem_main(random_instance(16, "lattice-k2"))
         cond3 = r.condition("weakly_plus_witness_structure")
         assert r.status == cond3.status == "inconclusive"

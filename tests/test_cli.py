@@ -1,7 +1,6 @@
 import contextlib
 import io
 import os
-import random
 import subprocess
 import sys
 import time
@@ -10,15 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarseact.actions import (
-    ActionInstance,
-    TranslationRule,
-    action_bornological_check,
-    group_bornological_check,
-    lattice_group,
-)
-from coarseact.bornology import affine, chain_bornology, cubes_chain, maximal_bornology
-from coarseact.boxes import GroundSpace
+from coarseact.actions import ActionInstance, TranslationRule, lattice_group
+from coarseact.bornology import affine, chain_bornology, cubes_chain
 from coarseact.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -32,7 +24,7 @@ from coarseact.cli import (
     serialize_instance,
 )
 
-from conftest import Z, random_chain
+from conftest import Z, budget_slice_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -341,17 +333,7 @@ class TestInputContract:
         late = chain_bornology(Z, [(affine(-1, 20), affine(1, -20))])
         instances = [ActionInstance("late", lattice_group(1, cubes_chain(Z)), Z,
                                     TranslationRule(((1,),)), late)]
-        for seed in range(40):
-            rng = random.Random(seed)
-            d, k = rng.randint(1, 2), rng.randint(1, 2)
-            m = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(d))
-            sb = random_chain(rng, GroundSpace.lattice(d), 25)
-            gb = (maximal_bornology(GroundSpace.lattice(k)) if rng.random() < 0.1
-                  else random_chain(rng, GroundSpace.lattice(k), 3))
-            a = ActionInstance(f"probe-{seed}", lattice_group(k, gb), GroundSpace.lattice(d),
-                               TranslationRule(m), sb)
-            if group_bornological_check(a.group).passed and action_bornological_check(a).passed:
-                instances.append(a)
+        instances += filter(None, map(budget_slice_instance, range(40)))
         assert len(instances) > 12
         for a in instances:
             text = serialize_instance(ParsedInstance(a))
