@@ -33,7 +33,7 @@ from .actions import (
     lattice_group,
     orbit_bornologies,
     transporter,
-    transporter_bounded,
+    transporter_extent,
 )
 from .coarse import (
     ChainStructure,

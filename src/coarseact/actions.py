@@ -35,7 +35,6 @@ from .bornology import (
     MAXIMAL,
     BornologySpec,
     bornology_axiom_check,
-    box_verdict,
     chain_recession,
     first_level,
     is_bounded,
@@ -679,17 +678,13 @@ def transporter(a: ActionInstance, b, b2):
     return ExplicitTransporter(frozenset(hits))
 
 
-def transporter_bounded(a: ActionInstance, t) -> "object":
-    """Boundedness of a transporter in the group bornology, with certificate."""
-    return transporter_extent(a, t)[0]
-
-
 def transporter_extent(a: ActionInstance, t) -> tuple:
-    """(verdict, hull) of transporter t: transporter_bounded's verdict and the
-    box hull of its cases' non-empty integer boxes, None when t is empty,
-    unbounded, undecided or explicit.  Under a maximal group bornology, which
-    bounds every transporter, it seeks no ray and takes each case's rational
-    bounding box; _fold_extent is the one loop over the case reads."""
+    """(verdict, hull) of transporter t: its boundedness in the group
+    bornology, with certificate, and the box hull of its cases' non-empty
+    integer boxes, None when t is empty, unbounded, undecided or explicit.
+    Under a maximal group bornology, which bounds every transporter, it seeks
+    no ray and takes each case's rational bounding box; _fold_extent is the
+    one loop over the case reads."""
     gb = a.group.bornology
     maximal = gb.kind == MAXIMAL
     if isinstance(t, ExplicitTransporter):
@@ -716,7 +711,7 @@ def _fold_extent(gb: BornologySpec, reads) -> tuple:
         return bounded_at(0, note="maximal group bornology"), hull
     if hull is None:
         return bounded_at(0, note="empty transporter"), None
-    v = box_verdict(gb, hull)
+    v = is_bounded(gb, hull)
     return v, hull if v.bounded else None
 
 

@@ -10,7 +10,6 @@ primitives.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import random
 
@@ -35,7 +34,6 @@ from .boxes import (
 from .bornology import (
     CHAIN,
     BornologySpec,
-    box_verdict,
     is_bounded,
     level_box,
     _point_inside,
@@ -306,11 +304,9 @@ def base_property_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
             v, hull = _pair_extent(a, bi, bj)
             if not v.bounded:
                 return verdict_inconclusive("bounded transporter expected")
-            # on coordinate rows the bound's hull has the union's row ranges
             parts = [bi, bj] if hull is None else [
                 minkowski_sum(bx.image_hull(a.matrix, hull), bi), bi, bj]
-            v = (box_verdict(sb, functools.reduce(box_hull, parts)) if sb.matrix is None
-                 else is_bounded(sb, union_set(*map(BoxSet, parts))))
+            v = is_bounded(sb, union_set(*map(BoxSet, parts)))
             if not v.bounded:
                 return refuted(
                     witness={"levels": (i, j)},
@@ -440,7 +436,7 @@ def induced_recovery_check(a: ActionInstance, budget: Budget = DEFAULT_BUDGET,
         for pt, (v, bb) in zip(samples, point_extents(a, lvl, samples)):
             if bb is not None:
                 ranges = [row_range(row, bb) for row in a.matrix]
-                v = box_verdict(sb, Box(
+                v = is_bounded(sb, Box(
                     tuple(lo - r[1] for lo, r in zip(lvl.lower, ranges)),
                     tuple(hi - r[0] for hi, r in zip(lvl.upper, ranges))))
             cell = {"level": n, "point": pt, "verdict": v}

@@ -288,12 +288,7 @@ def first_level(spec: BornologySpec, points: int = 1) -> int | None:
 
 def constraint_ranges(spec: BornologySpec, s) -> list[tuple]:
     """Exact (lo, hi) of each constraint row over s (identity rows if no matrix);
-    a single box is read from its own ends or one row_range per matrix row."""
-    if isinstance(s, BoxSet) and not s.box.empty:
-        b = s.box
-        if spec.matrix is None:
-            return list(zip(b.lower, b.upper))
-        return [row_range(row, b) for row in spec.matrix]
+    a box is read from its own ends on identity rows, else one row_range per row."""
     pieces = set_pieces(s)
     if not pieces:
         return []
@@ -306,6 +301,8 @@ def constraint_ranges(spec: BornologySpec, s) -> list[tuple]:
             if isinstance(piece, FinitePoints):
                 vals = [sum(c * x for c, x in zip(row, p)) for p in piece.points]
                 plo, phi = min(vals), max(vals)
+            elif spec.matrix is None:
+                plo, phi = piece.box.lower[r], piece.box.upper[r]
             else:
                 plo, phi = row_range(row, piece.box)
             lo = min(lo, plo)
@@ -323,35 +320,30 @@ def is_bounded(spec: BornologySpec, s) -> BoundVerdict:
 
     Exact for Box/FinitePoints/UnionOf descriptors: containment in a box level
     depends only on per-row extents, which the range computation gets exactly.
+    s may also be a bare Box, read as its BoxSet with no descriptor built.
     """
     if spec.kind == MAXIMAL:
         return bounded_at(0, note="maximal bornology")
     if spec.kind == FINITE_BASE:
         raise GeometryError("the finite base fails the bornology axioms")
-    if set_is_empty(s):
+    b = s if isinstance(s, Box) else s.box if isinstance(s, BoxSet) else None
+    if b.empty if b is not None else set_is_empty(s):
         return bounded_at(0, note="empty set")
-    ranges = constraint_ranges(spec, s)
+    if b is None:
+        ranges = constraint_ranges(spec, s)
+    elif spec.matrix is None:
+        ranges = zip(b.lower, b.upper)
+    else:
+        ranges = [row_range(row, b) for row in spec.matrix]
     worst = 0
     for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape, ranges)):
         k_lo = least_index_cover_lower(lo_end, lo)
         k_hi = least_index_cover_upper(hi_end, hi)
         if k_lo is None or k_hi is None:
-            return _chain_escape(spec, s, r, lo if k_lo is None else hi)
+            return _chain_escape(spec, BoxSet(s) if isinstance(s, Box) else s, r,
+                                 lo if k_lo is None else hi)
         worst = max(worst, k_lo, k_hi)
     return bounded_at(worst)
-
-
-def box_verdict(spec: BornologySpec, b: Box) -> BoundVerdict:
-    """is_bounded(spec, BoxSet(b)), read from a plain chain's ends when each covers b."""
-    if spec.kind == CHAIN and spec.matrix is None and not b.empty:
-        worst = 0
-        for (lo_end, hi_end), lo, hi in zip(spec.shape, b.lower, b.upper):
-            k_lo, k_hi = least_index_cover_lower(lo_end, lo), least_index_cover_upper(hi_end, hi)
-            if k_lo is None or k_hi is None:
-                return is_bounded(spec, BoxSet(b))
-            worst = max(worst, k_lo, k_hi)
-        return bounded_at(worst)
-    return is_bounded(spec, BoxSet(b))
 
 
 def _chain_escape(spec, s, row, bad_value) -> BoundVerdict:

@@ -22,7 +22,7 @@ from coarseact.bornology import (
     level_box,
 )
 from coarseact.boxes import FinitePoints
-from coarseact.actions import classify, transporter, transporter_bounded
+from coarseact.actions import classify, transporter, transporter_extent
 from coarseact.coarse import (
     OrbitPair,
     associated_connected_structure,
@@ -86,7 +86,7 @@ def test_criterion_1_flagship_classification(flagships):
     i, j = cls.b_proper.witness["levels"]
     t = transporter(flagships[1],
                     box_set(*[(NEG_INF, i)] * 2), box_set(*[(NEG_INF, j)] * 2))
-    assert transporter_bounded(flagships[1], t).unbounded
+    assert transporter_extent(flagships[1], t)[0].unbounded
     # the maximal-space instance has unequal orbit chains
     from coarseact.actions import chains_mutually_cofinal, orbit_bornologies
 

@@ -67,7 +67,6 @@ from coarseact.actions import (
     orbit_bornologies,
     rational_bbox,
     transporter,
-    transporter_bounded,
     transporter_extent,
     uncovered_direction,
 )
@@ -203,7 +202,7 @@ class TestTransporter:
             t = transporter(shift, b, b2)
             assert isinstance(t, LatticeTransporter) and t.cases == ()
             assert not any(t.member((l,)) for l in range(-20, 21))
-            assert transporter_bounded(shift, t) == bounded_at(0, "empty transporter")
+            assert transporter_extent(shift, t)[0] == bounded_at(0, "empty transporter")
 
     def test_shift_interval(self, shift):
         t = transporter(shift, box_set((0, 1)), box_set((5, 6)))
@@ -254,18 +253,18 @@ class TestTransporter:
 class TestTransporterBounded:
     def test_interval_in_cubes(self, shift):
         t = transporter(shift, box_set((0, 1)), box_set((5, 6)))
-        v = transporter_bounded(shift, t)
+        v = transporter_extent(shift, t)[0]
         assert v.bounded and v.index == 6
 
     def test_full_line_escapes(self, hyperbola):
         q = box_set((NEG_INF, 0), (NEG_INF, 0))
-        v = transporter_bounded(hyperbola, transporter(hyperbola, q, q))
+        v = transporter_extent(hyperbola, transporter(hyperbola, q, q))[0]
         assert v.unbounded and v.direction in ((1,), (-1,))
 
     def test_first_coordinate_cube(self, first_coordinate_shift):
         t = transporter(first_coordinate_shift, box_set((-1, 1), (-1, 1)),
                         box_set((-1, 1), (-1, 1)))
-        v = transporter_bounded(first_coordinate_shift, t)
+        v = transporter_extent(first_coordinate_shift, t)[0]
         assert v.bounded and v.index == 2
         assert sorted(
             brute_transporter(first_coordinate_shift, box_set((-1, 1), (-1, 1)),
@@ -274,9 +273,9 @@ class TestTransporterBounded:
 
     def test_maximal_group_always_bounded(self, trivial_maximal_group):
         q = box_set((NEG_INF, POS_INF))
-        v = transporter_bounded(
+        v = transporter_extent(
             trivial_maximal_group, transporter(trivial_maximal_group, q, q)
-        )
+        )[0]
         assert v.bounded and v.index == 0
 
 
@@ -440,7 +439,7 @@ class TestClassify:
                 point = FinitePoints(frozenset({x}))
                 pairs += [(point, whole), (point, point)]
             for b, b2 in pairs:
-                assert transporter_bounded(inst, transporter(inst, b, b2)).bounded
+                assert transporter_extent(inst, transporter(inst, b, b2))[0].bounded
             cls = classify(inst)
             assert all(cls.flags().values()), inst.name
             assert cls.sample_points == inst.space.labels
@@ -778,7 +777,7 @@ class TestRank1IntervalRoute:
     @given(_k1_instances())
     def test_transporter_bounded_matches_general_route(self, inst):
         a, t = inst
-        assert transporter_bounded(a, t) == _general_transporter_bounded(a, t)
+        assert transporter_extent(a, t)[0] == _general_transporter_bounded(a, t)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -789,12 +788,12 @@ class TestRank1IntervalRoute:
         a = _translation_instance(m)
         cases = data.draw(st.lists(_k1_boxes(d, inf_odds=2), min_size=2, max_size=4))
         t = LatticeTransporter(m, tuple(cases))
-        assert transporter_bounded(a, t) == _general_transporter_bounded(a, t)
+        assert transporter_extent(a, t)[0] == _general_transporter_bounded(a, t)
 
     def test_direction_is_the_first_unbounded_case(self, shift):
         # the first case is unbounded below only, the second above only
         t = LatticeTransporter(((1,),), (box((NEG_INF, 0)), box((5, POS_INF))))
-        v = transporter_bounded(shift, t)
+        v = transporter_extent(shift, t)[0]
         assert v.unbounded and v.direction == (-1,)
         assert v == _general_transporter_bounded(shift, t)
 
@@ -809,7 +808,7 @@ class TestRank1IntervalRoute:
         t = transporter(shift, box_set((0, 2)), union_set(box_set((5, 9)), points_set((-4,))))
         # cases [5, 9] − [0, 2] = [3, 9] and {-4} − [0, 2] = [-6, -4]
         assert t.cases == (box((3, 9)), box((-6, -4)))
-        assert transporter_bounded(shift, t) == bounded_at(9)
+        assert transporter_extent(shift, t)[0] == bounded_at(9)
         assert calls == list(t.cases)
 
 
@@ -908,7 +907,6 @@ class TestCaseExtentWindow:
         t = LatticeTransporter(m, (case,))
         a = _translation_instance(m)
         assert transporter_extent(a, t) == (bounded_at(0, note="empty transporter"), None)
-        assert transporter_bounded(a, t) == bounded_at(0, note="empty transporter")
 
 
 class TestPointsWithin:

@@ -226,16 +226,16 @@ def _ranges_route(spec, s):
 
 
 class TestIsBoundedBoxRead:
-    """A single box is read from its own ends (plain chain) or one row_range
-    per matrix row (pull-back chain); the verdict, escape direction, base
-    point and witness equal the per-piece route's."""
+    """A single box, bare or as a BoxSet, is read from its own ends (plain
+    chain) or one row_range per matrix row (pull-back chain); the verdict,
+    escape direction, base point and witness equal the per-piece route's."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 3), st.data())
     def test_plain_chain(self, rng, d, data):
         spec = random_chain(rng, GroundSpace.lattice(d))
         s = BoxSet(data.draw(_unbounded_boxes(d)))
-        assert is_bounded(spec, s) == _ranges_route(spec, s)
+        assert is_bounded(spec, s.box) == is_bounded(spec, s) == _ranges_route(spec, s)
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 2), st.data())
@@ -244,7 +244,7 @@ class TestIsBoundedBoxRead:
         x = tuple(data.draw(st.integers(-10, 10)) for _ in range(d))
         spec = orbit_pullback(m, x, random_chain(rng, GroundSpace.lattice(d)))
         s = BoxSet(data.draw(_unbounded_boxes(k)))
-        assert is_bounded(spec, s) == _ranges_route(spec, s)
+        assert is_bounded(spec, s.box) == is_bounded(spec, s) == _ranges_route(spec, s)
 
 
 class TestFirstLevel:

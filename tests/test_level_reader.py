@@ -42,7 +42,6 @@ from coarseact.actions import (
     lattice_group,
     point_extents,
     transporter,
-    transporter_bounded,
     transporter_extent,
 )
 from coarseact.coarse import OrbitPair, orbit_compose_bound
@@ -82,12 +81,12 @@ def reference_classify_tables(a, budget):
     points = []
     for x in coset_sample_points(a)[:4]:
         for j in levels:
-            v = transporter_bounded(a, transporter(a, points_set(x), _level_set(a, j)))
+            v = transporter_extent(a, transporter(a, points_set(x), _level_set(a, j)))[0]
             points.append(((x, j), v.outcome, v.index))
     pairs = []
     for i in levels:
         for j in levels:
-            v = transporter_bounded(a, transporter(a, _level_set(a, i), _level_set(a, j)))
+            v = transporter_extent(a, transporter(a, _level_set(a, i), _level_set(a, j)))[0]
             pairs.append(((i, j), v.outcome, v.index))
     return tuple(points), tuple(pairs)
 
