@@ -292,16 +292,16 @@ def constraint_ranges(spec: BornologySpec, s) -> list[tuple]:
     pieces = set_pieces(s)
     if not pieces:
         return []
-    n_rows = len(spec.shape)
     ranges = []
-    for r in range(n_rows):
-        row = spec.matrix[r] if spec.matrix is not None else _unit_row(n_rows, r)
+    for r in range(len(spec.shape)):
+        row = None if spec.matrix is None else spec.matrix[r]
         lo, hi = POS_INF, NEG_INF
         for piece in pieces:
             if isinstance(piece, FinitePoints):
-                vals = [sum(c * x for c, x in zip(row, p)) for p in piece.points]
+                vals = [p[r] if row is None else sum(c * x for c, x in zip(row, p))
+                        for p in piece.points]
                 plo, phi = min(vals), max(vals)
-            elif spec.matrix is None:
+            elif row is None:
                 plo, phi = piece.box.lower[r], piece.box.upper[r]
             else:
                 plo, phi = row_range(row, piece.box)
@@ -309,10 +309,6 @@ def constraint_ranges(spec: BornologySpec, s) -> list[tuple]:
             hi = max(hi, phi)
         ranges.append((lo, hi))
     return ranges
-
-
-def _unit_row(n, r):
-    return tuple(1 if i == r else 0 for i in range(n))
 
 
 def is_bounded(spec: BornologySpec, s) -> BoundVerdict:

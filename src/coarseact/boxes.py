@@ -230,24 +230,6 @@ def clip_box(b: Box, radius: int) -> Box:
     return box_intersect(b, cube(radius, b.dim))
 
 
-def box_difference_slabs(b: Box, carve: Box) -> list[Box]:
-    """b minus carve as a disjoint list of boxes (coordinate sweep)."""
-    if b.empty:
-        return []
-    if carve.empty or box_intersect(b, carve).empty:
-        return [b]
-    slabs, lower, upper = [], list(b.lower), list(b.upper)
-    for i, (lo_c, hi_c) in enumerate(zip(carve.lower, carve.upper)):
-        # the remainder's parts below and above carve in coordinate i, then
-        # the remainder narrowed to carve there
-        for lo, hi in ((lower[i], lo_c - 1), (hi_c + 1, upper[i])):
-            slab = box(*((lo, hi) if j == i else e for j, e in enumerate(zip(lower, upper))))
-            if not slab.empty:
-                slabs.append(slab)
-        lower[i], upper[i] = max(lower[i], lo_c), min(upper[i], hi_c)
-    return slabs
-
-
 # --- set descriptors -------------------------------------------------------
 
 

@@ -29,6 +29,7 @@ from .bornology import (
 )
 from .actions import (
     ActionInstance,
+    AffineRule,
     PermutationRule,
     TranslationRule,
     action_bornological_check,
@@ -37,13 +38,8 @@ from .actions import (
     finite_group,
     group_bornological_check,
     group_table_check,
+    is_signed_permutation,
     lattice_group,
-)
-from .coarse import (
-    FiniteClosure,
-    associated_connected_structure,
-    group_right_structure,
-    metric_ball_structure,
 )
 from .verdicts import Budget
 
@@ -304,8 +300,6 @@ def _build_instance(sections, name: str) -> ParsedInstance:
         if akind == "translation":
             rule = TranslationRule(tuple(rows))
         else:
-            from .actions import AffineRule, is_signed_permutation
-
             arows = []
             for r in range(space.dim):
                 arows.append(_get_row(sections, "action", f"arow{r}"))
@@ -342,6 +336,12 @@ def _build_instance(sections, name: str) -> ParsedInstance:
 
 
 def _build_candidate(ckind: str, inst: ActionInstance):
+    from .coarse import (
+        associated_connected_structure,
+        group_right_structure,
+        metric_ball_structure,
+    )
+
     if ckind == "metric_ball":
         if not inst.space.is_lattice:
             raise ParseError("metric_ball candidates need a lattice space")
@@ -593,8 +593,9 @@ def _cmd_closure(parsed: ParsedInstance, args) -> int:
     return EXIT_OK
 
 
-def closure_dot(closure: FiniteClosure) -> str:
-    """One node per ground element, one edge per pair per maximal relation."""
+def closure_dot(closure) -> str:
+    """One node per ground element of a FiniteClosure, one edge per pair per
+    maximal relation."""
     lines = ["digraph closure {"]
     for x in closure.space.labels:
         lines.append(f'  "n{x}" [label="{x}"];')

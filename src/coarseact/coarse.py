@@ -730,7 +730,8 @@ def coarsely_bounded(cs, s, budget: Budget = DEFAULT_BUDGET) -> BoundVerdict:
     """Is s coverable as E[A] for finite A and a chain level E?
 
     Certificates carry (level, A).  Exact for the chain kinds this package
-    constructs; escape directions come from index-independent recession data.
+    constructs; escape directions come from index-independent recession data,
+    so no answer depends on budget (kept for the primitives' common signature).
     """
     if isinstance(cs, FiniteClosure):
         return bounded_at(0, note="finite space: A may be the whole ground set")
@@ -739,9 +740,9 @@ def coarsely_bounded(cs, s, budget: Budget = DEFAULT_BUDGET) -> BoundVerdict:
     if cs.kind in ("metric_ball", "group_right"):
         return _diffrel_coarsely_bounded(cs, s)
     if cs.kind == "connected_pairs":
-        return _connected_coarsely_bounded(cs.bornology, s, budget)
+        return _connected_coarsely_bounded(cs.bornology, s)
     if cs.kind == "orbit_pair":
-        return _orbit_coarsely_bounded(cs.action, s, budget)
+        return _orbit_coarsely_bounded(cs.action, s)
     raise UnsupportedVariant(f"coarsely_bounded over {cs!r}")
 
 
@@ -791,30 +792,26 @@ def _fit_translate(target: Box, shape: Box):
     return tuple(a)
 
 
-def _connected_coarsely_bounded(b: BornologySpec, s, budget: Budget) -> BoundVerdict:
+def _connected_coarsely_bounded(b: BornologySpec, s) -> BoundVerdict:
+    """diag ∪ B_n × B_n holds s in one E_n[A] exactly when s is bounded, so
+    is_bounded's verdict (level or escape) is the answer."""
     v = is_bounded(b, s)
     if v.bounded:
         lvl = level_box(b, v.index) if b.kind != MAXIMAL else None
         anchor = _point_inside(lvl) if lvl is not None and not lvl.empty else None
         note = f"A={{point of level {v.index}}}" if anchor is not None else "A=s itself"
         return bounded_at(v.index, note=note)
-    # s may still be B_n plus finitely many stray points
-    if isinstance(s, BoxSet) and b.kind == CHAIN and b.matrix is None:
-        n = budget.max_index
-        slabs = bx.box_difference_slabs(s.box, level_box(b, n))
-        if all(sl.is_bounded() for sl in slabs):
-            return bounded_at(n, note="A = finite remainder outside the level")
     return v
 
 
-def _orbit_coarsely_bounded(a: ActionInstance, s, budget: Budget) -> BoundVerdict:
+def _orbit_coarsely_bounded(a: ActionInstance, s) -> BoundVerdict:
     sb = a.space_bornology  # an empty level rewrites exactly, so read the first non-empty one
     rw = _rewrite_orbit_pair(OrbitPair(a, BoxSet(level_box(sb, first_level(sb) or 0))))
     if rw.exact and isinstance(rw.descriptor, DiffRel):
         cs = ChainStructure(a.space, "orbit_pair", action=a)
         return _diffrel_coarsely_bounded(cs, s)
     if rw.exact and isinstance(rw.descriptor, ConnectedPairs):
-        return _connected_coarsely_bounded(sb, s, budget)
+        return _connected_coarsely_bounded(sb, s)
     v = is_bounded(sb, s)
     if v.bounded:
         return bounded_at(v.index, note="A={point of the bounded set}")

@@ -204,11 +204,12 @@ def _sweep_plan(a: ActionInstance, b, b2, gw: int, xw: float, hull) -> tuple:
 
 def _sweep_bytes(hull, radii, rows: int) -> int:
     """A bound on the bytes a transporter sweep's arrays take, in 8-byte entries:
-    3d + 2 per point of b's hull within the radii (its window grid row, three
-    times over while the grid is built, and its count-table entry, twice over
-    while the table is summed) and 2^d + 6d + 2 per group element and piece
-    of b2 (its 2^d table reads, its clipped ends, six times over while they
-    are built, and its group element and shift)."""
+    3d + 2 per point of b's hull within the radii (its window grid row, counted
+    three times over although ``_grid`` builds it in one allocation, so this
+    term is an upper bound, and its count-table entry, twice over while the
+    table is summed) and 2^d + 6d + 2 per group element and piece of b2 (its
+    2^d table reads, its clipped ends, six times over while they are built,
+    and its group element and shift)."""
     d = len(radii)
     points = math.prod(max(0, min(hi, r) - max(lo, -r) + 1) for lo, hi, r in zip(*hull, radii))
     return 8 * (int(points) * (3 * d + 2) + rows * (2 ** d + 6 * d + 2))
@@ -274,9 +275,14 @@ def _permuted_orbit_member(e: OrbitPair, x, y) -> bool:
 
 
 def _grid(lower, upper) -> np.ndarray:
-    """Integer points of the box ∏ [lower, upper], one float row each, in lexicographic order."""
-    axes = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in zip(lower, upper)), indexing="ij")
-    return np.stack([axis.ravel() for axis in axes], axis=1).astype(float)
+    """Integer points of the box ∏ [lower, upper], one float row each, in lexicographic order.
+    The grid is one allocation: each sparse axis is broadcast into its own column."""
+    axes = np.meshgrid(*(np.arange(lo, hi + 1, dtype=float) for lo, hi in zip(lower, upper)),
+                       indexing="ij", sparse=True)
+    grid = np.empty([axis.size for axis in axes] + [len(axes)])
+    for i, axis in enumerate(axes):
+        grid[..., i] = axis
+    return grid.reshape(-1, len(axes))
 
 
 def _ends(s, d: int) -> tuple:

@@ -9,6 +9,7 @@ from coarseact.boxes import (
     NEG_INF,
     POS_INF,
     BoxSet,
+    FinitePoints,
     GeometryError,
     GroundSpace,
     UnionSet,
@@ -212,10 +213,12 @@ def _unbounded_boxes(draw, d):
 
 
 def _ranges_route(spec, s):
-    """is_bounded's chain loop over the ranges of s as a one-member union,
-    the per-piece route that points and unions take."""
+    """is_bounded's chain loop over the ranges of s as a union with one point
+    of s, the per-piece route that points and unions take."""
     worst = 0
-    ranges = constraint_ranges(spec, UnionSet((s,)))
+    inside = tuple(lo if lo != NEG_INF else hi if hi != POS_INF else 0
+                   for lo, hi in zip(s.box.lower, s.box.upper))
+    ranges = constraint_ranges(spec, UnionSet((s, FinitePoints(frozenset({inside})))))
     for r, ((lo_end, hi_end), (lo, hi)) in enumerate(zip(spec.shape, ranges)):
         k_lo = least_index_cover_lower(lo_end, lo)
         k_hi = least_index_cover_upper(hi_end, hi)

@@ -11,7 +11,6 @@ from coarseact.boxes import (
     EmptyBoxError,
     UnionSet,
     box,
-    box_difference_slabs,
     box_intersect,
     box_points,
     box_set,
@@ -152,21 +151,3 @@ class TestPointsWithin:
         assert got == sorted(p for p in itertools.product(range(-radius, radius + 1),
                                                           repeat=s.box.dim)
                              if set_membership(s, p))
-
-
-class TestSlabs:
-    @given(
-        st.integers(-5, 5), st.integers(0, 4), st.integers(-5, 5), st.integers(0, 4),
-        st.integers(-5, 5), st.integers(0, 4), st.integers(-5, 5), st.integers(0, 4),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_partition_of_difference(self, a, wa, b, wb, c, wc, d, wd):
-        big = box((a, a + wa), (b, b + wb))
-        carve = box((c, c + wc), (d, d + wd))
-        slabs = box_difference_slabs(big, carve)
-        for pt in box_points(big):
-            inside = any(s.contains(pt) for s in slabs)
-            assert inside == (not carve.contains(pt))
-        # disjointness
-        for pt in itertools.product(range(-10, 11), repeat=2):
-            assert sum(s.contains(pt) for s in slabs) <= 1

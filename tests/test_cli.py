@@ -402,9 +402,53 @@ _NUMPY_PROBE = (
 )
 
 
+_MODULE_PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    if sys.argv[1:]:\n"
+    "        runpy.run_module('coarseact.cli', run_name='__main__', alter_sys=True)\n"
+    "    else:\n"
+    "        import coarseact\n"
+    "finally:\n"
+    "    print(' '.join(sorted(m for m in sys.modules if m.startswith('coarseact'))),"
+    " file=sys.stderr)\n"
+)
+
+
+def _loaded_modules(argv):
+    """(exit code, coarseact modules loaded) of one fresh interpreter that
+    runs the CLI on argv, or only imports the package if argv is empty."""
+    argv = [fixture(a) if a.endswith(".instance") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
+
+
 class TestStartupImports:
     """The exact commands never need numpy; only the oracle, the lattice
-    lemma verifiers and rank-1 membership batches import it."""
+    lemma verifiers and rank-1 membership batches import it.  The package
+    imports no submodule, and a command loads coarse, associated and oracle
+    only when it runs them."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert _loaded_modules([]) == (0, {"coarseact"})
+
+    @pytest.mark.parametrize("command", ["axioms", "classify"])
+    def test_commands_without_candidates_skip_coarse(self, command):
+        code, loaded = _loaded_modules([command, "hyperbola.instance"])
+        assert code == EXIT_OK
+        # the CLI itself runs as __main__, so it is not listed
+        assert loaded == {"coarseact", "coarseact.verdicts", "coarseact.boxes",
+                          "coarseact.bornology", "coarseact.actions"}
+
+    @pytest.mark.parametrize("argv", [
+        ["theorem", "main", "shift.instance"],  # builds its candidates
+        ["closure", "cyclic_rotation.instance"],
+    ])
+    def test_commands_load_coarse_where_they_run_it(self, argv):
+        code, loaded = _loaded_modules(argv)
+        assert code == EXIT_OK
+        assert "coarseact.coarse" in loaded
 
     @pytest.mark.parametrize("argv", [
         ["axioms", "hyperbola.instance"],

@@ -35,6 +35,7 @@ from coarseact.bornology import (
     affine,
     chain_bornology,
     cubes_chain,
+    is_bounded,
     maximal_bornology,
 )
 from coarseact.actions import (
@@ -686,6 +687,20 @@ class TestCoarselyBounded:
         cs = associated_connected_structure(cubes_chain(Z))
         assert coarsely_bounded(cs, box_set((4, 6))).bounded
         assert coarsely_bounded(cs, box_set((NEG_INF, 0))).unbounded
+
+    @pytest.mark.parametrize("top", [0, 8, 40])
+    def test_connected_rewrite_escape_is_is_bounded(self, top):
+        # diag ∪ B_n × B_n holds [0, inf) in no E_n[A]: both the connected-pairs
+        # structure and the trivial action's orbit pairs (which rewrite to
+        # connected pairs) answer with is_bounded's escape, at every budget
+        cubes = cubes_chain(Z)
+        s = box_set((0, POS_INF))
+        trivial = ActionInstance("trivial", lattice_group(1, cubes), Z,
+                                 TranslationRule(((0,),)), cubes)
+        want = is_bounded(cubes, s)
+        assert want.unbounded and want.direction == (1,)
+        for cs in (associated_connected_structure(cubes), associated_orbit_structure(trivial)):
+            assert coarsely_bounded(cs, s, Budget(max_index=top)) == want
 
     def test_neighborhood_of_bounded_stays_bounded(self):
         # E[B] belongs to the induced bornology again
